@@ -24,7 +24,7 @@ import numpy as np
 from .broyden import UpdateRule
 from .data_io import RngStream, SyntheticSpec, generate_logsumexp, generate_start, parse_libsvm
 from .errors import DatasetNotFound, GreedyQnError, InvalidPlan
-from .objectives import ObjectiveOracle, QuadraticProblem
+from .objectives import DENSE_CAP, ObjectiveOracle, QuadraticProblem
 from .operator_core import DenseSymmetric
 from .solvers import (
     MAX_ITER_REACHED,
@@ -109,7 +109,6 @@ class ExperimentPlan:
     iteration_budget_factor: int = 1000
     output: str | None = None
     formats: tuple = ("csv",)
-    diag_cap: int = 500
     trace_options: TraceOptions = field(default_factory=TraceOptions)
 
     def __post_init__(self):
@@ -244,7 +243,6 @@ def _run_methods(plan: ExperimentPlan, prepared: _Prepared, trace_opts: TraceOpt
                 termination,
                 budget,
                 trace_options=trace_opts,
-                diag_cap=plan.diag_cap,
             )
         else:
             correction = (
@@ -265,8 +263,6 @@ def _run_methods(plan: ExperimentPlan, prepared: _Prepared, trace_opts: TraceOpt
                 correction=correction,
                 m_const=prepared.m_const if correction else 0.0,
                 trace=trace_opts,
-                diag_cap=plan.diag_cap,
-                seed=plan.seed,
             )
             _, trace = solve_general(oracle, prepared.x0, config)
         wall[spec.name] = time.perf_counter() - t0
@@ -323,10 +319,8 @@ def run_hessian_error_plan(plan: ExperimentPlan) -> ResultTable:
     if any(m.family == "gm" for m in plan.methods):
         raise InvalidPlan("gradient descent has no Hessian approximation to report")
     prepared = _prepare(plan)
-    if prepared.oracle.n > plan.diag_cap:
-        raise InvalidPlan(
-            f"n={prepared.oracle.n} exceeds diagnostics cap {plan.diag_cap}"
-        )
+    if prepared.oracle.n > DENSE_CAP:
+        raise InvalidPlan(f"n={prepared.oracle.n} exceeds the dense cap {DENSE_CAP}")
     opts = TraceOptions(
         lambda_f=plan.trace_options.lambda_f,
         sigma=plan.trace_options.sigma,
@@ -600,7 +594,6 @@ def main(argv=None) -> int:
                 iteration_budget_factor=plan.iteration_budget_factor,
                 output=plan.output,
                 formats=plan.formats,
-                diag_cap=plan.diag_cap,
             )
             err_table = run_hessian_error_plan(error_plan)
             print(emit_table(err_table, "csv"), end="")

@@ -79,27 +79,19 @@ class UpdatePair:
     guu: float
 
     @classmethod
-    def from_state(
-        cls, state: SpdState, u, au, check_dominated: bool = False
-    ) -> "UpdatePair":
+    def from_state(cls, state: SpdState, u, au) -> "UpdatePair":
         u = np.asarray(u, dtype=float)
         au = np.asarray(au, dtype=float)
         if u.shape != (state.n,) or au.shape != (state.n,):
             raise DimensionMismatch("direction/action length mismatch")
         gu = state.apply(u)
-        pair = cls(
+        return cls(
             u=u,
             au=au,
             auu=float(np.dot(au, u)),
             gu=gu,
             guu=float(np.dot(gu, u)),
         )
-        if check_dominated:
-            # caller asserts the target is dominated by the approximation
-            assert pair.guu >= pair.auu * (1.0 - 1e-9), (
-                f"<Gu,u>={pair.guu} < <Au,u>={pair.auu}"
-            )
-        return pair
 
 
 def tau_split(rule: UpdateRule, pair: UpdatePair) -> tuple[float, float]:
@@ -122,11 +114,6 @@ def tau_split(rule: UpdateRule, pair: UpdatePair) -> tuple[float, float]:
     return rule.tau, 1.0 - rule.tau
 
 
-def tau_for(rule: UpdateRule, pair: UpdatePair) -> float:
-    """Mixing parameter: SR1 -> 0, DFP -> 1, BFGS -> <Au,u>/<Gu,u>."""
-    return tau_split(rule, pair)[0]
-
-
 def broyden_coefficients(tau, one_minus_tau, auu, guu):
     """Rank-two coefficients of the tau-update in span{Au, Gu}.
 
@@ -146,7 +133,6 @@ def broyden_update(
     state: SpdState,
     pair: UpdatePair,
     tau: float,
-    tol: float = DEGENERACY_RTOL,
     *,
     one_minus_tau: float | None = None,
 ) -> SpdState:
@@ -154,9 +140,9 @@ def broyden_update(
 
     The update blends the DFP and SR1 formulas with weight tau.  When the
     direction carries no approximation error, i.e.
-    <(G - A)u, u> <= tol * <Au, u>, the operator is left unchanged (the
-    SR1 denominator would vanish and every member degenerates to the
-    identity update).
+    <(G - A)u, u> <= DEGENERACY_RTOL * <Au, u>, the operator is left
+    unchanged (the SR1 denominator would vanish and every member
+    degenerates to the identity update).
 
     ``one_minus_tau`` may be supplied when the caller can compute 1 - tau
     without cancellation (see :func:`tau_split`); otherwise it is derived
@@ -169,7 +155,7 @@ def broyden_update(
             f"curvatures must be positive (auu={pair.auu}, guu={pair.guu})"
         )
     delta = pair.guu - pair.auu
-    if delta <= tol * pair.auu:
+    if delta <= DEGENERACY_RTOL * pair.auu:
         return state
     omt = (1.0 - tau) if one_minus_tau is None else one_minus_tau
     c_aa, c_ag, c_gg = broyden_coefficients(tau, omt, pair.auu, pair.guu)

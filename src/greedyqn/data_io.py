@@ -21,8 +21,6 @@ from .errors import (
 )
 from .objectives import LogisticProblem, LogSumExpProblem, _stable_softmax
 
-RNG_ALGORITHM = "pcg64"
-
 
 class RngStream:
     """Deterministic 64-bit generator keyed by (seed, stream label).
@@ -31,10 +29,7 @@ class RngStream:
     labels are statistically independent while staying reproducible.
     """
 
-    def __init__(self, seed: int, label: str, algorithm: str = RNG_ALGORITHM):
-        if algorithm != RNG_ALGORITHM:
-            raise ValueError(f"unsupported generator {algorithm!r}")
-        self.algorithm = algorithm
+    def __init__(self, seed: int, label: str):
         self.seed = int(seed)
         self.label = label
         digest = hashlib.sha256(label.encode("utf-8")).digest()

@@ -18,7 +18,9 @@ from scipy.special import expit
 from .errors import DimensionMismatch, DimensionTooLarge, NonFiniteResult
 from .operator_core import DenseSymmetric
 
-FULL_HESSIAN_CAP = 500
+# Largest dimension for dense n x n Hessian work: ``full_hessian`` refuses
+# larger problems and the per-iteration O(n^3) diagnostics skip them.
+DENSE_CAP = 500
 
 
 def _check_dim(x, n):
@@ -56,8 +58,6 @@ class ObjectiveOracle:
     lipschitz_l: float
     strong_convexity_mu: float | None = None
     self_concordance_m: float | None = None
-    has_full_hessian: bool = True
-    full_hessian_cap: int = FULL_HESSIAN_CAP
 
     def value(self, x) -> float:
         raise NotImplementedError
@@ -75,10 +75,8 @@ class ObjectiveOracle:
         raise NotImplementedError
 
     def _check_cap(self):
-        if self.n > self.full_hessian_cap:
-            raise DimensionTooLarge(
-                f"n={self.n} exceeds the dense-Hessian cap {self.full_hessian_cap}"
-            )
+        if self.n > DENSE_CAP:
+            raise DimensionTooLarge(f"n={self.n} exceeds the dense-Hessian cap {DENSE_CAP}")
 
 
 class QuadraticProblem(ObjectiveOracle):
@@ -251,13 +249,3 @@ class LogisticProblem(ObjectiveOracle):
         h = (self.c.T * w) @ self.c
         h[np.diag_indices(self.n)] += self.gamma
         return DenseSymmetric(h)
-
-
-def lipschitz_L(problem: ObjectiveOracle) -> float:
-    """Gradient Lipschitz constant of the oracle (Euclidean metric)."""
-    return problem.lipschitz_l
-
-
-def self_concordance_M(problem: ObjectiveOracle) -> float | None:
-    """Strong self-concordance constant, or None when not certified."""
-    return problem.self_concordance_m

@@ -6,8 +6,10 @@ Hessian dominated after each step), plus two baselines: gradient descent
 with step 1/L and classical secant-based quasi-Newton methods.
 
 All schemes start from the approximation G0 = L * I, take unit steps
-x+ = x - G^{-1} grad, and return a per-iteration :class:`RunTrace`.
-Divergence or loss of definiteness is reported as an outcome, never
+x+ = x - G^{-1} grad, and return a per-iteration :class:`RunTrace`.  They
+share one iteration driver (evaluation, finiteness check, diagnostics,
+termination, records, failure mapping) and differ only in their step
+rule.  Divergence or loss of definiteness is reported as an outcome, never
 patched.
 """
 
@@ -31,18 +33,15 @@ from .broyden import (
 )
 from .data_io import RngStream, unit_sphere_direction
 from .errors import (
-    DimensionTooLarge,
-    GreedyQnError,
     NonFiniteResult,
     NonPositiveCurvature,
     NonPositiveHessianDiagonal,
     NotPositiveDefinite,
     SingularCapacitance,
 )
-from .objectives import ObjectiveOracle, QuadraticProblem
+from .objectives import DENSE_CAP, ObjectiveOracle, QuadraticProblem
 from .operator_core import SpdState, factorize
 
-DIAGNOSTICS_CAP = 500
 SECANT_SKIP_RTOL = 1e-12
 
 
@@ -126,8 +125,6 @@ class SolverConfig:
     correction: bool = False
     m_const: float = 0.0
     trace: TraceOptions = field(default_factory=TraceOptions)
-    diag_cap: int = DIAGNOSTICS_CAP
-    seed: int | None = None
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -195,13 +192,13 @@ def _terminated(termination, f, f0, grad_norm) -> bool:
     return grad_norm <= termination.epsilon
 
 
-def _diagnostics(oracle, x, grad, state, trace: TraceOptions, diag_cap: int):
+def _diagnostics(oracle, x, grad, state, trace: TraceOptions):
     """(lambda_f, sigma, op_error) at the current iterate, or Nones.
 
     Shares one Cholesky factorization of the exact Hessian across the
-    requested quantities; skipped entirely above the dimension cap.
+    requested quantities; skipped entirely above the dense cap.
     """
-    if not trace.any() or oracle.n > diag_cap or not oracle.has_full_hessian:
+    if not trace.any() or oracle.n > DENSE_CAP:
         return None, None, None
     hess = oracle.full_hessian(x)
     chol = factorize(hess)
@@ -226,18 +223,65 @@ _STEP_ERRORS = (
 )
 
 
-def _failure_reason(exc: GreedyQnError) -> str:
-    return type(exc).__name__
+def _finite(values, what: str):
+    """``values`` unchanged, or :class:`NonFiniteResult` if any entry is NaN or inf."""
+    if not np.isfinite(values).all():
+        raise NonFiniteResult(f"{what} is not finite")
+    return values
+
+
+def _run(oracle, x0, termination, max_iter, step, state=None, options=TraceOptions()):
+    """The iteration loop every scheme shares.
+
+    Each iteration evaluates f and grad f at x (reusing the gradient when
+    the previous step already computed it), checks both are finite,
+    computes the requested diagnostics of ``state``, and stops on the
+    termination test or at the budget.  Otherwise
+    ``step(k, x, grad, row)`` returns the next iterate and the gradient
+    there, or None when it did not compute it.  ``row`` holds the keyword
+    arguments of iteration k's record; the step may add ``r_k`` and
+    ``direction_index`` to it, also when it fails.  Any of
+    ``_STEP_ERRORS`` ends the run as a numerical failure at x.
+    """
+    x = np.array(x0, dtype=float)
+    trace = RunTrace()
+    grad = None
+    try:
+        for k in range(max_iter + 1):
+            f = _finite(oracle.value(x), "objective")
+            if grad is None:
+                grad = _finite(oracle.gradient(x), "gradient")
+            grad_norm = float(np.linalg.norm(grad))
+            if k == 0:
+                f0 = f
+            lam, sig, operr = _diagnostics(oracle, x, grad, state, options)
+            row = dict(
+                k=k, f_value=f, grad_norm=grad_norm, lambda_f=lam, sigma=sig, op_error=operr
+            )
+            converged = _terminated(termination, f, f0, grad_norm)
+            try:
+                if not converged and k < max_iter:
+                    x, grad = step(k, x, grad, row)
+            finally:
+                trace.records.append(IterationRecord(**row))
+            if converged:
+                trace.outcome = CONVERGED
+                trace.converged_at = k
+                break
+    except _STEP_ERRORS as exc:
+        trace.outcome = NUMERICAL_FAILURE
+        trace.failure_reason = type(exc).__name__
+    return x, trace
 
 
 def _apply_family_update(state, pair, rule):
     """One tau-family update against an exact target action, or a no-op.
 
-    The degenerate case <(G - A)u, u> <= tol * <Au, u> is screened before
-    the mixing parameter is computed: every family member reduces to the
-    identity update there, and the BFGS parameter auu/guu would leave
-    [0, 1] if the approximation dipped below the target along u (possible
-    when the correction is disabled).
+    The degenerate case <(G - A)u, u> <= DEGENERACY_RTOL * <Au, u> is
+    screened before the mixing parameter is computed: every family member
+    reduces to the identity update there, and the BFGS parameter auu/guu
+    would leave [0, 1] if the approximation dipped below the target along
+    u (possible when the correction is disabled).
     """
     if pair.guu - pair.auu <= DEGENERACY_RTOL * pair.auu:
         return state
@@ -258,88 +302,39 @@ def solve_general(
     (1 + m_const * r_k) so the Hessian at the new point stays dominated,
     selects the update direction (greedy coordinate or random sphere), and
     applies the tau-update against the exact Hessian action at the new
-    point.
+    point.  A non-finite Hessian output ends the run as
+    :class:`NonFiniteResult`.
     """
     if config.strategy.kind is DirectionKind.CLASSICAL_SECANT:
         raise ValueError("classical secant runs go through classical_qn")
     n = oracle.n
-    x = np.array(x0, dtype=float)
     state = SpdState.scaled_identity(n, oracle.lipschitz_l)
-    rng = None
-    if config.strategy.kind is DirectionKind.RANDOM_SPHERE:
-        seed = config.strategy.seed if config.strategy.seed is not None else config.seed
-        rng = RngStream(seed, "directions")
     greedy = config.strategy.kind is DirectionKind.GREEDY_COORDINATE
-    trace = RunTrace()
-    f0 = None
-    for k in range(config.max_iter + 1):
-        try:
-            f = oracle.value(x)
-            grad = oracle.gradient(x)
-            if not (np.isfinite(f) and np.all(np.isfinite(grad))):
-                raise NonFiniteResult("objective or gradient is not finite")
-            grad_norm = float(np.linalg.norm(grad))
-            if f0 is None:
-                f0 = f
-            lam, sig, operr = _diagnostics(
-                oracle, x, grad, state, config.trace, config.diag_cap
-            )
-        except _STEP_ERRORS as exc:
-            trace.outcome = NUMERICAL_FAILURE
-            trace.failure_reason = _failure_reason(exc)
-            return x, trace
-        if _terminated(config.termination, f, f0, grad_norm):
-            trace.records.append(
-                IterationRecord(k, f, grad_norm, lambda_f=lam, sigma=sig, op_error=operr)
-            )
-            trace.outcome = CONVERGED
-            trace.converged_at = k
-            return x, trace
-        if k == config.max_iter:
-            trace.records.append(
-                IterationRecord(k, f, grad_norm, lambda_f=lam, sigma=sig, op_error=operr)
-            )
-            trace.outcome = MAX_ITER_REACHED
-            return x, trace
-        r_k = None
+    rng = None if greedy else RngStream(config.strategy.seed, "directions")
+
+    def step(k, x, grad, row):
+        d = -state.solve(grad)
+        x_next = x + d
+        hv = _finite(oracle.hessian_vec(x, d), "Hessian action along the step")
+        r_k = row["r_k"] = float(np.sqrt(max(np.dot(hv, d), 0.0)))
+        if config.correction and config.m_const * r_k > 0.0:
+            state.rescale(1.0 + config.m_const * r_k)
         idx = None
-        try:
-            d = -state.solve(grad)
-            x_next = x + d
-            hv = oracle.hessian_vec(x, d)
-            r_k = float(np.sqrt(max(np.dot(hv, d), 0.0)))
-            if config.correction and config.m_const * r_k > 0.0:
-                state.rescale(1.0 + config.m_const * r_k)
-            if greedy:
-                diag_a = oracle.hessian_diag(x_next)
-                idx = greedy_direction(state.diag, diag_a)
-                u = np.zeros(n)
-                u[idx] = 1.0
-            else:
-                u = unit_sphere_direction(rng, n)
-            au = oracle.hessian_vec(x_next, u)
-            pair = UpdatePair.from_state(state, u, au)
-            if on_iteration is not None:
-                on_iteration(
-                    IterationEvent(k, x.copy(), x_next.copy(), r_k, idx, state)
-                )
-            _apply_family_update(state, pair, config.rule)
-        except _STEP_ERRORS as exc:
-            trace.records.append(
-                IterationRecord(
-                    k, f, grad_norm, r_k, idx, lambda_f=lam, sigma=sig, op_error=operr
-                )
-            )
-            trace.outcome = NUMERICAL_FAILURE
-            trace.failure_reason = _failure_reason(exc)
-            return x, trace
-        trace.records.append(
-            IterationRecord(
-                k, f, grad_norm, r_k, idx, lambda_f=lam, sigma=sig, op_error=operr
-            )
-        )
-        x = x_next
-    return x, trace
+        if greedy:
+            diag_a = _finite(oracle.hessian_diag(x_next), "Hessian diagonal")
+            idx = row["direction_index"] = greedy_direction(state.diag, diag_a)
+            u = np.zeros(n)
+            u[idx] = 1.0
+        else:
+            u = unit_sphere_direction(rng, n)
+        au = _finite(oracle.hessian_vec(x_next, u), "Hessian action along u")
+        pair = UpdatePair.from_state(state, u, au)
+        if on_iteration is not None:
+            on_iteration(IterationEvent(k, x.copy(), x_next.copy(), r_k, idx, state))
+        _apply_family_update(state, pair, config.rule)
+        return x_next, None
+
+    return _run(oracle, x0, config.termination, config.max_iter, step, state, config.trace)
 
 
 def solve_quadratic(
@@ -371,32 +366,11 @@ def gradient_method(
     """Gradient descent with the constant step size 1/L."""
     if not l_const > 0:
         raise ValueError("L must be positive")
-    x = np.array(x0, dtype=float)
-    trace = RunTrace()
-    f0 = None
-    for k in range(max_iter + 1):
-        try:
-            f = oracle.value(x)
-            grad = oracle.gradient(x)
-            if not (np.isfinite(f) and np.all(np.isfinite(grad))):
-                raise NonFiniteResult("objective or gradient is not finite")
-        except NonFiniteResult as exc:
-            trace.outcome = NUMERICAL_FAILURE
-            trace.failure_reason = _failure_reason(exc)
-            return x, trace
-        grad_norm = float(np.linalg.norm(grad))
-        if f0 is None:
-            f0 = f
-        trace.records.append(IterationRecord(k, f, grad_norm))
-        if _terminated(termination, f, f0, grad_norm):
-            trace.outcome = CONVERGED
-            trace.converged_at = k
-            return x, trace
-        if k == max_iter:
-            trace.outcome = MAX_ITER_REACHED
-            return x, trace
-        x = x - grad / l_const
-    return x, trace
+
+    def step(k, x, grad, row):
+        return x - grad / l_const, None
+
+    return _run(oracle, x0, termination, max_iter, step)
 
 
 def _secant_coefficients(rule: UpdateRule, alpha, beta):
@@ -436,7 +410,6 @@ def classical_qn(
     termination,
     max_iter: int,
     trace_options: TraceOptions | None = None,
-    diag_cap: int = DIAGNOSTICS_CAP,
 ) -> tuple[np.ndarray, RunTrace]:
     """Classical quasi-Newton baseline with the secant substitution.
 
@@ -448,74 +421,37 @@ def classical_qn(
     """
     if not l_const > 0:
         raise ValueError("L must be positive")
-    topt = trace_options if trace_options is not None else TraceOptions()
-    n = oracle.n
-    x = np.array(x0, dtype=float)
-    state = SpdState.scaled_identity(n, l_const)
-    trace = RunTrace()
-    f0 = None
-    grad = None
-    for k in range(max_iter + 1):
-        try:
-            f = oracle.value(x)
-            if grad is None:
-                grad = oracle.gradient(x)
-            if not (np.isfinite(f) and np.all(np.isfinite(grad))):
-                raise NonFiniteResult("objective or gradient is not finite")
-            grad_norm = float(np.linalg.norm(grad))
-            if f0 is None:
-                f0 = f
-            lam, sig, operr = _diagnostics(oracle, x, grad, state, topt, diag_cap)
-        except _STEP_ERRORS as exc:
-            trace.outcome = NUMERICAL_FAILURE
-            trace.failure_reason = _failure_reason(exc)
-            return x, trace
-        trace.records.append(
-            IterationRecord(k, f, grad_norm, lambda_f=lam, sigma=sig, op_error=operr)
-        )
-        if _terminated(termination, f, f0, grad_norm):
-            trace.outcome = CONVERGED
-            trace.converged_at = k
-            return x, trace
-        if k == max_iter:
-            trace.outcome = MAX_ITER_REACHED
-            return x, trace
-        try:
-            s = -state.solve(grad)
-            x_next = x + s
-            grad_next = oracle.gradient(x_next)
-            if not np.all(np.isfinite(grad_next)):
-                raise NonFiniteResult("gradient is not finite")
-            y = grad_next - grad
-            alpha = float(np.dot(y, s))
-            gs = state.apply(s)
-            beta = float(np.dot(gs, s))
-            # SR1 never divides by <Gs, s> and classically tolerates an
-            # indefinite approximation; the other members require it.
-            if beta <= 0.0 and rule.kind is not UpdateKind.SR1:
-                raise NotPositiveDefinite(
-                    f"approximation lost definiteness along the step (<Gs,s>={beta})"
-                )
-            coeffs = _secant_coefficients(rule, alpha, beta)
-            if coeffs is not None:
-                state.rank2_update(y, gs, *coeffs)
-        except _STEP_ERRORS as exc:
-            trace.outcome = NUMERICAL_FAILURE
-            trace.failure_reason = _failure_reason(exc)
-            return x, trace
-        x = x_next
-        grad = grad_next
-    return x, trace
+    state = SpdState.scaled_identity(oracle.n, l_const)
+
+    def step(k, x, grad, row):
+        s = -state.solve(grad)
+        x_next = x + s
+        grad_next = _finite(oracle.gradient(x_next), "gradient")
+        y = grad_next - grad
+        alpha = float(np.dot(y, s))
+        gs = state.apply(s)
+        beta = float(np.dot(gs, s))
+        # SR1 never divides by <Gs, s> and classically tolerates an
+        # indefinite approximation; the other members require it.
+        if beta <= 0.0 and rule.kind is not UpdateKind.SR1:
+            raise NotPositiveDefinite(
+                f"approximation lost definiteness along the step (<Gs,s>={beta})"
+            )
+        coeffs = _secant_coefficients(rule, alpha, beta)
+        if coeffs is not None:
+            state.rank2_update(y, gs, *coeffs)
+        return x_next, grad_next
+
+    return _run(oracle, x0, termination, max_iter, step, state, trace_options or TraceOptions())
 
 
-def lambda_f(problem: ObjectiveOracle, x, diag_cap: int = DIAGNOSTICS_CAP) -> float:
+def lambda_f(problem: ObjectiveOracle, x) -> float:
     """Gradient norm in the inverse metric of the exact Hessian at x.
 
     For a quadratic this is the A^{-1}-norm of the gradient and satisfies
-    f(x) - f_min = lambda_f(x)^2 / 2.  O(n^3); diagnostics only.
+    f(x) - f_min = lambda_f(x)^2 / 2.  O(n^3); diagnostics only, and
+    refused above the dense cap by ``full_hessian``.
     """
-    if problem.n > diag_cap:
-        raise DimensionTooLarge(f"n={problem.n} exceeds diagnostics cap {diag_cap}")
     x = np.asarray(x, dtype=float)
     hess = problem.full_hessian(x)
     chol = factorize(hess)

@@ -13,7 +13,7 @@ from scipy.linalg import eigh
 
 from conftest import min_eig, random_dominating_pair, random_spd
 from greedyqn.bench import ExperimentPlan, emit_table, run_hessian_error_plan, run_plan
-from greedyqn.broyden import UpdatePair, UpdateRule, broyden_update, tau_for
+from greedyqn.broyden import UpdatePair, UpdateRule, broyden_update, tau_split
 from greedyqn.data_io import SyntheticSpec, generate_logsumexp, parse_libsvm, serialize_libsvm
 from greedyqn.objectives import LogisticProblem, LogSumExpProblem, QuadraticProblem
 from greedyqn.operator_core import DenseSymmetric, SpdState
@@ -114,7 +114,7 @@ def test_criterion_3_update_ordering_and_sandwich():
 
             state0 = SpdState(DenseSymmetric(g))
             pair0 = UpdatePair.from_state(state0, u, a @ u)
-            tau_bfgs = tau_for(UpdateRule.bfgs(), pair0)
+            tau_bfgs, _ = tau_split(UpdateRule.bfgs(), pair0)
             results = {tau: updated(tau) for tau in (0.0, tau_bfgs, 0.5, 1.0)}
             scale = max(np.abs(m).max() for m in results.values())
             # A <= SR1 <= BFGS <= DFP

@@ -10,7 +10,6 @@ from greedyqn.broyden import (
     greedy_direction,
     relative_op_error,
     sigma,
-    tau_for,
     tau_split,
 )
 from greedyqn.errors import (
@@ -27,26 +26,28 @@ def make_pair(g, a, u):
 
 
 class TestTauFor:
+    """The mixing parameter tau, the first component of ``tau_split``."""
+
     def test_bfgs_ratio(self):
         pair = UpdatePair(np.ones(1), np.ones(1), auu=1.0, gu=np.ones(1), guu=3.0)
-        assert tau_for(UpdateRule.bfgs(), pair) == pytest.approx(1.0 / 3.0)
+        assert tau_split(UpdateRule.bfgs(), pair)[0] == pytest.approx(1.0 / 3.0)
 
     def test_sr1_is_zero(self):
         pair = UpdatePair(np.ones(1), np.ones(1), auu=2.0, gu=np.ones(1), guu=5.0)
-        assert tau_for(UpdateRule.sr1(), pair) == 0.0
+        assert tau_split(UpdateRule.sr1(), pair)[0] == 0.0
 
     def test_dfp_is_one(self):
         pair = UpdatePair(np.ones(1), np.ones(1), auu=2.0, gu=np.ones(1), guu=5.0)
-        assert tau_for(UpdateRule.dfp(), pair) == 1.0
+        assert tau_split(UpdateRule.dfp(), pair)[0] == 1.0
 
     def test_fixed_passthrough(self):
         pair = UpdatePair(np.ones(1), np.ones(1), auu=2.0, gu=np.ones(1), guu=5.0)
-        assert tau_for(UpdateRule.fixed(0.25), pair) == 0.25
+        assert tau_split(UpdateRule.fixed(0.25), pair)[0] == 0.25
 
     def test_nonpositive_curvature(self):
         pair = UpdatePair(np.ones(1), np.ones(1), auu=-1.0, gu=np.ones(1), guu=5.0)
         with pytest.raises(NonPositiveCurvature):
-            tau_for(UpdateRule.bfgs(), pair)
+            tau_split(UpdateRule.bfgs(), pair)
 
     def test_split_components_sum_to_one(self, rng):
         a, g = random_dominating_pair(rng, 6)
@@ -121,7 +122,7 @@ class TestBroydenUpdate:
             u = rng.standard_normal(n)
             eta = float(np.max(eigh(g, a, eigvals_only=True)))
             state0, pair0 = make_pair(g, a, u)
-            tau_bfgs = tau_for(UpdateRule.bfgs(), pair0)
+            tau_bfgs, _ = tau_split(UpdateRule.bfgs(), pair0)
             for tau in (0.0, tau_bfgs, 0.5, 1.0):
                 state, pair = make_pair(g, a, u)
                 broyden_update(state, pair, tau)
@@ -173,19 +174,6 @@ class TestUpdatePair:
         state = SpdState.scaled_identity(3, 1.0)
         with pytest.raises(Exception):
             UpdatePair.from_state(state, np.ones(2), np.ones(3))
-
-    def test_domination_check_fires(self, rng):
-        a = random_spd(rng, 4)
-        state = SpdState(DenseSymmetric(0.5 * a))  # G strictly below A
-        u = rng.standard_normal(4)
-        with pytest.raises(AssertionError):
-            UpdatePair.from_state(state, u, a @ u, check_dominated=True)
-
-    def test_domination_check_passes_when_dominated(self, rng):
-        a, g = random_dominating_pair(rng, 4)
-        state = SpdState(DenseSymmetric(g))
-        u = rng.standard_normal(4)
-        UpdatePair.from_state(state, u, a @ u, check_dominated=True)
 
 
 class TestGreedyDirection:

@@ -67,10 +67,6 @@ class TestRngStream:
         b = RngStream(7, "data").uniform(0.0, 1.0, 10)
         assert np.array_equal(a, b)
 
-    def test_rejects_unknown_algorithm(self):
-        with pytest.raises(ValueError):
-            RngStream(1, "data", algorithm="mt19937")
-
 
 class TestParseLibsvm:
     def test_basic_line(self):

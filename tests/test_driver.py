@@ -1,0 +1,198 @@
+"""The shared iteration driver: golden traces, fault injection, generated runs.
+
+``tests/golden/driver_traces.txt`` holds the trace CSV of every method
+family on a small seeded log-sum-exp plan with all diagnostics on, plus
+one run whose oracle reports a negative Hessian diagonal mid-step.  It was
+recorded before the three solver loops were folded into one driver, so
+byte equality pins down that the driver changes no iterate, record or
+outcome.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_spd
+from greedyqn.bench import ExperimentPlan, _trace_csv, run_plan
+from greedyqn.broyden import UpdateRule
+from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start
+from greedyqn.objectives import QuadraticProblem
+from greedyqn.operator_core import DenseSymmetric
+from greedyqn.solvers import (
+    CONVERGED,
+    MAX_ITER_REACHED,
+    NUMERICAL_FAILURE,
+    DirectionStrategy,
+    FunctionResidual,
+    GradientNorm,
+    SolverConfig,
+    TraceOptions,
+    classical_qn,
+    gradient_method,
+    solve_general,
+)
+
+GOLDEN = Path(__file__).parent / "golden" / "driver_traces.txt"
+GOLDEN_METHODS = ["GM", "SR1", "DFP", "BFGS", "GrSR1", "GrDFP", "GrBFGS", "RaSR1"]
+
+
+class FaultyOracle:
+    """Proxy that passes the ``call``-th call (1-based) of ``method`` through ``fault``.
+
+    Every other attribute and call goes straight to the wrapped oracle.
+    """
+
+    def __init__(self, inner, method, call, fault):
+        self.inner = inner
+        self.method = method
+        self.call = call
+        self.fault = fault
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(self.inner, name)
+        if name != self.method:
+            return attr
+
+        def faulty(*args):
+            self.calls += 1
+            out = attr(*args)
+            return self.fault(out) if self.calls == self.call else out
+
+        return faulty
+
+
+def _grsr1_run(method, call, fault, **config):
+    """GrSR1 with correction on log-sum-exp n = 8, seed 2, one oracle call faulted."""
+    inner = generate_logsumexp(SyntheticSpec(n=8, m=8, gamma=1.0, seed=2))
+    cfg = SolverConfig(
+        rule=UpdateRule.sr1(),
+        strategy=DirectionStrategy.greedy(),
+        termination=FunctionResidual(1e-9, inner.value(np.zeros(8))),
+        max_iter=8000,
+        correction=True,
+        m_const=2.0,
+        **config,
+    )
+    return solve_general(FaultyOracle(inner, method, call, fault), generate_start(8, 2), cfg)
+
+
+def golden_text(tmp_path: Path) -> str:
+    """Trace CSVs of the golden plan and of one run failing mid-step."""
+    plan = ExperimentPlan(
+        problem=SyntheticSpec(n=6, m=5, gamma=1.0, seed=7),
+        methods=GOLDEN_METHODS,
+        epsilons=[1e-1, 1e-4, 1e-8],
+        seed=7,
+        output=str(tmp_path),
+        trace_options=TraceOptions(lambda_f=True, sigma=True, op_error=True),
+    )
+    run_plan(plan)
+    parts = [f"# {m}\n" + (tmp_path / f"trace_{m}.csv").read_text() for m in GOLDEN_METHODS]
+    _, trace = _grsr1_run(
+        "hessian_diag", 3, lambda d: -d, trace=TraceOptions(lambda_f=True, sigma=True)
+    )
+    parts.append(
+        f"# GrSR1 negative Hessian diagonal: {trace.outcome} {trace.failure_reason}\n"
+        + _trace_csv(trace)
+    )
+    return "".join(parts)
+
+
+def test_golden_driver_traces(tmp_path):
+    assert golden_text(tmp_path).encode() == GOLDEN.read_bytes()
+
+
+class TestNonFiniteHessian:
+    """A non-finite Hessian output ends the run at the step that read it."""
+
+    @pytest.mark.parametrize(
+        "method,call,r_k_set,dir_index",
+        [
+            ("hessian_vec", 5, False, None),  # step action at k = 2
+            ("hessian_diag", 3, True, None),  # diagonal at x_3
+            ("hessian_vec", 6, True, 7),  # action along the chosen e_7
+        ],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_named_failure(self, method, call, r_k_set, dir_index, bad):
+        _, trace = _grsr1_run(method, call, lambda out: out * bad)
+        assert trace.outcome == NUMERICAL_FAILURE
+        assert trace.failure_reason == "NonFiniteResult"
+        last = trace.records[-1]
+        assert last.k == 2
+        assert (last.r_k is not None) == r_k_set
+        assert last.direction_index == dir_index
+
+    def test_random_directions(self):
+        inner = generate_logsumexp(SyntheticSpec(n=8, m=8, gamma=1.0, seed=2))
+        oracle = FaultyOracle(inner, "hessian_vec", 4, lambda out: out * np.nan)
+        f_star = inner.value(np.zeros(8))
+        cfg = SolverConfig(
+            rule=UpdateRule.bfgs(),
+            strategy=DirectionStrategy.random_sphere(5),
+            termination=FunctionResidual(1e-9, f_star),
+            max_iter=8000,
+        )
+        _, trace = solve_general(oracle, generate_start(8, 2), cfg)
+        assert trace.outcome == NUMERICAL_FAILURE
+        assert trace.failure_reason == "NonFiniteResult"
+        assert trace.records[-1].k == 1
+
+
+_RULES = [UpdateRule.sr1(), UpdateRule.dfp(), UpdateRule.bfgs(), UpdateRule.fixed(0.5)]
+
+
+@st.composite
+def quadratic_runs(draw):
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cond = draw(st.floats(1.0, 1e4))
+    prob = QuadraticProblem(DenseSymmetric(random_spd(rng, n, cond)), rng.standard_normal(n))
+    x0 = rng.standard_normal(n)
+    eps = draw(st.floats(1e-14, 1e-1))
+    if draw(st.booleans()):
+        termination = GradientNorm(eps)
+    else:
+        termination = FunctionResidual(eps, prob.value(prob.minimizer()))
+    entry = draw(st.sampled_from(["gm", "classical", "greedy", "random"]))
+    rule = draw(st.sampled_from(_RULES))
+    options = TraceOptions(*draw(st.tuples(st.booleans(), st.booleans(), st.booleans())))
+    max_iter = draw(st.integers(1, 40))
+    return prob, x0, termination, entry, rule, options, max_iter
+
+
+def _run(prob, x0, termination, entry, rule, options, max_iter):
+    if entry == "gm":
+        return gradient_method(prob, x0, prob.lipschitz_l, termination, max_iter)
+    if entry == "classical":
+        return classical_qn(
+            prob, x0, rule, prob.lipschitz_l, termination, max_iter, trace_options=options
+        )
+    strategy = (
+        DirectionStrategy.greedy() if entry == "greedy" else DirectionStrategy.random_sphere(3)
+    )
+    cfg = SolverConfig(
+        rule=rule, strategy=strategy, termination=termination, max_iter=max_iter, trace=options
+    )
+    return solve_general(prob, x0, cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quadratic_runs())
+def test_driver_trace_invariants(run):
+    x, trace = _run(*run)
+    max_iter = run[-1]
+    assert x.shape == run[1].shape
+    assert [r.k for r in trace.records] == list(range(len(trace.records)))
+    assert trace.outcome in (CONVERGED, MAX_ITER_REACHED, NUMERICAL_FAILURE)
+    if trace.outcome == CONVERGED:
+        assert trace.converged_at == trace.records[-1].k
+    else:
+        assert trace.converged_at is None
+    if trace.outcome == MAX_ITER_REACHED:
+        assert len(trace.records) == max_iter + 1
+    assert (trace.failure_reason is None) == (trace.outcome != NUMERICAL_FAILURE)

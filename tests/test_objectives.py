@@ -3,13 +3,7 @@ import pytest
 
 from conftest import central_diff_gradient, central_diff_hessian, min_eig, random_spd
 from greedyqn.errors import DimensionMismatch, DimensionTooLarge
-from greedyqn.objectives import (
-    LogisticProblem,
-    LogSumExpProblem,
-    QuadraticProblem,
-    lipschitz_L,
-    self_concordance_M,
-)
+from greedyqn.objectives import DENSE_CAP, LogisticProblem, LogSumExpProblem, QuadraticProblem
 from greedyqn.operator_core import DenseSymmetric
 
 
@@ -148,10 +142,9 @@ class TestFullHessian:
             assert np.max(np.abs(fd - prob.full_hessian(x).entries)) <= 1e-4
 
     def test_dimension_cap(self, rng):
-        prob = make_lse(rng, 4, 5)
-        prob.full_hessian_cap = 3
+        prob = make_lse(rng, DENSE_CAP + 1, 5)
         with pytest.raises(DimensionTooLarge):
-            prob.full_hessian(np.zeros(4))
+            prob.full_hessian(np.zeros(DENSE_CAP + 1))
 
     def test_eigenvalues_within_certified_bounds(self, rng):
         for make in (make_lse, make_logistic):
@@ -166,21 +159,21 @@ class TestFullHessian:
 class TestConstants:
     def test_logsumexp_lipschitz(self):
         prob = LogSumExpProblem(np.array([[1.0, 0.0]]), np.zeros(1), gamma=0.5)
-        assert lipschitz_L(prob) == 2.5
+        assert prob.lipschitz_l == 2.5
 
     def test_logistic_lipschitz(self):
         prob = LogisticProblem(np.array([[2.0, 0.0]]), [1.0], gamma=1.0)
-        assert lipschitz_L(prob) == 2.0
+        assert prob.lipschitz_l == 2.0
 
     def test_quadratic_lipschitz_is_max_eigenvalue(self):
         prob = QuadraticProblem(DenseSymmetric.from_diagonal([1.0, 7.0]), np.zeros(2))
-        assert lipschitz_L(prob) == pytest.approx(7.0, rel=1e-12)
+        assert prob.lipschitz_l == pytest.approx(7.0, rel=1e-12)
         assert prob.strong_convexity_mu == pytest.approx(1.0, rel=1e-12)
 
     def test_self_concordance_constants(self, rng):
-        assert self_concordance_M(make_lse(rng, 3, 4)) == 2.0
-        assert self_concordance_M(make_quadratic(rng, 3)) == 0.0
-        assert self_concordance_M(make_logistic(rng, 3, 4)) is None
+        assert make_lse(rng, 3, 4).self_concordance_m == 2.0
+        assert make_quadratic(rng, 3).self_concordance_m == 0.0
+        assert make_logistic(rng, 3, 4).self_concordance_m is None
 
     def test_logistic_constant_can_be_supplied(self, rng):
         prob = LogisticProblem(
@@ -189,7 +182,7 @@ class TestConstants:
             gamma=1.0,
             self_concordance_m=3.0,
         )
-        assert self_concordance_M(prob) == 3.0
+        assert prob.self_concordance_m == 3.0
 
     def test_mu_is_gamma(self, rng):
         assert make_lse(rng, 3, 4, gamma=0.3).strong_convexity_mu == 0.3

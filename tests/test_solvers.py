@@ -6,7 +6,7 @@ from conftest import min_eig, random_spd
 from greedyqn.broyden import UpdatePair, UpdateRule, broyden_update, tau_split
 from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start
 from greedyqn.errors import DimensionTooLarge
-from greedyqn.objectives import LogisticProblem, QuadraticProblem
+from greedyqn.objectives import DENSE_CAP, LogisticProblem, QuadraticProblem
 from greedyqn.operator_core import DenseSymmetric, SpdState
 from greedyqn.solvers import (
     CONVERGED,
@@ -286,7 +286,6 @@ class RecordingOracle:
         self.inner = inner
         self.n = inner.n
         self.lipschitz_l = inner.lipschitz_l
-        self.has_full_hessian = inner.has_full_hessian
         self.gradient_points = []
 
     def value(self, x):
@@ -369,7 +368,6 @@ class TestClassicalQn:
                 self.inner = inner
                 self.n = inner.n
                 self.lipschitz_l = inner.lipschitz_l
-                self.has_full_hessian = False
 
             def value(self, x):
                 return self.inner.value(x)
@@ -488,7 +486,8 @@ class TestLambdaF:
             gap = prob.value(x) - f_star
             assert abs(gap - 0.5 * lam**2) <= 1e-12 * max(1.0, abs(gap))
 
-    def test_dimension_cap(self, rng):
-        prob = quadratic(rng, 6)
+    def test_dimension_cap(self):
+        n = DENSE_CAP + 1
+        prob = QuadraticProblem(DenseSymmetric.identity(n), np.zeros(n))
         with pytest.raises(DimensionTooLarge):
-            lambda_f(prob, np.zeros(6), diag_cap=5)
+            lambda_f(prob, np.zeros(n))
