@@ -6,17 +6,18 @@ looser threshold always reports a prefix of the same run.  Results are
 emitted as CSV and/or Markdown tables plus one trace CSV per method.
 
 The CLI reads a flat key-value config file (``key = value`` lines, ``#``
-comments) whose keys match the command-line flag names; explicit flags
-override the file.
+comments) whose keys match the command-line flag names; any other key is
+refused, and explicit flags override the file.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,6 @@ class MethodSpec:
     family: str  # "gm" | "classical" | "general"
     rule: UpdateRule | None = None
     random_directions: bool = False
-    correction: bool | None = None  # None: follow the problem default
 
 
 def parse_method(name: str) -> MethodSpec:
@@ -102,7 +102,7 @@ class LibsvmSpec:
 
 @dataclass
 class ExperimentPlan:
-    problem: object  # SyntheticSpec | LibsvmSpec | QuadraticSpec | ObjectiveOracle
+    problem: object  # SyntheticSpec | LibsvmSpec | QuadraticSpec
     methods: list
     epsilons: list
     seed: int
@@ -150,30 +150,33 @@ class _Prepared:
     f_star: float
     x0: np.ndarray
     description: str
-    correction_default: bool
-    m_const: float
+    m_const: float  # correction constant of the Broyden runs; 0.0 turns it off
 
 
 def _reference_f_star(path: Path, oracle, budget: int) -> float:
-    """Logistic optimum via a cached high-accuracy reference solve."""
+    """Logistic optimum via a cached high-accuracy reference solve.
+
+    The cache next to the dataset maps gamma, then the digest of the parsed
+    data, to f*: a label remap or feature-count override changes the data,
+    so it never reuses another run's optimum.
+    """
     cache = path.with_name(path.name + ".fstar.json")
-    key = f"{oracle.gamma:.17g}"
-    if cache.exists():
-        stored = json.loads(cache.read_text())
-        if key in stored:
-            return float(stored[key])
-    else:
-        stored = {}
+    stored = json.loads(cache.read_text()) if cache.exists() else {}
+    gamma = f"{oracle.gamma:.17g}"
+    if not isinstance(stored.get(gamma), dict):  # no entry, or one keyed on gamma alone
+        stored[gamma] = {}
+    by_data = stored[gamma]
+    data = hashlib.sha256(repr(oracle.c.shape).encode())
+    data.update(oracle.c.tobytes())
+    data.update(oracle.labels.tobytes())
+    digest = data.hexdigest()
+    if digest in by_data:
+        return float(by_data[digest])
     _, trace = classical_qn(
-        oracle,
-        np.zeros(oracle.n),
-        UpdateRule.sr1(),
-        oracle.lipschitz_l,
-        GradientNorm(1e-13),
-        budget,
+        oracle, np.zeros(oracle.n), UpdateRule.sr1(), GradientNorm(1e-13), budget
     )
     f_star = float(min(trace.f_values()))
-    stored[key] = f_star
+    by_data[digest] = f_star
     try:
         cache.write_text(json.dumps(stored, sort_keys=True))
     except OSError:
@@ -187,7 +190,7 @@ def _prepare(plan: ExperimentPlan) -> _Prepared:
         oracle = generate_logsumexp(prob)
         f_star = oracle.value(np.zeros(oracle.n))
         desc = f"logsumexp n={prob.n} m={prob.m} gamma={prob.gamma:g}"
-        correction = True
+        m_const = oracle.self_concordance_m
     elif isinstance(prob, LibsvmSpec):
         path = Path(prob.path)
         if not path.is_file():
@@ -198,27 +201,16 @@ def _prepare(plan: ExperimentPlan) -> _Prepared:
         oracle = dataset.to_logistic(prob.gamma)
         f_star = _reference_f_star(path, oracle, 50 * oracle.n)
         desc = f"logistic {path.name} n={oracle.n} m={oracle.m} gamma={prob.gamma:g}"
-        correction = False
+        m_const = 0.0
     elif isinstance(prob, QuadraticSpec):
         oracle = prob.build()
         f_star = oracle.value(oracle.minimizer())
         desc = f"quadratic n={prob.n}"
-        correction = False
-    elif isinstance(prob, QuadraticProblem):
-        oracle = prob
-        f_star = oracle.value(oracle.minimizer())
-        desc = f"quadratic n={oracle.n}"
-        correction = False
-    elif isinstance(prob, ObjectiveOracle):
-        raise InvalidPlan("bare oracles need a known optimum; pass a problem spec")
+        m_const = 0.0
     else:
         raise InvalidPlan(f"unsupported problem spec {type(prob).__name__}")
     x0 = generate_start(oracle.n, plan.seed)
-    m_const = oracle.self_concordance_m
-    if m_const is None or m_const <= 0:
-        correction = False
-        m_const = 0.0
-    return _Prepared(oracle, f_star, x0, desc, correction, m_const)
+    return _Prepared(oracle, f_star, x0, desc, m_const)
 
 
 def _run_methods(plan: ExperimentPlan, prepared: _Prepared, trace_opts: TraceOptions):
@@ -231,25 +223,12 @@ def _run_methods(plan: ExperimentPlan, prepared: _Prepared, trace_opts: TraceOpt
     for spec in plan.methods:
         t0 = time.perf_counter()
         if spec.family == "gm":
-            _, trace = gradient_method(
-                oracle, prepared.x0, oracle.lipschitz_l, termination, budget
-            )
+            _, trace = gradient_method(oracle, prepared.x0, termination, budget)
         elif spec.family == "classical":
             _, trace = classical_qn(
-                oracle,
-                prepared.x0,
-                spec.rule,
-                oracle.lipschitz_l,
-                termination,
-                budget,
-                trace_options=trace_opts,
+                oracle, prepared.x0, spec.rule, termination, budget, trace_options=trace_opts
             )
         else:
-            correction = (
-                prepared.correction_default
-                if spec.correction is None
-                else spec.correction
-            )
             strategy = (
                 DirectionStrategy.random_sphere(plan.seed)
                 if spec.random_directions
@@ -260,8 +239,8 @@ def _run_methods(plan: ExperimentPlan, prepared: _Prepared, trace_opts: TraceOpt
                 strategy=strategy,
                 termination=termination,
                 max_iter=budget,
-                correction=correction,
-                m_const=prepared.m_const if correction else 0.0,
+                correction=prepared.m_const > 0.0,
+                m_const=prepared.m_const,
                 trace=trace_opts,
             )
             _, trace = solve_general(oracle, prepared.x0, config)
@@ -498,9 +477,6 @@ _DEFAULTS = {
 
 
 def _plan_from_args(args) -> tuple[ExperimentPlan, bool]:
-    settings = dict(_DEFAULTS)
-    if args.config:
-        settings.update(_parse_kv_config(args.config))
     overrides = {
         "problem": args.problem,
         "n": args.n,
@@ -517,6 +493,13 @@ def _plan_from_args(args) -> tuple[ExperimentPlan, bool]:
         "format": args.format,
         "trace": args.trace,
     }
+    settings = dict(_DEFAULTS)
+    if args.config:
+        from_file = _parse_kv_config(args.config)
+        unknown = sorted(set(from_file) - set(overrides) - {"hessian-error"})
+        if unknown:
+            raise InvalidPlan(f"{args.config}: unknown config keys {unknown}")
+        settings.update(from_file)
     settings.update({k: v for k, v in overrides.items() if v is not None})
     if args.hessian_error:
         settings["hessian-error"] = "true"
@@ -586,17 +569,12 @@ def main(argv=None) -> int:
         for name, seconds in table.metadata["wall_times"].items():
             print(f"# {name}: {seconds:.2f}s", file=sys.stderr)
         if want_error_table:
-            error_plan = ExperimentPlan(
-                problem=plan.problem,
-                methods=[m for m in plan.methods if m.family != "gm"],
-                epsilons=plan.epsilons,
-                seed=plan.seed,
-                iteration_budget_factor=plan.iteration_budget_factor,
-                output=plan.output,
-                formats=plan.formats,
-            )
+            error_plan = replace(plan, methods=[m for m in plan.methods if m.family != "gm"])
             err_table = run_hessian_error_plan(error_plan)
+            print()
             print(emit_table(err_table, "csv"), end="")
+            for name, seconds in err_table.metadata["wall_times"].items():
+                print(f"# {name} (Hessian error): {seconds:.2f}s", file=sys.stderr)
     except DatasetNotFound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

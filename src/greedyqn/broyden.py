@@ -22,6 +22,8 @@ from .errors import (
 )
 from .operator_core import DenseSymmetric, SpdState, factorize
 
+# Relative skip tolerance of every update screen: the family update's
+# degeneracy test and the secant skip tests in ``solvers``.
 DEGENERACY_RTOL = 1e-12
 
 
@@ -114,51 +116,28 @@ def tau_split(rule: UpdateRule, pair: UpdatePair) -> tuple[float, float]:
     return rule.tau, 1.0 - rule.tau
 
 
-def broyden_coefficients(tau, one_minus_tau, auu, guu):
-    """Rank-two coefficients of the tau-update in span{Au, Gu}.
+def broyden_update(state: SpdState, pair: UpdatePair, rule: UpdateRule) -> SpdState:
+    """Apply the rule's member of the Broyden family to ``state`` in place.
 
-    Returns (c_aa, c_ag, c_gg) such that the updated operator is
-    G + c_aa * Au Au^T + c_ag * (Au Gu^T + Gu Au^T) + c_gg * Gu Gu^T.
-    The caller must have screened out the degenerate case Gu ~= Au.
+    This is the one place that decides a family update.  The curvatures
+    <Au, u> and <Gu, u> must be positive (:func:`tau_split` raises
+    :class:`NonPositiveCurvature` otherwise).  When the direction carries no
+    approximation error, <(G - A)u, u> <= DEGENERACY_RTOL * <Au, u>, the
+    operator is left unchanged: the SR1 denominator would vanish, every
+    member degenerates to the identity update, and the BFGS parameter would
+    leave [0, 1] if G dipped below A along u.  Otherwise G gains
+    c_aa Au Au^T + c_ag (Au Gu^T + Gu Au^T) + c_gg Gu Gu^T, the blend of the
+    DFP and SR1 formulas with weight tau.
     """
+    tau, one_minus_tau = tau_split(rule, pair)
+    auu, guu = pair.auu, pair.guu
     delta = guu - auu
+    if delta <= DEGENERACY_RTOL * auu:
+        return state
     w = one_minus_tau / delta
     c_aa = tau * (auu + guu) / (auu * auu) - w
     c_ag = -tau / auu + w
     c_gg = -w
-    return c_aa, c_ag, c_gg
-
-
-def broyden_update(
-    state: SpdState,
-    pair: UpdatePair,
-    tau: float,
-    *,
-    one_minus_tau: float | None = None,
-) -> SpdState:
-    """Apply the tau-member of the Broyden family to ``state`` in place.
-
-    The update blends the DFP and SR1 formulas with weight tau.  When the
-    direction carries no approximation error, i.e.
-    <(G - A)u, u> <= DEGENERACY_RTOL * <Au, u>, the operator is left
-    unchanged (the SR1 denominator would vanish and every member
-    degenerates to the identity update).
-
-    ``one_minus_tau`` may be supplied when the caller can compute 1 - tau
-    without cancellation (see :func:`tau_split`); otherwise it is derived
-    from ``tau``.
-    """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    if pair.auu <= 0.0 or pair.guu <= 0.0:
-        raise NonPositiveCurvature(
-            f"curvatures must be positive (auu={pair.auu}, guu={pair.guu})"
-        )
-    delta = pair.guu - pair.auu
-    if delta <= DEGENERACY_RTOL * pair.auu:
-        return state
-    omt = (1.0 - tau) if one_minus_tau is None else one_minus_tau
-    c_aa, c_ag, c_gg = broyden_coefficients(tau, omt, pair.auu, pair.guu)
     return state.rank2_update(pair.au, pair.gu, c_aa, c_ag, c_gg)
 
 

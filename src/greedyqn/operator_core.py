@@ -1,10 +1,10 @@
 """Dense symmetric/SPD operator arithmetic with O(n^2) rank-two inverse maintenance.
 
 The central object is :class:`SpdState`: a symmetric positive-definite
-operator G kept together with its inverse and a diagonal cache.  Rank-two
-symmetric modifications of G are pushed through to the inverse with a
-Woodbury update whose capacitance block is 2x2, so a full solve never costs
-more than a matrix-vector product.  Floating-point drift of the maintained
+operator G kept together with its inverse.  Rank-two symmetric
+modifications of G are pushed through to the inverse with a Woodbury
+update whose capacitance block is 2x2, so a full solve never costs more
+than a matrix-vector product.  Floating-point drift of the maintained
 inverse is audited periodically and repaired by dense refactorization.
 """
 
@@ -96,25 +96,8 @@ class DenseSymmetric:
     def diagonal(self):
         return self.entries.diagonal().copy()
 
-    def dump(self):
-        """Plain-text debug dump: one row per line, 17 significant digits."""
-        return "\n".join(
-            " ".join(f"{v:.17g}" for v in row) for row in self.entries
-        ) + "\n"
-
     def __repr__(self):
         return f"DenseSymmetric(n={self.n})"
-
-
-def apply(m: DenseSymmetric, u) -> np.ndarray:
-    """Matrix-vector product m @ u."""
-    return m.entries @ _as_vector(u, m.n)
-
-
-def quad_form(m: DenseSymmetric, u) -> float:
-    """Quadratic form <m u, u>; positive for SPD m and u != 0."""
-    v = _as_vector(u, m.n)
-    return float(np.dot(m.entries @ v, v))
 
 
 @dataclass(frozen=True)
@@ -161,9 +144,9 @@ def factorize(m: DenseSymmetric) -> CholeskyFactor:
 
 
 class SpdState:
-    """An SPD operator G with maintained inverse and diagonal cache.
+    """An SPD operator G with its maintained inverse.
 
-    All mutating operations keep ``g``, ``g_inv`` and ``diag`` consistent.
+    All mutating operations keep ``g`` and ``g_inv`` consistent.
     Every :data:`AUDIT_EVERY` maintained updates the product G * G^{-1} is
     checked against the identity; drift beyond :data:`DRIFT_LIMIT` triggers a
     dense refactorization.  The value of the last audit is kept in ``drift``.
@@ -172,18 +155,12 @@ class SpdState:
     concurrently on the same instance.
     """
 
-    __slots__ = ("n", "_g", "_g_inv", "diag", "update_count", "drift", "_since_audit")
+    __slots__ = ("n", "_g", "_g_inv", "update_count", "drift", "_since_audit")
 
-    def __init__(self, g: DenseSymmetric, g_inv: DenseSymmetric | None = None):
+    def __init__(self, g: DenseSymmetric):
         self.n = g.n
         self._g = np.array(g.entries)
-        if g_inv is None:
-            self._g_inv = factorize(g).inverse()
-        else:
-            if g_inv.n != g.n:
-                raise DimensionMismatch("g and g_inv dimensions differ")
-            self._g_inv = np.array(g_inv.entries)
-        self.diag = self._g.diagonal().copy()
+        self._g_inv = factorize(g).inverse()
         self.update_count = 0
         self._since_audit = 0
         self.drift = self.audit()
@@ -208,7 +185,6 @@ class SpdState:
         self.n = g.shape[0]
         self._g = g
         self._g_inv = g_inv
-        self.diag = self._g.diagonal().copy()
         self.update_count = 0
         self._since_audit = 0
         self.drift = 0.0
@@ -222,16 +198,10 @@ class SpdState:
     def g_inv(self) -> DenseSymmetric:
         return DenseSymmetric._wrap(self._g_inv.copy())
 
-    def copy(self) -> "SpdState":
-        dup = object.__new__(SpdState)
-        dup.n = self.n
-        dup._g = self._g.copy()
-        dup._g_inv = self._g_inv.copy()
-        dup.diag = self.diag.copy()
-        dup.update_count = self.update_count
-        dup._since_audit = self._since_audit
-        dup.drift = self.drift
-        return dup
+    @property
+    def diag(self) -> np.ndarray:
+        """Read-only view of G's diagonal; it follows later updates."""
+        return self._g.diagonal()
 
     def apply(self, u) -> np.ndarray:
         """G @ u."""
@@ -245,8 +215,7 @@ class SpdState:
         """Apply G += c11*p p^T + c12*(p q^T + q p^T) + c22*q q^T in O(n^2).
 
         The inverse is maintained through the Woodbury identity with a 2x2
-        capacitance block and the diagonal cache is refreshed from the new
-        matrix.  Raises :class:`SingularCapacitance` when the update would
+        capacitance block.  Raises :class:`SingularCapacitance` when the update would
         make G singular.  The caller must ensure the updated operator stays
         SPD.
         """
@@ -277,7 +246,6 @@ class SpdState:
 
         self._g += sym_rank2(p, q, c11, c12, c22)
         self._g_inv -= sym_rank2(y1, y2, t[0, 0], t12, t[1, 1])
-        self.diag = self._g.diagonal().copy()
         self._bump()
         return self
 
@@ -287,7 +255,6 @@ class SpdState:
             raise NonPositiveScale(f"scale must be positive, got {c}")
         self._g *= c
         self._g_inv /= c
-        self.diag = self._g.diagonal().copy()
         self._bump()
         return self
 

@@ -29,7 +29,6 @@ from .broyden import (
     _sigma_from_factor,
     broyden_update,
     greedy_direction,
-    tau_split,
 )
 from .data_io import RngStream, unit_sphere_direction
 from .errors import (
@@ -39,16 +38,13 @@ from .errors import (
     NotPositiveDefinite,
     SingularCapacitance,
 )
-from .objectives import DENSE_CAP, ObjectiveOracle, QuadraticProblem
+from .objectives import DENSE_CAP, ObjectiveOracle
 from .operator_core import SpdState, factorize
-
-SECANT_SKIP_RTOL = 1e-12
 
 
 class DirectionKind(enum.Enum):
     GREEDY_COORDINATE = "greedy_coordinate"
     RANDOM_SPHERE = "random_sphere"
-    CLASSICAL_SECANT = "classical_secant"
 
 
 @dataclass(frozen=True)
@@ -73,10 +69,6 @@ class DirectionStrategy:
     @classmethod
     def random_sphere(cls, seed: int):
         return cls(DirectionKind.RANDOM_SPHERE, seed)
-
-    @classmethod
-    def classical(cls):
-        return cls(DirectionKind.CLASSICAL_SECANT)
 
 
 @dataclass(frozen=True)
@@ -206,7 +198,7 @@ def _diagnostics(oracle, x, grad, state, trace: TraceOptions):
     if trace.lambda_f:
         lam = float(np.sqrt(max(np.dot(grad, chol.solve(grad)), 0.0)))
     if state is not None:
-        g_entries = state._g
+        g_entries = state.g.entries
         if trace.sigma:
             sig = _sigma_from_factor(chol, g_entries)
         if trace.op_error:
@@ -274,19 +266,9 @@ def _run(oracle, x0, termination, max_iter, step, state=None, options=TraceOptio
     return x, trace
 
 
-def _apply_family_update(state, pair, rule):
-    """One tau-family update against an exact target action, or a no-op.
-
-    The degenerate case <(G - A)u, u> <= DEGENERACY_RTOL * <Au, u> is
-    screened before the mixing parameter is computed: every family member
-    reduces to the identity update there, and the BFGS parameter auu/guu
-    would leave [0, 1] if the approximation dipped below the target along
-    u (possible when the correction is disabled).
-    """
-    if pair.guu - pair.auu <= DEGENERACY_RTOL * pair.auu:
-        return state
-    tau, omt = tau_split(rule, pair)
-    return broyden_update(state, pair, tau, one_minus_tau=omt)
+def _apply_family_update(state, u, au, rule):
+    """The rule's family update of ``state`` along u, whose exact target action is ``au``."""
+    return broyden_update(state, UpdatePair.from_state(state, u, au), rule)
 
 
 def solve_general(
@@ -303,10 +285,9 @@ def solve_general(
     selects the update direction (greedy coordinate or random sphere), and
     applies the tau-update against the exact Hessian action at the new
     point.  A non-finite Hessian output ends the run as
-    :class:`NonFiniteResult`.
+    :class:`NonFiniteResult`, non-positive curvature along u as
+    :class:`NonPositiveCurvature`.
     """
-    if config.strategy.kind is DirectionKind.CLASSICAL_SECANT:
-        raise ValueError("classical secant runs go through classical_qn")
     n = oracle.n
     state = SpdState.scaled_identity(n, oracle.lipschitz_l)
     greedy = config.strategy.kind is DirectionKind.GREEDY_COORDINATE
@@ -328,47 +309,25 @@ def solve_general(
         else:
             u = unit_sphere_direction(rng, n)
         au = _finite(oracle.hessian_vec(x_next, u), "Hessian action along u")
-        pair = UpdatePair.from_state(state, u, au)
         if on_iteration is not None:
             on_iteration(IterationEvent(k, x.copy(), x_next.copy(), r_k, idx, state))
-        _apply_family_update(state, pair, config.rule)
+        _apply_family_update(state, u, au, config.rule)
         return x_next, None
 
     return _run(oracle, x0, config.termination, config.max_iter, step, state, config.trace)
 
 
-def solve_quadratic(
-    problem: QuadraticProblem,
-    x0,
-    config: SolverConfig,
-    on_iteration=None,
-) -> tuple[np.ndarray, RunTrace]:
-    """Broyden-family scheme on a quadratic with exact target actions.
-
-    The quadratic Hessian is constant, so no correction is needed (or
-    allowed); the run is identical to :func:`solve_general` on the same
-    oracle.
-    """
-    if not isinstance(problem, QuadraticProblem):
-        raise TypeError("solve_quadratic expects a QuadraticProblem")
-    if config.correction:
-        raise ValueError("quadratics need no correction; configure it off")
-    return solve_general(problem, x0, config, on_iteration=on_iteration)
-
-
 def gradient_method(
     oracle: ObjectiveOracle,
     x0,
-    l_const: float,
     termination,
     max_iter: int,
 ) -> tuple[np.ndarray, RunTrace]:
-    """Gradient descent with the constant step size 1/L."""
-    if not l_const > 0:
-        raise ValueError("L must be positive")
+    """Gradient descent with the constant step size 1/L, L = ``oracle.lipschitz_l``."""
+    big_l = oracle.lipschitz_l
 
     def step(k, x, grad, row):
-        return x - grad / l_const, None
+        return x - grad / big_l, None
 
     return _run(oracle, x0, termination, max_iter, step)
 
@@ -381,7 +340,7 @@ def _secant_coefficients(rule: UpdateRule, alpha, beta):
     """
     delta = beta - alpha
     if rule.kind is UpdateKind.SR1:
-        if abs(delta) <= SECANT_SKIP_RTOL * abs(alpha):
+        if abs(delta) <= DEGENERACY_RTOL * abs(alpha):
             return None
         return -1.0 / delta, 1.0 / delta, -1.0 / delta
     if alpha <= 0.0:
@@ -391,7 +350,7 @@ def _secant_coefficients(rule: UpdateRule, alpha, beta):
     if rule.kind is UpdateKind.DFP:
         return (alpha + beta) / alpha**2, -1.0 / alpha, 0.0
     # fixed tau: convex combination of the DFP and SR1 coefficient triples
-    if abs(delta) <= SECANT_SKIP_RTOL * abs(alpha):
+    if abs(delta) <= DEGENERACY_RTOL * abs(alpha):
         return None
     t = rule.tau
     omt = 1.0 - t
@@ -406,12 +365,11 @@ def classical_qn(
     oracle: ObjectiveOracle,
     x0,
     rule: UpdateRule,
-    l_const: float,
     termination,
     max_iter: int,
     trace_options: TraceOptions | None = None,
 ) -> tuple[np.ndarray, RunTrace]:
-    """Classical quasi-Newton baseline with the secant substitution.
+    """Classical quasi-Newton baseline with the secant substitution, from G0 = L * I.
 
     The update direction is the step s = x+ - x, and the target action
     along it is replaced by the gradient difference y = grad(x+) - grad(x).
@@ -419,9 +377,7 @@ def classical_qn(
     <Gs - y, s> is negligible relative to <y, s>; DFP and BFGS skip when
     the curvature <y, s> is not positive.
     """
-    if not l_const > 0:
-        raise ValueError("L must be positive")
-    state = SpdState.scaled_identity(oracle.n, l_const)
+    state = SpdState.scaled_identity(oracle.n, oracle.lipschitz_l)
 
     def step(k, x, grad, row):
         s = -state.solve(grad)

@@ -13,7 +13,7 @@ from scipy.linalg import eigh
 
 from conftest import min_eig, random_dominating_pair, random_spd
 from greedyqn.bench import ExperimentPlan, emit_table, run_hessian_error_plan, run_plan
-from greedyqn.broyden import UpdatePair, UpdateRule, broyden_update, tau_split
+from greedyqn.broyden import UpdatePair, UpdateRule, broyden_update
 from greedyqn.data_io import SyntheticSpec, generate_logsumexp, parse_libsvm, serialize_libsvm
 from greedyqn.objectives import LogisticProblem, LogSumExpProblem, QuadraticProblem
 from greedyqn.operator_core import DenseSymmetric, SpdState
@@ -22,7 +22,7 @@ from greedyqn.solvers import (
     GradientNorm,
     SolverConfig,
     TraceOptions,
-    solve_quadratic,
+    solve_general,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -65,7 +65,7 @@ def greedy_quadratic_run(prob, rule, max_iter, trace, seed):
         max_iter=max_iter,
         trace=trace,
     )
-    return solve_quadratic(prob, rng.standard_normal(prob.n), cfg)
+    return solve_general(prob, rng.standard_normal(prob.n), cfg)
 
 
 def test_criterion_1_finite_identification():
@@ -106,25 +106,30 @@ def test_criterion_3_update_ordering_and_sandwich():
             u = rng.standard_normal(n)
             eta = float(np.max(eigh(g, a, eigvals_only=True)))
 
-            def updated(tau):
+            def updated(rule):
                 state = SpdState(DenseSymmetric(g))
                 pair = UpdatePair.from_state(state, u, a @ u)
-                broyden_update(state, pair, tau)
+                broyden_update(state, pair, rule)
                 return state.g.entries
 
-            state0 = SpdState(DenseSymmetric(g))
-            pair0 = UpdatePair.from_state(state0, u, a @ u)
-            tau_bfgs, _ = tau_split(UpdateRule.bfgs(), pair0)
-            results = {tau: updated(tau) for tau in (0.0, tau_bfgs, 0.5, 1.0)}
+            results = {
+                name: updated(rule)
+                for name, rule in (
+                    ("SR1", UpdateRule.sr1()),
+                    ("BFGS", UpdateRule.bfgs()),
+                    ("tau=0.5", UpdateRule.fixed(0.5)),
+                    ("DFP", UpdateRule.dfp()),
+                )
+            }
             scale = max(np.abs(m).max() for m in results.values())
             # A <= SR1 <= BFGS <= DFP
-            assert min_eig(results[0.0] - a) >= -1e-9 * scale, f"trial {trial}"
-            assert min_eig(results[tau_bfgs] - results[0.0]) >= -1e-9 * scale
-            assert min_eig(results[1.0] - results[tau_bfgs]) >= -1e-9 * scale
+            assert min_eig(results["SR1"] - a) >= -1e-9 * scale, f"trial {trial}"
+            assert min_eig(results["BFGS"] - results["SR1"]) >= -1e-9 * scale
+            assert min_eig(results["DFP"] - results["BFGS"]) >= -1e-9 * scale
             # sandwich preserved for every tested member
-            for tau, gp in results.items():
-                assert min_eig(gp - a) >= -1e-9 * scale, f"trial {trial} tau={tau}"
-                assert min_eig(eta * a - gp) >= -1e-9 * scale, f"trial {trial} tau={tau}"
+            for name, gp in results.items():
+                assert min_eig(gp - a) >= -1e-9 * scale, f"trial {trial} {name}"
+                assert min_eig(eta * a - gp) >= -1e-9 * scale, f"trial {trial} {name}"
 
 
 def test_criterion_4_quadratic_rate_inequalities():

@@ -15,6 +15,7 @@ from greedyqn.bench import (
     parse_method,
     run_hessian_error_plan,
     run_plan,
+    _prepare,
 )
 from greedyqn.data_io import SyntheticSpec
 from greedyqn.errors import InvalidPlan
@@ -77,6 +78,12 @@ class TestPlanValidation:
         with pytest.raises(InvalidPlan):
             micro_plan(formats=("csv", "pdf"))
 
+    def test_rejects_bare_oracle(self):
+        # a bare oracle carries no known optimum; problems come as specs
+        prob = QuadraticProblem(DenseSymmetric.identity(4), np.full(4, 0.25))
+        with pytest.raises(InvalidPlan):
+            run_plan(micro_plan(problem=prob, methods=["GM"]))
+
 
 class TestEmitTable:
     def test_one_by_one_csv_is_two_lines(self):
@@ -113,14 +120,6 @@ class TestRunPlan:
         a = emit_table(run_plan(micro_plan()), "csv")
         b = emit_table(run_plan(micro_plan()), "csv")
         assert a.encode() == b.encode()
-
-    def test_identity_quadratic_gm_one_step(self):
-        prob = QuadraticProblem(DenseSymmetric.identity(4), np.full(4, 0.25))
-        plan = ExperimentPlan(
-            problem=prob, methods=["GM"], epsilons=[1e-1], seed=3
-        )
-        table = run_plan(plan)
-        assert table.cells[0][0] <= 1
 
     def test_counts_nondecreasing_down_columns(self):
         table = run_plan(micro_plan(methods=["GM", "SR1", "GrSR1", "RaSR1"]))
@@ -266,6 +265,24 @@ class TestLibsvmPlan:
         table2 = run_plan(plan)
         assert table2.cells == table.cells
 
+    def test_f_star_cache_is_keyed_on_the_parsed_data(self, tmp_path):
+        # a label remap changes the objective, so it must not reuse the
+        # optimum cached for the unmapped labels of the same file
+        data = (GOLDEN / "tiny.libsvm").read_text()
+        for sub in ("shared", "fresh"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "tiny.libsvm").write_text(data)
+
+        def f_star(sub, label_map):
+            spec = LibsvmSpec(str(tmp_path / sub / "tiny.libsvm"), 1.0, label_map)
+            return _prepare(micro_plan(problem=spec)).f_star
+
+        plain = f_star("shared", None)
+        remapped = f_star("shared", {-1.0: 1.0})
+        assert remapped == f_star("fresh", {-1.0: 1.0})
+        assert remapped != plain
+        assert f_star("shared", None) == plain
+
 
 class TestCli:
     def test_full_run_writes_outputs(self, tmp_path, capsys):
@@ -321,6 +338,12 @@ class TestCli:
         header = capsys.readouterr().out.splitlines()[0]
         assert header == "epsilon,GrSR1"
 
+    def test_config_file_unknown_key_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("n = 6\nm = 5\nmethods = GM\nepsilon = 1e-3\n")
+        assert main(["--config", str(cfg)]) == 2
+        assert "epsilon" in capsys.readouterr().err
+
     def test_label_remap_flag(self, tmp_path, capsys):
         data = tmp_path / "two.libsvm"
         data.write_text("2 1:1 2:0.5\n1 2:1\n2 1:-1\n1 1:0.5 2:-0.25\n")
@@ -361,3 +384,16 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert out.count("epsilon,SR1,GrSR1") == 2
+
+    def test_hessian_error_pass_keeps_trace_columns(self, tmp_path, capsys):
+        argv = ["--n", "6", "--m", "5", "--methods", "GM,SR1,GrSR1", "--epsilons", "1e-1,1e-4"]
+        argv += ["--seed", "7", "--trace", "lambda_f", "--hessian-error", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        for name in ("SR1", "GrSR1"):  # rewritten by the Hessian-error pass
+            rows = (tmp_path / f"trace_{name}.csv").read_text().splitlines()[1:]
+            assert all(row.split(",")[5] != "" for row in rows), name
+        captured = capsys.readouterr()
+        first, second = captured.out.split("\n\n")
+        assert first.startswith("epsilon,GM,SR1,GrSR1\n")
+        assert second.startswith("epsilon,SR1,GrSR1\n")
+        assert "# GrSR1 (Hessian error): " in captured.err

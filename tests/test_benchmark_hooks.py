@@ -1,0 +1,39 @@
+"""The benchmark in ``perfbench/`` wraps program functions from outside.
+
+Its two instruments, ``worker.IterationClock`` and ``tracing.Tracer``,
+replace module attributes by name and refuse a name that is missing.  This
+test enters both around a tiny CLI run, so a renamed or deleted function the
+benchmark relies on fails here instead of in a benchmark run.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from greedyqn import bench
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+METHODS = ["GM", "SR1", "GrSR1", "RaSR1"]
+
+
+def test_benchmark_patch_lists_cover_a_cli_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import worker
+
+    clock = worker.IterationClock()
+    tracer = tracing.Tracer()
+    argv = ["--n", "6", "--m", "5", "--methods", ",".join(METHODS), "--epsilons", "1e-1,1e-6"]
+    argv += ["--seed", "7", "--hessian-error", "--out", str(tmp_path)]
+    with clock.installed(), tracer.installed():
+        root = tracer.mark()
+        assert bench.main(argv) == 0
+    capsys.readouterr()
+
+    metrics = tracing.summarize(tracer, root, matvec_ms=1.0)
+    for method in METHODS:
+        assert metrics[f"solvers.iterations.{method}"] > 0, method
+    layers = sum(metrics[f"layer.{layer}.self_s"] for layer in tracing.LAYERS)
+    assert layers == pytest.approx(metrics["trace.wall_s"], rel=1e-9)
+    assert metrics["broyden.broyden_update.calls"] > 0
+    assert clock.gaps_ms().size > 0

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh
 
 from conftest import dense_broyden, min_eig, random_dominating_pair, random_spd
@@ -18,6 +22,9 @@ from greedyqn.errors import (
     NotPositiveDefinite,
 )
 from greedyqn.operator_core import DenseSymmetric, SpdState
+
+
+FAMILY = (UpdateRule.sr1(), UpdateRule.bfgs(), UpdateRule.fixed(0.5), UpdateRule.dfp())
 
 
 def make_pair(g, a, u):
@@ -65,7 +72,7 @@ class TestBroydenUpdate:
         u = rng.standard_normal(4)
         pair = UpdatePair.from_state(state, u, a @ u)  # G == A along u
         g0 = state.g.entries.copy()
-        broyden_update(state, pair, 0.5)
+        broyden_update(state, pair, UpdateRule.fixed(0.5))
         assert np.array_equal(state.g.entries, g0)
 
     def test_sr1_shared_eigenvector_example(self):
@@ -73,7 +80,7 @@ class TestBroydenUpdate:
         a = np.diag([1.0, 2.0])
         u = np.array([1.0, 0.0])
         pair = UpdatePair.from_state(state, u, a @ u)
-        broyden_update(state, pair, 0.0)
+        broyden_update(state, pair, UpdateRule.sr1())
         assert np.allclose(state.g.entries, np.diag([1.0, 3.0]), atol=1e-14)
 
     def test_dfp_coincides_on_shared_eigenvector(self):
@@ -81,7 +88,7 @@ class TestBroydenUpdate:
         a = np.diag([1.0, 2.0])
         u = np.array([1.0, 0.0])
         pair = UpdatePair.from_state(state, u, a @ u)
-        broyden_update(state, pair, 1.0)
+        broyden_update(state, pair, UpdateRule.dfp())
         assert np.allclose(state.g.entries, np.diag([1.0, 3.0]), atol=1e-14)
 
     def test_matches_dense_formula(self, rng):
@@ -91,7 +98,7 @@ class TestBroydenUpdate:
             u = rng.standard_normal(n)
             tau = float(rng.uniform(0.0, 1.0))
             state, pair = make_pair(g, a, u)
-            broyden_update(state, pair, tau)
+            broyden_update(state, pair, UpdateRule.fixed(tau))
             ref = dense_broyden(g, a, u, tau)
             assert np.max(np.abs(state.g.entries - ref)) <= 1e-9 * np.max(np.abs(ref))
 
@@ -99,7 +106,7 @@ class TestBroydenUpdate:
         a, g = random_dominating_pair(rng, 3)
         state, pair = make_pair(g, a, rng.standard_normal(3))
         with pytest.raises(ValueError):
-            broyden_update(state, pair, 1.5)
+            broyden_update(state, pair, UpdateRule.fixed(1.5))
 
     def test_monotone_in_tau(self, rng):
         for _ in range(40):
@@ -110,7 +117,7 @@ class TestBroydenUpdate:
             results = []
             for tau in taus:
                 state, pair = make_pair(g, a, u)
-                broyden_update(state, pair, float(tau))
+                broyden_update(state, pair, UpdateRule.fixed(float(tau)))
                 results.append(state.g.entries)
             scale = np.max(np.abs(results[1]))
             assert min_eig(results[1] - results[0]) >= -1e-9 * scale
@@ -121,11 +128,9 @@ class TestBroydenUpdate:
             a, g = random_dominating_pair(rng, n)
             u = rng.standard_normal(n)
             eta = float(np.max(eigh(g, a, eigvals_only=True)))
-            state0, pair0 = make_pair(g, a, u)
-            tau_bfgs, _ = tau_split(UpdateRule.bfgs(), pair0)
-            for tau in (0.0, tau_bfgs, 0.5, 1.0):
+            for rule in FAMILY:
                 state, pair = make_pair(g, a, u)
-                broyden_update(state, pair, tau)
+                broyden_update(state, pair, rule)
                 gp = state.g.entries
                 scale = np.max(np.abs(gp))
                 assert min_eig(gp - a) >= -1e-9 * scale
@@ -139,7 +144,7 @@ class TestBroydenUpdate:
             tau = float(rng.uniform(0.0, 1.0))
             state, pair = make_pair(g, a, u)
             before = sigma(DenseSymmetric(a), DenseSymmetric(g))
-            broyden_update(state, pair, tau)
+            broyden_update(state, pair, UpdateRule.fixed(tau))
             after = sigma(DenseSymmetric(a), state.g)
             gain = float(u @ (g - a) @ u) / float(u @ a @ u)
             assert before - after >= gain - 1e-9
@@ -151,16 +156,74 @@ class TestBroydenUpdate:
             a, g = random_dominating_pair(rng, n)
             eigs = np.linalg.eigvalsh(a)
             mu, big_l = float(eigs[0]), float(eigs[-1])
-            for tau in (0.0, 0.5, 1.0):
+            for rule in (UpdateRule.sr1(), UpdateRule.fixed(0.5), UpdateRule.dfp()):
                 state = SpdState(DenseSymmetric(g))
                 idx = greedy_direction(state.diag, a.diagonal())
                 u = np.zeros(n)
                 u[idx] = 1.0
                 pair = UpdatePair.from_state(state, u, a @ u)
                 before = sigma(DenseSymmetric(a), DenseSymmetric(g))
-                broyden_update(state, pair, tau)
+                broyden_update(state, pair, rule)
                 after = sigma(DenseSymmetric(a), state.g)
                 assert after <= (1.0 - mu / (n * big_l)) * before + 1e-9
+
+
+rules = st.one_of(
+    st.sampled_from([UpdateRule.sr1(), UpdateRule.dfp(), UpdateRule.bfgs()]),
+    st.floats(0.0, 1.0).map(UpdateRule.fixed),
+)
+
+
+@st.composite
+def update_cases(draw):
+    """A generated dominating pair A <= G, a direction u and a family rule."""
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, g = random_dominating_pair(rng, n)
+    return a, g, rng.standard_normal(n), draw(rules)
+
+
+class TestUpdateContract:
+    """``broyden_update`` alone decides a family update: sandwich, no-op, refusal."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(update_cases())
+    def test_sandwich(self, case):
+        a, g, u, rule = case
+        eta = float(np.max(eigh(g, a, eigvals_only=True)))
+        state, pair = make_pair(g, a, u)
+        broyden_update(state, pair, rule)
+        gp = state.g.entries
+        scale = np.max(np.abs(gp))
+        assert min_eig(gp - a) >= -1e-9 * scale
+        assert min_eig(eta * a - gp) >= -1e-9 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(update_cases())
+    def test_no_error_along_u_is_a_no_op(self, case):
+        a, g, u, rule = case
+        # G - A = P (G - A) P with P the projector orthogonal to u, so G
+        # agrees with A along u
+        p = np.eye(u.size) - np.outer(u, u) / (u @ u)
+        state, pair = make_pair(a + p @ (g - a) @ p, a, u)
+        g0, inv0 = state.g.entries, state.g_inv.entries
+        assert broyden_update(state, pair, rule) is state
+        assert np.array_equal(state.g.entries, g0)
+        assert np.array_equal(state.g_inv.entries, inv0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(update_cases(), st.sampled_from(["auu", "guu", "both"]), st.floats(0.0, 1e3))
+    def test_nonpositive_curvature_is_refused(self, case, which, size):
+        a, g, u, rule = case
+        state, pair = make_pair(g, a, u)
+        if which in ("auu", "both"):
+            pair = replace(pair, auu=-size)
+        if which in ("guu", "both"):
+            pair = replace(pair, guu=-size)
+        g0 = state.g.entries
+        with pytest.raises(NonPositiveCurvature):
+            broyden_update(state, pair, rule)
+        assert np.array_equal(state.g.entries, g0)
 
 
 class TestUpdatePair:

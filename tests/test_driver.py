@@ -167,11 +167,9 @@ def quadratic_runs(draw):
 
 def _run(prob, x0, termination, entry, rule, options, max_iter):
     if entry == "gm":
-        return gradient_method(prob, x0, prob.lipschitz_l, termination, max_iter)
+        return gradient_method(prob, x0, termination, max_iter)
     if entry == "classical":
-        return classical_qn(
-            prob, x0, rule, prob.lipschitz_l, termination, max_iter, trace_options=options
-        )
+        return classical_qn(prob, x0, rule, termination, max_iter, trace_options=options)
     strategy = (
         DirectionStrategy.greedy() if entry == "greedy" else DirectionStrategy.random_sphere(3)
     )

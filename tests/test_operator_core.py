@@ -7,13 +7,8 @@ from greedyqn.errors import (
     NotPositiveDefinite,
     SingularCapacitance,
 )
-from greedyqn.operator_core import (
-    DenseSymmetric,
-    SpdState,
-    apply,
-    factorize,
-    quad_form,
-)
+from greedyqn.broyden import UpdatePair
+from greedyqn.operator_core import DenseSymmetric, SpdState, factorize
 
 
 class TestDenseSymmetric:
@@ -38,13 +33,6 @@ class TestDenseSymmetric:
             m.n = 3
         with pytest.raises(ValueError):
             m.entries[0, 0] = 2.0
-
-    def test_dump_round_trips(self, rng):
-        m = DenseSymmetric(random_like(rng, 3))
-        rows = [
-            [float(tok) for tok in line.split()] for line in m.dump().splitlines()
-        ]
-        assert np.array_equal(np.array(rows), m.entries)
 
 
 def random_like(rng, n):
@@ -88,38 +76,44 @@ class TestFactorize:
 
 
 class TestApplyQuadForm:
+    """G u through ``SpdState.apply``; <G u, u> through ``UpdatePair.from_state``."""
+
     def test_apply_identity(self):
-        assert np.array_equal(
-            apply(DenseSymmetric.identity(3), [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0]
-        )
+        out = SpdState.scaled_identity(3, 1.0).apply([1.0, 2.0, 3.0])
+        assert np.array_equal(out, [1.0, 2.0, 3.0])
 
     def test_apply_diagonal(self):
-        out = apply(DenseSymmetric.from_diagonal([1.0, 2.0]), [3.0, 4.0])
+        out = SpdState.from_diagonal([1.0, 2.0]).apply([3.0, 4.0])
         assert np.array_equal(out, [3.0, 8.0])
 
     def test_apply_matches_double_loop(self, rng):
-        m = DenseSymmetric(rng.standard_normal((4, 4)))
+        state = SpdState(DenseSymmetric(random_like(rng, 4)))
+        g = state.g.entries
         u = rng.standard_normal(4)
-        naive = np.array(
-            [sum(m.entries[i, j] * u[j] for j in range(4)) for i in range(4)]
-        )
-        assert np.max(np.abs(apply(m, u) - naive)) <= 1e-14
+        naive = np.array([sum(g[i, j] * u[j] for j in range(4)) for i in range(4)])
+        assert np.max(np.abs(state.apply(u) - naive)) <= 1e-14
 
     def test_apply_dimension_mismatch(self):
+        state = SpdState.scaled_identity(3, 1.0)
         with pytest.raises(DimensionMismatch):
-            apply(DenseSymmetric.identity(3), [1.0, 2.0])
+            state.apply([1.0, 2.0])
+        with pytest.raises(DimensionMismatch):
+            state.solve([1.0, 2.0])
 
     def test_quad_form_identity(self):
-        assert quad_form(DenseSymmetric.identity(2), [3.0, 4.0]) == 25.0
+        state = SpdState.scaled_identity(2, 1.0)
+        assert UpdatePair.from_state(state, [3.0, 4.0], [3.0, 4.0]).guu == 25.0
 
     def test_quad_form_diagonal(self):
-        assert quad_form(DenseSymmetric.from_diagonal([1.0, 2.0]), [1.0, 1.0]) == 3.0
+        state = SpdState.from_diagonal([1.0, 2.0])
+        assert UpdatePair.from_state(state, [1.0, 1.0], [1.0, 1.0]).guu == 3.0
 
     def test_quad_form_matches_apply_then_dot(self, rng):
-        a = DenseSymmetric(random_like(rng, 5))
+        state = SpdState(DenseSymmetric(random_like(rng, 5)))
         u = rng.standard_normal(5)
-        expected = float(np.dot(apply(a, u), u))
-        assert abs(quad_form(a, u) - expected) <= 1e-13 * abs(expected)
+        expected = float(np.dot(state.apply(u), u))
+        guu = UpdatePair.from_state(state, u, u).guu
+        assert abs(guu - expected) <= 1e-13 * abs(expected)
 
 
 class TestRank2Update:
@@ -228,13 +222,6 @@ class TestRescaleSolve:
 
 
 class TestStateLifecycle:
-    def test_copy_is_independent(self, rng):
-        state = SpdState(DenseSymmetric(random_like(rng, 4)))
-        dup = state.copy()
-        state.rescale(3.0)
-        assert not np.array_equal(dup.g.entries, state.g.entries)
-        assert dup.audit() <= 1e-12
-
     def test_refactorize_repairs_corrupted_inverse(self, rng):
         state = SpdState(DenseSymmetric(random_like(rng, 5)))
         state._g_inv += 0.1  # simulate accumulated drift

@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
 from conftest import min_eig, random_spd
-from greedyqn.broyden import UpdatePair, UpdateRule, broyden_update, tau_split
-from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start
+from greedyqn.broyden import UpdatePair, UpdateRule, broyden_update
+from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start, parse_libsvm
 from greedyqn.errors import DimensionTooLarge
 from greedyqn.objectives import DENSE_CAP, LogisticProblem, QuadraticProblem
 from greedyqn.operator_core import DenseSymmetric, SpdState
@@ -21,7 +23,6 @@ from greedyqn.solvers import (
     gradient_method,
     lambda_f,
     solve_general,
-    solve_quadratic,
 )
 
 
@@ -44,7 +45,7 @@ class TestSolveQuadratic:
         # G0 = L*I equals the quadratic matrix, so the first step is exact
         prob = QuadraticProblem(DenseSymmetric.identity(4, 3.0), rng.standard_normal(4))
         cfg = greedy_config(UpdateRule.sr1(), GradientNorm(1e-12), 10)
-        x, trace = solve_quadratic(prob, rng.standard_normal(4), cfg)
+        x, trace = solve_general(prob, rng.standard_normal(4), cfg)
         assert trace.outcome == CONVERGED
         assert trace.converged_at == 1
         assert lambda_f(prob, x) <= 1e-10
@@ -57,7 +58,7 @@ class TestSolveQuadratic:
             20,
             trace=TraceOptions(op_error=True),
         )
-        _, trace = solve_quadratic(prob, np.array([0.3, -0.2, 0.4]), cfg)
+        _, trace = solve_general(prob, np.array([0.3, -0.2, 0.4]), cfg)
         errors = [r.op_error for r in trace.records if r.k <= 3]
         assert min(errors) <= 1e-10
 
@@ -71,7 +72,7 @@ class TestSolveQuadratic:
                 150,
                 trace=TraceOptions(lambda_f=True, sigma=True),
             )
-            _, trace = solve_quadratic(prob, rng.standard_normal(n), cfg)
+            _, trace = solve_general(prob, rng.standard_normal(n), cfg)
             lams = [r.lambda_f for r in trace.records]
             sigs = [r.sigma for r in trace.records]
             for k in range(len(lams)):
@@ -88,46 +89,19 @@ class TestSolveQuadratic:
         seen = []
 
         def cb(ev):
-            seen.append(ev.state._g.copy())
+            seen.append(ev.state.g.entries)
 
         cfg = greedy_config(UpdateRule.bfgs(), GradientNorm(1e-12), 60)
-        solve_quadratic(prob, rng.standard_normal(8), cfg, on_iteration=cb)
+        solve_general(prob, rng.standard_normal(8), cfg, on_iteration=cb)
         a = prob.a.entries
         for g in seen:
             vals = eigh(g, a, eigvals_only=True)
             assert vals[0] >= 1.0 - 1e-9
             assert vals[-1] <= big_l / mu + 1e-9
 
-    def test_rejects_correction(self, rng):
-        prob = quadratic(rng, 3)
-        cfg = greedy_config(
-            UpdateRule.sr1(), GradientNorm(1e-8), 10, correction=True, m_const=1.0
-        )
-        with pytest.raises(ValueError):
-            solve_quadratic(prob, np.zeros(3), cfg)
-
-    def test_requires_quadratic_problem(self, rng):
-        prob = generate_logsumexp(SyntheticSpec(n=3, m=3, gamma=1.0, seed=0))
-        cfg = greedy_config(UpdateRule.sr1(), GradientNorm(1e-8), 10)
-        with pytest.raises(TypeError):
-            solve_quadratic(prob, np.zeros(3), cfg)
 
 
 class TestSolveGeneral:
-    def test_quadratic_route_matches_solve_quadratic(self, rng):
-        prob = quadratic(rng, 7)
-        cfg = greedy_config(
-            UpdateRule.bfgs(),
-            GradientNorm(1e-12),
-            100,
-            trace=TraceOptions(lambda_f=True),
-        )
-        x0 = rng.standard_normal(7)
-        x1, t1 = solve_quadratic(prob, x0, cfg)
-        x2, t2 = solve_general(prob, x0, cfg)
-        assert np.array_equal(x1, x2)
-        assert t1 == t2
-
     def test_synthetic_greedy_sr1_iteration_band(self):
         spec = SyntheticSpec(n=50, m=50, gamma=1.0, seed=1)
         oracle = generate_logsumexp(spec)
@@ -160,7 +134,8 @@ class TestSolveGeneral:
         def cb(ev):
             nonlocal worst
             h = oracle.full_hessian(ev.x_next).entries
-            gap = min_eig(ev.state._g - h) / np.abs(ev.state._g).max()
+            g = ev.state.g.entries
+            gap = min_eig(g - h) / np.abs(g).max()
             worst = min(worst, gap)
 
         cfg = greedy_config(
@@ -223,8 +198,8 @@ class TestSolveGeneral:
         prob = quadratic(rng, 6)
         cfg = greedy_config(UpdateRule.dfp(), GradientNorm(1e-11), 200)
         x0 = rng.standard_normal(6)
-        xa, ta = solve_quadratic(prob, x0, cfg)
-        xb, tb = solve_quadratic(prob, x0, cfg)
+        xa, ta = solve_general(prob, x0, cfg)
+        xb, tb = solve_general(prob, x0, cfg)
         assert np.array_equal(xa, xb)
         assert ta == tb
 
@@ -236,21 +211,10 @@ class TestSolveGeneral:
         assert trace.outcome == NUMERICAL_FAILURE
         assert trace.failure_reason == "NonFiniteResult"
 
-    def test_rejects_classical_strategy(self, rng):
-        prob = quadratic(rng, 3)
-        cfg = SolverConfig(
-            rule=UpdateRule.sr1(),
-            strategy=DirectionStrategy.classical(),
-            termination=GradientNorm(1e-8),
-            max_iter=10,
-        )
-        with pytest.raises(ValueError):
-            solve_general(prob, np.zeros(3), cfg)
-
     def test_max_iter_outcome(self, rng):
         prob = quadratic(rng, 6)
         cfg = greedy_config(UpdateRule.dfp(), GradientNorm(1e-14), 3)
-        _, trace = solve_quadratic(prob, rng.standard_normal(6), cfg)
+        _, trace = solve_general(prob, rng.standard_normal(6), cfg)
         assert trace.outcome == MAX_ITER_REACHED
         assert len(trace.records) == 4  # iterates 0..3
 
@@ -258,7 +222,7 @@ class TestSolveGeneral:
 class TestGradientMethod:
     def test_identity_quadratic_one_step(self, rng):
         prob = QuadraticProblem(DenseSymmetric.identity(3), rng.standard_normal(3))
-        _, trace = gradient_method(prob, rng.standard_normal(3), 1.0, GradientNorm(1e-12), 10)
+        _, trace = gradient_method(prob, rng.standard_normal(3), GradientNorm(1e-12), 10)
         assert trace.outcome == CONVERGED
         assert trace.converged_at == 1
 
@@ -270,13 +234,9 @@ class TestGradientMethod:
             x_next = x - prob.gradient(x) / big_l
             assert np.linalg.norm(x_next) <= (1 - mu / big_l) * np.linalg.norm(x) + 1e-15
             x = x_next
-        _, trace = gradient_method(prob, np.array([1.0, 1.0]), big_l, GradientNorm(1e-10), 1000)
+        assert prob.lipschitz_l == big_l
+        _, trace = gradient_method(prob, np.array([1.0, 1.0]), GradientNorm(1e-10), 1000)
         assert trace.outcome == CONVERGED
-
-    def test_rejects_nonpositive_step_constant(self, rng):
-        prob = quadratic(rng, 2)
-        with pytest.raises(ValueError):
-            gradient_method(prob, np.zeros(2), 0.0, GradientNorm(1e-8), 5)
 
 
 class RecordingOracle:
@@ -308,21 +268,17 @@ class TestClassicalQn:
         big_l = prob.lipschitz_l
         x0 = rng.standard_normal(6)
         for rule in (UpdateRule.sr1(), UpdateRule.bfgs(), UpdateRule.dfp()):
-            _, trace1 = classical_qn(prob, x0, rule, big_l, GradientNorm(1e-15), 1)
+            _, trace1 = classical_qn(prob, x0, rule, GradientNorm(1e-15), 1)
             # replay one step with the exact target action
             state = SpdState.scaled_identity(6, big_l)
             grad = prob.gradient(x0)
             s = -state.solve(grad)
             exact = SpdState.scaled_identity(6, big_l)
-            pair = UpdatePair.from_state(exact, s, a @ s)
-            tau, omt = tau_split(rule, pair)
-            broyden_update(exact, pair, tau, one_minus_tau=omt)
+            broyden_update(exact, UpdatePair.from_state(exact, s, a @ s), rule)
             # re-run the classical iteration to capture its updated operator
             state2 = SpdState.scaled_identity(6, big_l)
             y = prob.gradient(x0 + s) - grad
-            pair2 = UpdatePair.from_state(state2, s, y)
-            tau2, omt2 = tau_split(rule, pair2)
-            broyden_update(state2, pair2, tau2, one_minus_tau=omt2)
+            broyden_update(state2, UpdatePair.from_state(state2, s, y), rule)
             scale = np.abs(exact.g.entries).max()
             assert np.max(np.abs(state2.g.entries - exact.g.entries)) <= 1e-9 * scale
 
@@ -335,7 +291,6 @@ class TestClassicalQn:
                 oracle,
                 generate_start(30, 6),
                 rule,
-                oracle.lipschitz_l,
                 FunctionResidual(1e-9, f_star),
                 30_000,
             )
@@ -350,7 +305,6 @@ class TestClassicalQn:
             oracle,
             generate_start(10, 8),
             UpdateRule.bfgs(),
-            inner.lipschitz_l,
             FunctionResidual(1e-9, f_star),
             5000,
         )
@@ -376,9 +330,7 @@ class TestClassicalQn:
                 return self.inner.gradient(x)
 
         prob = GradientOnly(quadratic(rng, 5))
-        _, trace = classical_qn(
-            prob, np.ones(5), UpdateRule.bfgs(), prob.lipschitz_l, GradientNorm(1e-10), 500
-        )
+        _, trace = classical_qn(prob, np.ones(5), UpdateRule.bfgs(), GradientNorm(1e-10), 500)
         assert trace.outcome == CONVERGED
 
 
@@ -399,9 +351,8 @@ class TestFamilyUpdateGuard:
             UpdateRule.fixed(0.3),
         ):
             g0 = state.g.entries.copy()
-            pair = UpdatePair.from_state(state, u, a @ u)
-            assert pair.guu < pair.auu
-            _apply_family_update(state, pair, rule)
+            assert u @ state.g.entries @ u < u @ a @ u
+            _apply_family_update(state, u, a @ u, rule)
             assert np.array_equal(state.g.entries, g0)
 
     def test_dominating_pair_still_updates(self, rng):
@@ -411,9 +362,25 @@ class TestFamilyUpdateGuard:
         state = SpdState(DenseSymmetric(2.0 * a))
         u = rng.standard_normal(5)
         g0 = state.g.entries.copy()
-        pair = UpdatePair.from_state(state, u, a @ u)
-        _apply_family_update(state, pair, UpdateRule.bfgs())
+        _apply_family_update(state, u, a @ u, UpdateRule.bfgs())
         assert not np.array_equal(state.g.entries, g0)
+
+    def test_lost_definiteness_ends_run(self):
+        # RaSR1 without the correction on the logistic fixture meets
+        # <Au, u> = 1.301 and <Gu, u> = -0.2455 at k = 18: the update is
+        # refused as NonPositiveCurvature, not skipped with G left indefinite
+        text = (Path(__file__).parent / "golden" / "tiny.libsvm").read_text()
+        oracle = parse_libsvm(text).to_logistic(1.0)
+        cfg = SolverConfig(
+            rule=UpdateRule.sr1(),
+            strategy=DirectionStrategy.random_sphere(2),
+            termination=GradientNorm(1e-11),
+            max_iter=400,
+        )
+        _, trace = solve_general(oracle, generate_start(7, 2), cfg)
+        assert trace.outcome == NUMERICAL_FAILURE
+        assert trace.failure_reason == "NonPositiveCurvature"
+        assert trace.records[-1].k == 18
 
 
 class TestRuleAndStrategyValidation:
@@ -445,7 +412,6 @@ class TestRuleAndStrategyValidation:
             oracle,
             generate_start(12, 13),
             UpdateRule.fixed(0.25),
-            oracle.lipschitz_l,
             FunctionResidual(1e-9, f_star),
             12_000,
         )
