@@ -17,7 +17,8 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from .solvers import (
     DirectionStrategy,
     FunctionResidual,
     GradientNorm,
+    IterationRecord,
     SolverConfig,
     TraceOptions,
     classical_qn,
@@ -190,7 +192,6 @@ def _prepare(plan: ExperimentPlan) -> _Prepared:
         oracle = generate_logsumexp(prob)
         f_star = oracle.value(np.zeros(oracle.n))
         desc = f"logsumexp n={prob.n} m={prob.m} gamma={prob.gamma:g}"
-        m_const = oracle.self_concordance_m
     elif isinstance(prob, LibsvmSpec):
         path = Path(prob.path)
         if not path.is_file():
@@ -201,16 +202,14 @@ def _prepare(plan: ExperimentPlan) -> _Prepared:
         oracle = dataset.to_logistic(prob.gamma)
         f_star = _reference_f_star(path, oracle, 50 * oracle.n)
         desc = f"logistic {path.name} n={oracle.n} m={oracle.m} gamma={prob.gamma:g}"
-        m_const = 0.0
     elif isinstance(prob, QuadraticSpec):
         oracle = prob.build()
         f_star = oracle.value(oracle.minimizer())
         desc = f"quadratic n={prob.n}"
-        m_const = 0.0
     else:
         raise InvalidPlan(f"unsupported problem spec {type(prob).__name__}")
     x0 = generate_start(oracle.n, plan.seed)
-    return _Prepared(oracle, f_star, x0, desc, m_const)
+    return _Prepared(oracle, f_star, x0, desc, oracle.self_concordance_m or 0.0)
 
 
 def _run_methods(plan: ExperimentPlan, prepared: _Prepared, trace_opts: TraceOptions):
@@ -223,7 +222,9 @@ def _run_methods(plan: ExperimentPlan, prepared: _Prepared, trace_opts: TraceOpt
     for spec in plan.methods:
         t0 = time.perf_counter()
         if spec.family == "gm":
-            _, trace = gradient_method(oracle, prepared.x0, termination, budget)
+            _, trace = gradient_method(
+                oracle, prepared.x0, termination, budget, trace_options=trace_opts
+            )
         elif spec.family == "classical":
             _, trace = classical_qn(
                 oracle, prepared.x0, spec.rule, termination, budget, trace_options=trace_opts
@@ -261,31 +262,47 @@ def _threshold_index(trace, epsilon: float, f_star: float):
     return BUDGET_EXHAUSTED if trace.outcome == MAX_ITER_REACHED else FAILED
 
 
-def _metadata(plan, prepared, wall) -> dict:
-    return {
-        "problem": prepared.description,
-        "seed": plan.seed,
-        "wall_times": wall,
-    }
+def _op_error_at_threshold(trace, epsilon: float, f_star: float):
+    """Hessian-approximation error at the first iterate meeting the threshold, or a sentinel."""
+    idx = _threshold_index(trace, epsilon, f_star)
+    if isinstance(idx, str):
+        return idx
+    err = trace.records[idx].op_error
+    return float(err) if err is not None else FAILED
+
+
+def _table(plan, prepared, trace_opts, cell, stem: str) -> ResultTable:
+    """Run every method, fill each (epsilon, method) cell with
+    ``cell(trace, epsilon, f_star)`` and write the outputs under ``stem``."""
+    traces, wall = _run_methods(plan, prepared, trace_opts)
+    table = ResultTable(
+        epsilons=list(plan.epsilons),
+        methods=[m.name for m in plan.methods],
+        cells=[
+            [cell(traces[m.name], eps, prepared.f_star) for m in plan.methods]
+            for eps in plan.epsilons
+        ],
+        metadata={"problem": prepared.description, "seed": plan.seed, "wall_times": wall},
+    )
+    if plan.output is not None:
+        _write_outputs(plan, table, traces, stem)
+    return table
+
+
+def _iteration_table(plan: ExperimentPlan, prepared: _Prepared) -> ResultTable:
+    return _table(plan, prepared, plan.trace_options, _threshold_index, "iterations")
+
+
+def _error_table(plan: ExperimentPlan, prepared: _Prepared) -> ResultTable:
+    if prepared.oracle.n > DENSE_CAP:
+        raise InvalidPlan(f"n={prepared.oracle.n} exceeds the dense cap {DENSE_CAP}")
+    opts = replace(plan.trace_options, op_error=True)
+    return _table(plan, prepared, opts, _op_error_at_threshold, "hessian_error")
 
 
 def run_plan(plan: ExperimentPlan) -> ResultTable:
     """Iteration-count table over the (method x epsilon) matrix."""
-    prepared = _prepare(plan)
-    traces, wall = _run_methods(plan, prepared, plan.trace_options)
-    cells = [
-        [_threshold_index(traces[m.name], eps, prepared.f_star) for m in plan.methods]
-        for eps in plan.epsilons
-    ]
-    table = ResultTable(
-        epsilons=list(plan.epsilons),
-        methods=[m.name for m in plan.methods],
-        cells=cells,
-        metadata=_metadata(plan, prepared, wall),
-    )
-    if plan.output is not None:
-        _write_outputs(plan, table, traces, "iterations")
-    return table
+    return _iteration_table(plan, _prepare(plan))
 
 
 def run_hessian_error_plan(plan: ExperimentPlan) -> ResultTable:
@@ -297,36 +314,7 @@ def run_hessian_error_plan(plan: ExperimentPlan) -> ResultTable:
     """
     if any(m.family == "gm" for m in plan.methods):
         raise InvalidPlan("gradient descent has no Hessian approximation to report")
-    prepared = _prepare(plan)
-    if prepared.oracle.n > DENSE_CAP:
-        raise InvalidPlan(f"n={prepared.oracle.n} exceeds the dense cap {DENSE_CAP}")
-    opts = TraceOptions(
-        lambda_f=plan.trace_options.lambda_f,
-        sigma=plan.trace_options.sigma,
-        op_error=True,
-    )
-    traces, wall = _run_methods(plan, prepared, opts)
-    cells = []
-    for eps in plan.epsilons:
-        row = []
-        for m in plan.methods:
-            trace = traces[m.name]
-            idx = _threshold_index(trace, eps, prepared.f_star)
-            if isinstance(idx, str):
-                row.append(idx)
-            else:
-                err = trace.records[idx].op_error
-                row.append(float(err) if err is not None else FAILED)
-        cells.append(row)
-    table = ResultTable(
-        epsilons=list(plan.epsilons),
-        methods=[m.name for m in plan.methods],
-        cells=cells,
-        metadata=_metadata(plan, prepared, wall),
-    )
-    if plan.output is not None:
-        _write_outputs(plan, table, traces, "hessian_error")
-    return table
+    return _error_table(plan, _prepare(plan))
 
 
 def _format_cell(cell, markdown: bool) -> str:
@@ -370,23 +358,9 @@ def _trace_csv(trace) -> str:
             return str(v)
         return f"{v:.17g}"
 
+    row = attrgetter(*(f.name for f in fields(IterationRecord)))  # in the header's order
     lines = ["k,f,grad_norm,r_k,dir_index,lambda_f,sigma,op_error"]
-    for r in trace.records:
-        lines.append(
-            ",".join(
-                fmt(v)
-                for v in (
-                    r.k,
-                    r.f_value,
-                    r.grad_norm,
-                    r.r_k,
-                    r.direction_index,
-                    r.lambda_f,
-                    r.sigma,
-                    r.op_error,
-                )
-            )
-        )
+    lines += [",".join(map(fmt, row(r))) for r in trace.records]
     return "\n".join(lines) + "\n"
 
 
@@ -458,6 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--hessian-error",
         action="store_true",
+        default=None,
         help="also emit the final Hessian-approximation-error table",
     )
     return p
@@ -477,32 +452,15 @@ _DEFAULTS = {
 
 
 def _plan_from_args(args) -> tuple[ExperimentPlan, bool]:
-    overrides = {
-        "problem": args.problem,
-        "n": args.n,
-        "m": args.m,
-        "gamma": args.gamma,
-        "dataset": args.dataset,
-        "label-remap": args.label_remap,
-        "n-features": args.n_features,
-        "methods": args.methods,
-        "epsilons": args.epsilons,
-        "seed": args.seed,
-        "budget-factor": args.budget_factor,
-        "out": args.out,
-        "format": args.format,
-        "trace": args.trace,
-    }
+    flags = {k.replace("_", "-"): v for k, v in vars(args).items() if k != "config"}
     settings = dict(_DEFAULTS)
     if args.config:
         from_file = _parse_kv_config(args.config)
-        unknown = sorted(set(from_file) - set(overrides) - {"hessian-error"})
+        unknown = sorted(set(from_file) - set(flags))
         if unknown:
             raise InvalidPlan(f"{args.config}: unknown config keys {unknown}")
         settings.update(from_file)
-    settings.update({k: v for k, v in overrides.items() if v is not None})
-    if args.hessian_error:
-        settings["hessian-error"] = "true"
+    settings.update({k: v for k, v in flags.items() if v is not None})
 
     try:
         n = int(settings["n"])
@@ -564,13 +522,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         plan, want_error_table = _plan_from_args(args)
-        table = run_plan(plan)
+        prepared = _prepare(plan)
+        table = _iteration_table(plan, prepared)
         print(emit_table(table, "csv"), end="")
         for name, seconds in table.metadata["wall_times"].items():
             print(f"# {name}: {seconds:.2f}s", file=sys.stderr)
         if want_error_table:
             error_plan = replace(plan, methods=[m for m in plan.methods if m.family != "gm"])
-            err_table = run_hessian_error_plan(error_plan)
+            err_table = _error_table(error_plan, prepared)
             print()
             print(emit_table(err_table, "csv"), end="")
             for name, seconds in err_table.metadata["wall_times"].items():

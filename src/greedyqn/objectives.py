@@ -16,18 +16,11 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DimensionMismatch, DimensionTooLarge, NonFiniteResult
-from .operator_core import DenseSymmetric
+from .operator_core import DenseSymmetric, _as_vector
 
 # Largest dimension for dense n x n Hessian work: ``full_hessian`` refuses
 # larger problems and the per-iteration O(n^3) diagnostics skip them.
 DENSE_CAP = 500
-
-
-def _check_dim(x, n):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise DimensionMismatch(f"expected vector of length {n}, got shape {x.shape}")
-    return x
 
 
 def _stable_softmax(z):
@@ -85,31 +78,31 @@ class QuadraticProblem(ObjectiveOracle):
     def __init__(self, a: DenseSymmetric, b):
         self.a = a if isinstance(a, DenseSymmetric) else DenseSymmetric(a)
         self.n = self.a.n
-        self.b = _check_dim(b, self.n)
+        self.b = _as_vector(b, self.n)
         eigs = np.linalg.eigvalsh(self.a.entries)
         self.lipschitz_l = float(eigs[-1])
         self.strong_convexity_mu = float(eigs[0])
         self.self_concordance_m = 0.0  # constant Hessian
 
     def value(self, x):
-        x = _check_dim(x, self.n)
+        x = _as_vector(x, self.n)
         return 0.5 * float(np.dot(self.a.entries @ x, x)) - float(np.dot(self.b, x))
 
     def gradient(self, x):
-        x = _check_dim(x, self.n)
+        x = _as_vector(x, self.n)
         return self.a.entries @ x - self.b
 
     def hessian_diag(self, x):
-        _check_dim(x, self.n)
+        _as_vector(x, self.n)
         return self.a.diagonal()
 
     def hessian_vec(self, x, h):
-        _check_dim(x, self.n)
-        return self.a.entries @ _check_dim(h, self.n)
+        _as_vector(x, self.n)
+        return self.a.entries @ _as_vector(h, self.n)
 
     def full_hessian(self, x):
         self._check_cap()
-        _check_dim(x, self.n)
+        _as_vector(x, self.n)
         return self.a
 
     def minimizer(self) -> np.ndarray:
@@ -147,7 +140,7 @@ class LogSumExpProblem(ObjectiveOracle):
         return t, lse, pi
 
     def value(self, x):
-        x = _check_dim(x, self.n)
+        x = _as_vector(x, self.n)
         t, lse, _ = self._weights(x)
         val = lse + 0.5 * float(np.dot(t, t)) + 0.5 * self.gamma * float(np.dot(x, x))
         if not np.isfinite(val):
@@ -155,19 +148,19 @@ class LogSumExpProblem(ObjectiveOracle):
         return val
 
     def gradient(self, x):
-        x = _check_dim(x, self.n)
+        x = _as_vector(x, self.n)
         t, _, pi = self._weights(x)
         return self.c.T @ (pi + t) + self.gamma * x
 
     def hessian_diag(self, x):
-        x = _check_dim(x, self.n)
+        x = _as_vector(x, self.n)
         _, _, pi = self._weights(x)
         soft_grad = self.c.T @ pi
         return (self.c * self.c).T @ (pi + 1.0) - soft_grad**2 + self.gamma
 
     def hessian_vec(self, x, h):
-        x = _check_dim(x, self.n)
-        h = _check_dim(h, self.n)
+        x = _as_vector(x, self.n)
+        h = _as_vector(h, self.n)
         _, _, pi = self._weights(x)
         soft_grad = self.c.T @ pi
         ch = self.c @ h
@@ -179,7 +172,7 @@ class LogSumExpProblem(ObjectiveOracle):
 
     def full_hessian(self, x):
         self._check_cap()
-        x = _check_dim(x, self.n)
+        x = _as_vector(x, self.n)
         _, _, pi = self._weights(x)
         soft_grad = self.c.T @ pi
         h = (self.c.T * (pi + 1.0)) @ self.c - np.outer(soft_grad, soft_grad)
@@ -213,7 +206,7 @@ class LogisticProblem(ObjectiveOracle):
         return self.labels * (self.c @ x)
 
     def value(self, x):
-        x = _check_dim(x, self.n)
+        x = _as_vector(x, self.n)
         t = self._margins(x)
         val = float(np.sum(np.logaddexp(0.0, -t))) + 0.5 * self.gamma * float(
             np.dot(x, x)
@@ -223,7 +216,7 @@ class LogisticProblem(ObjectiveOracle):
         return val
 
     def gradient(self, x):
-        x = _check_dim(x, self.n)
+        x = _as_vector(x, self.n)
         t = self._margins(x)
         return self.c.T @ (-self.labels * expit(-t)) + self.gamma * x
 
@@ -232,19 +225,19 @@ class LogisticProblem(ObjectiveOracle):
         return expit(t) * expit(-t)
 
     def hessian_diag(self, x):
-        x = _check_dim(x, self.n)
+        x = _as_vector(x, self.n)
         w = self._hess_weights(x)
         return (self.c * self.c).T @ w + self.gamma
 
     def hessian_vec(self, x, h):
-        x = _check_dim(x, self.n)
-        h = _check_dim(h, self.n)
+        x = _as_vector(x, self.n)
+        h = _as_vector(h, self.n)
         w = self._hess_weights(x)
         return self.c.T @ (w * (self.c @ h)) + self.gamma * h
 
     def full_hessian(self, x):
         self._check_cap()
-        x = _check_dim(x, self.n)
+        x = _as_vector(x, self.n)
         w = self._hess_weights(x)
         h = (self.c.T * w) @ self.c
         h[np.diag_indices(self.n)] += self.gamma

@@ -17,6 +17,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import (
     DimensionMismatch,
+    NonFiniteResult,
     NonPositiveScale,
     NotPositiveDefinite,
     SingularCapacitance,
@@ -250,9 +251,11 @@ class SpdState:
         return self
 
     def rescale(self, c: float) -> "SpdState":
-        """G <- c*G, G^{-1} <- G^{-1}/c (c > 0)."""
+        """G <- c*G, G^{-1} <- G^{-1}/c (0 < c < inf)."""
         if not c > 0:
             raise NonPositiveScale(f"scale must be positive, got {c}")
+        if not np.isfinite(c):
+            raise NonFiniteResult(f"scale must be finite, got {c}")
         self._g *= c
         self._g_inv /= c
         self._bump()

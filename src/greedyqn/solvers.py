@@ -322,14 +322,19 @@ def gradient_method(
     x0,
     termination,
     max_iter: int,
+    trace_options: TraceOptions | None = None,
 ) -> tuple[np.ndarray, RunTrace]:
-    """Gradient descent with the constant step size 1/L, L = ``oracle.lipschitz_l``."""
+    """Gradient descent with the constant step size 1/L, L = ``oracle.lipschitz_l``.
+
+    Of ``trace_options`` only ``lambda_f`` applies: there is no approximation G.
+    """
     big_l = oracle.lipschitz_l
+    options = TraceOptions(lambda_f=trace_options is not None and trace_options.lambda_f)
 
     def step(k, x, grad, row):
         return x - grad / big_l, None
 
-    return _run(oracle, x0, termination, max_iter, step)
+    return _run(oracle, x0, termination, max_iter, step, None, options)
 
 
 def _secant_coefficients(rule: UpdateRule, alpha, beta):

@@ -1,9 +1,11 @@
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from greedyqn import bench
 from greedyqn.bench import (
     BUDGET_EXHAUSTED,
     ExperimentPlan,
@@ -15,14 +17,18 @@ from greedyqn.bench import (
     parse_method,
     run_hessian_error_plan,
     run_plan,
+    _build_parser,
+    _plan_from_args,
     _prepare,
 )
-from greedyqn.data_io import SyntheticSpec
+from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start
 from greedyqn.errors import InvalidPlan
 from greedyqn.objectives import QuadraticProblem
 from greedyqn.operator_core import DenseSymmetric
+from greedyqn.solvers import GradientNorm, lambda_f
 
 GOLDEN = Path(__file__).parent / "golden"
+PINS = Path(__file__).resolve().parent.parent / "perfbench" / "pins.json"
 
 
 def micro_plan(**overrides):
@@ -283,6 +289,33 @@ class TestLibsvmPlan:
         assert remapped != plain
         assert f_star("shared", None) == plain
 
+    def test_unwritable_cache_solves_the_reference_once(self, tmp_path, monkeypatch, capsys):
+        # the suite runs as root, so an unwritable directory is simulated
+        target = tmp_path / "tiny.libsvm"
+        target.write_text((GOLDEN / "tiny.libsvm").read_text())
+        write_text = Path.write_text
+
+        def refuse_cache(path, *args, **kwargs):
+            if path.name.endswith(".fstar.json"):
+                raise OSError("read-only dataset directory")
+            return write_text(path, *args, **kwargs)
+
+        reference_solves = []
+        classical_qn = bench.classical_qn
+
+        def spy(oracle, x0, rule, termination, *args, **kwargs):
+            if isinstance(termination, GradientNorm):
+                reference_solves.append(termination)
+            return classical_qn(oracle, x0, rule, termination, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", refuse_cache)
+        monkeypatch.setattr(bench, "classical_qn", spy)
+        argv = ["--problem", "libsvm", "--dataset", str(target), "--methods", "SR1,GrSR1"]
+        assert main(argv + ["--epsilons", "1e-1,1e-4", "--hessian-error"]) == 0
+        assert capsys.readouterr().out.count("epsilon,SR1,GrSR1") == 2
+        assert len(reference_solves) == 1
+        assert not target.with_name("tiny.libsvm.fstar.json").exists()
+
 
 class TestCli:
     def test_full_run_writes_outputs(self, tmp_path, capsys):
@@ -397,3 +430,80 @@ class TestCli:
         assert first.startswith("epsilon,GM,SR1,GrSR1\n")
         assert second.startswith("epsilon,SR1,GrSR1\n")
         assert "# GrSR1 (Hessian error): " in captured.err
+
+    def test_hessian_error_prepares_the_problem_once(self, monkeypatch, capsys):
+        calls = []
+        prepare = bench._prepare
+
+        def spy(plan):
+            calls.append(plan)
+            return prepare(plan)
+
+        monkeypatch.setattr(bench, "_prepare", spy)
+        argv = ["--n", "6", "--m", "5", "--methods", "GM,SR1,GrSR1", "--epsilons", "1e-1,1e-4"]
+        assert main(argv + ["--seed", "7", "--hessian-error"]) == 0
+        assert capsys.readouterr().out.count("epsilon,") == 2
+        assert len(calls) == 1
+
+    def test_gradient_method_trace_records_lambda_f(self, tmp_path, capsys):
+        argv = ["--n", "6", "--m", "5", "--methods", "GM", "--epsilons", "1e-1,1e-4"]
+        argv += ["--seed", "7", "--trace", "lambda_f,sigma,op_error", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        rows = (tmp_path / "trace_GM.csv").read_text().splitlines()[1:]
+        oracle = generate_logsumexp(SyntheticSpec(n=6, m=5, gamma=1.0, seed=7))
+        x = generate_start(6, 7)
+        for row in rows:  # replay the iterates x_k of gradient descent
+            cells = row.split(",")
+            assert cells[6] == cells[7] == ""  # no approximation G for sigma, op_error
+            assert float(cells[5]) == pytest.approx(lambda_f(oracle, x), rel=1e-12, abs=0.0)
+            x = x - oracle.gradient(x) / oracle.lipschitz_l
+        assert len(rows) > 1
+
+    def test_default_plan_reproduces_the_pinned_paper_table(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path)]) == 0
+        with (tmp_path / "iterations.csv").open(newline="") as fh:
+            columns = {col[0]: list(col[1:]) for col in zip(*csv.reader(fh))}
+        assert columns == json.loads(PINS.read_text())["paper_table"]["iterations"]
+
+
+# A value for every flag that differs from its default; libsvm-only flags are
+# set on top of a libsvm plan.
+_FLAG_VALUES = {
+    "problem": "quadratic",
+    "n": "7",
+    "m": "9",
+    "gamma": "0.5",
+    "dataset": "other.libsvm",
+    "label-remap": "2:-1,1:1",
+    "n-features": "12",
+    "methods": "SR1,GrBFGS",
+    "epsilons": "1e-2,1e-5",
+    "seed": "4",
+    "budget-factor": "20",
+    "out": "results",
+    "format": "csv,md",
+    "trace": "lambda_f,sigma",
+    "hessian-error": "true",
+}
+
+
+def _flag_actions():
+    return [a for a in _build_parser()._actions if a.dest not in ("help", "config")]
+
+
+@pytest.mark.parametrize("action", _flag_actions(), ids=lambda a: a.option_strings[0])
+def test_config_key_matches_flag(action, tmp_path):
+    key = action.option_strings[0].removeprefix("--")
+    value = _FLAG_VALUES[key]
+    libsvm = key in ("dataset", "label-remap", "n-features")
+    base = "problem = libsvm\ndataset = data.libsvm\n" if libsvm else ""
+    (tmp_path / "base.cfg").write_text(base)
+    (tmp_path / "key.cfg").write_text(f"{base}{key} = {value}\n")
+    flag = [f"--{key}"] if action.nargs == 0 else [f"--{key}", value]
+
+    def plan(*argv):
+        return _plan_from_args(_build_parser().parse_args(list(argv)))
+
+    from_config = plan("--config", str(tmp_path / "key.cfg"))
+    assert from_config == plan("--config", str(tmp_path / "base.cfg"), *flag)
+    assert from_config != plan("--config", str(tmp_path / "base.cfg"))

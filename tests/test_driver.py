@@ -20,7 +20,7 @@ from greedyqn.bench import ExperimentPlan, _trace_csv, run_plan
 from greedyqn.broyden import UpdateRule
 from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start
 from greedyqn.objectives import QuadraticProblem
-from greedyqn.operator_core import DenseSymmetric
+from greedyqn.operator_core import DenseSymmetric, SpdState
 from greedyqn.solvers import (
     CONVERGED,
     MAX_ITER_REACHED,
@@ -143,6 +143,32 @@ class TestNonFiniteHessian:
         assert trace.records[-1].k == 1
 
 
+@pytest.mark.parametrize("call", [1, 2, 3, 5, 8, 13])
+def test_overflowing_correction_fails_at_the_rescale(call, monkeypatch):
+    """A gradient scaled by 1e300 overflows r_k, so the correction factor is inf.
+
+    The run ends at the rescale, before G and G^-1 become inf/NaN and
+    before a direction is chosen from them.
+    """
+    applied = []
+    rescale = SpdState.rescale
+
+    def spy(state, c):
+        out = rescale(state, c)
+        applied.append(c)
+        return out
+
+    monkeypatch.setattr(SpdState, "rescale", spy)
+    with np.errstate(over="ignore"):
+        _, trace = _grsr1_run("gradient", call, lambda g: g * 1e300)
+    assert np.isfinite(applied).all()
+    assert trace.outcome == NUMERICAL_FAILURE
+    assert trace.failure_reason == "NonFiniteResult"
+    assert len(trace.records) == call
+    assert trace.records[-1].r_k == np.inf
+    assert trace.records[-1].direction_index is None
+
+
 _RULES = [UpdateRule.sr1(), UpdateRule.dfp(), UpdateRule.bfgs(), UpdateRule.fixed(0.5)]
 
 
@@ -167,7 +193,7 @@ def quadratic_runs(draw):
 
 def _run(prob, x0, termination, entry, rule, options, max_iter):
     if entry == "gm":
-        return gradient_method(prob, x0, termination, max_iter)
+        return gradient_method(prob, x0, termination, max_iter, trace_options=options)
     if entry == "classical":
         return classical_qn(prob, x0, rule, termination, max_iter, trace_options=options)
     strategy = (

@@ -3,6 +3,7 @@ import pytest
 
 from greedyqn.errors import (
     DimensionMismatch,
+    NonFiniteResult,
     NonPositiveScale,
     NotPositiveDefinite,
     SingularCapacitance,
@@ -204,6 +205,13 @@ class TestRescaleSolve:
             state.rescale(0.0)
         with pytest.raises(NonPositiveScale):
             state.rescale(-1.0)
+
+    def test_rescale_rejects_infinite(self):
+        state = SpdState.scaled_identity(2, 1.0)
+        with pytest.raises(NonFiniteResult):
+            state.rescale(np.inf)
+        assert np.array_equal(state.g.entries, np.eye(2))
+        assert np.array_equal(state.solve([3.0, 4.0]), [3.0, 4.0])
 
     def test_solve_identity(self):
         state = SpdState.scaled_identity(2, 1.0)
