@@ -29,6 +29,7 @@ from .errors import DatasetNotFound, GreedyQnError, InvalidPlan
 from .objectives import DENSE_CAP, ObjectiveOracle, QuadraticProblem
 from .operator_core import DenseSymmetric
 from .solvers import (
+    CONVERGED,
     MAX_ITER_REACHED,
     DirectionStrategy,
     FunctionResidual,
@@ -36,6 +37,7 @@ from .solvers import (
     IterationRecord,
     SolverConfig,
     TraceOptions,
+    _terminated,
     classical_qn,
     gradient_method,
     solve_general,
@@ -178,6 +180,10 @@ def _reference_f_star(path: Path, oracle, budget: int) -> float:
         oracle, np.zeros(oracle.n), UpdateRule.sr1(), GradientNorm(1e-13), budget
     )
     f_star = float(min(trace.f_values()))
+    if trace.outcome != CONVERGED:
+        last = trace.records[-1]
+        print(f"note: reference solve for f* ended {trace.outcome} ({trace.failure_reason})"
+              f" at k={last.k}, |grad f|={last.grad_norm:.3g}", file=sys.stderr)
     by_data[digest] = f_star
     try:
         cache.write_text(json.dumps(stored, sort_keys=True))
@@ -212,9 +218,24 @@ def _prepare(plan: ExperimentPlan) -> _Prepared:
     return _Prepared(oracle, f_star, x0, desc, oracle.self_concordance_m or 0.0)
 
 
-def _run_methods(plan: ExperimentPlan, prepared: _Prepared, trace_opts: TraceOptions):
-    """Run every method once to the tightest epsilon; return name -> trace."""
+def _run_tables(plan: ExperimentPlan, prepared: _Prepared, errors: bool):
+    """Run every method once to the tightest epsilon and read its tables off the traces.
+
+    Returns the tables by file stem: "iterations" and, when ``errors`` is
+    set, "hessian_error" for the methods other than GM; the runs then take
+    ``op_error`` at the first iterate meeting each epsilon, the rows the
+    error table reads.  With ``plan.output`` every table and trace file is
+    written once.
+    """
     oracle = prepared.oracle
+    error_methods = [m for m in plan.methods if m.family != "gm"]
+    trace_opts = plan.trace_options
+    if errors:
+        if not error_methods:
+            raise InvalidPlan("no method with a Hessian approximation for the error table")
+        if oracle.n > DENSE_CAP:
+            raise InvalidPlan(f"n={oracle.n} exceeds the dense cap {DENSE_CAP}")
+        trace_opts = replace(trace_opts, op_error_at=tuple(plan.epsilons))
     budget = plan.iteration_budget_factor * oracle.n
     termination = FunctionResidual(plan.epsilons[-1], prepared.f_star)
     traces = {}
@@ -247,7 +268,20 @@ def _run_methods(plan: ExperimentPlan, prepared: _Prepared, trace_opts: TraceOpt
             _, trace = solve_general(oracle, prepared.x0, config)
         wall[spec.name] = time.perf_counter() - t0
         traces[spec.name] = trace
-    return traces, wall
+
+    metadata = {"problem": prepared.description, "seed": plan.seed, "wall_times": wall}
+
+    def table(methods, cell):
+        cells = [[cell(traces[m.name], eps, prepared.f_star) for m in methods]
+                 for eps in plan.epsilons]
+        return ResultTable(list(plan.epsilons), [m.name for m in methods], cells, metadata)
+
+    tables = {"iterations": table(plan.methods, _threshold_index)}
+    if errors:
+        tables["hessian_error"] = table(error_methods, _op_error_at_threshold)
+    if plan.output is not None:
+        _write_outputs(plan, tables, traces)
+    return tables
 
 
 def _threshold_index(trace, epsilon: float, f_star: float):
@@ -255,8 +289,7 @@ def _threshold_index(trace, epsilon: float, f_star: float):
     f = trace.f_values()
     if f.size == 0:
         return FAILED
-    gap0 = f[0] - f_star
-    hit = np.nonzero(f - f_star <= epsilon * gap0)[0]
+    hit = np.nonzero(_terminated(FunctionResidual(epsilon, f_star), f, f[0], None))[0]
     if hit.size:
         return int(hit[0])
     return BUDGET_EXHAUSTED if trace.outcome == MAX_ITER_REACHED else FAILED
@@ -271,38 +304,9 @@ def _op_error_at_threshold(trace, epsilon: float, f_star: float):
     return float(err) if err is not None else FAILED
 
 
-def _table(plan, prepared, trace_opts, cell, stem: str) -> ResultTable:
-    """Run every method, fill each (epsilon, method) cell with
-    ``cell(trace, epsilon, f_star)`` and write the outputs under ``stem``."""
-    traces, wall = _run_methods(plan, prepared, trace_opts)
-    table = ResultTable(
-        epsilons=list(plan.epsilons),
-        methods=[m.name for m in plan.methods],
-        cells=[
-            [cell(traces[m.name], eps, prepared.f_star) for m in plan.methods]
-            for eps in plan.epsilons
-        ],
-        metadata={"problem": prepared.description, "seed": plan.seed, "wall_times": wall},
-    )
-    if plan.output is not None:
-        _write_outputs(plan, table, traces, stem)
-    return table
-
-
-def _iteration_table(plan: ExperimentPlan, prepared: _Prepared) -> ResultTable:
-    return _table(plan, prepared, plan.trace_options, _threshold_index, "iterations")
-
-
-def _error_table(plan: ExperimentPlan, prepared: _Prepared) -> ResultTable:
-    if prepared.oracle.n > DENSE_CAP:
-        raise InvalidPlan(f"n={prepared.oracle.n} exceeds the dense cap {DENSE_CAP}")
-    opts = replace(plan.trace_options, op_error=True)
-    return _table(plan, prepared, opts, _op_error_at_threshold, "hessian_error")
-
-
 def run_plan(plan: ExperimentPlan) -> ResultTable:
     """Iteration-count table over the (method x epsilon) matrix."""
-    return _iteration_table(plan, _prepare(plan))
+    return _run_tables(plan, _prepare(plan), errors=False)["iterations"]
 
 
 def run_hessian_error_plan(plan: ExperimentPlan) -> ResultTable:
@@ -314,7 +318,7 @@ def run_hessian_error_plan(plan: ExperimentPlan) -> ResultTable:
     """
     if any(m.family == "gm" for m in plan.methods):
         raise InvalidPlan("gradient descent has no Hessian approximation to report")
-    return _error_table(plan, _prepare(plan))
+    return _run_tables(plan, _prepare(plan), errors=True)["hessian_error"]
 
 
 def _format_cell(cell, markdown: bool) -> str:
@@ -364,11 +368,12 @@ def _trace_csv(trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_outputs(plan: ExperimentPlan, table: ResultTable, traces, stem: str):
+def _write_outputs(plan: ExperimentPlan, tables: dict, traces):
     out = Path(plan.output)
     out.mkdir(parents=True, exist_ok=True)
-    for fmt in plan.formats:
-        (out / f"{stem}.{fmt}").write_text(emit_table(table, fmt))
+    for stem, table in tables.items():
+        for fmt in plan.formats:
+            (out / f"{stem}.{fmt}").write_text(emit_table(table, fmt))
     for name, trace in traces.items():
         (out / f"trace_{name}.csv").write_text(_trace_csv(trace))
 
@@ -510,30 +515,21 @@ def _plan_from_args(args) -> tuple[ExperimentPlan, bool]:
         formats=tuple(f for f in str(settings["format"]).split(",") if f),
         trace_options=TraceOptions(**trace_fields),
     )
-    want_error_table = str(settings.get("hessian-error", "")).lower() in (
-        "true",
-        "1",
-        "yes",
-    )
-    return plan, want_error_table
+    switches = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+    switch = str(settings.get("hessian-error", False)).lower()
+    if switch not in switches:
+        raise InvalidPlan(f"hessian-error must be one of {sorted(switches)}, not {switch!r}")
+    return plan, switches[switch]
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         plan, want_error_table = _plan_from_args(args)
-        prepared = _prepare(plan)
-        table = _iteration_table(plan, prepared)
-        print(emit_table(table, "csv"), end="")
-        for name, seconds in table.metadata["wall_times"].items():
+        tables = _run_tables(plan, _prepare(plan), want_error_table)
+        print("\n".join(emit_table(t, "csv") for t in tables.values()), end="")
+        for name, seconds in tables["iterations"].metadata["wall_times"].items():
             print(f"# {name}: {seconds:.2f}s", file=sys.stderr)
-        if want_error_table:
-            error_plan = replace(plan, methods=[m for m in plan.methods if m.family != "gm"])
-            err_table = _error_table(error_plan, prepared)
-            print()
-            print(emit_table(err_table, "csv"), end="")
-            for name, seconds in err_table.metadata["wall_times"].items():
-                print(f"# {name} (Hessian error): {seconds:.2f}s", file=sys.stderr)
     except DatasetNotFound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -16,7 +16,7 @@ patched.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -96,14 +96,13 @@ class GradientNorm:
 
 @dataclass(frozen=True)
 class TraceOptions:
-    """Opt-in O(n^3) per-iteration diagnostics."""
+    """Opt-in O(n^3) per-iteration diagnostics; ``op_error`` is also taken at the
+    first iterate meeting the termination test with each tolerance in ``op_error_at``."""
 
     lambda_f: bool = False
     sigma: bool = False
     op_error: bool = False
-
-    def any(self) -> bool:
-        return self.lambda_f or self.sigma or self.op_error
+    op_error_at: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,7 @@ def _diagnostics(oracle, x, grad, state, trace: TraceOptions):
     Shares one Cholesky factorization of the exact Hessian across the
     requested quantities; skipped entirely above the dense cap.
     """
-    if not trace.any() or oracle.n > DENSE_CAP:
+    if not (trace.lambda_f or trace.sigma or trace.op_error) or oracle.n > DENSE_CAP:
         return None, None, None
     hess = oracle.full_hessian(x)
     chol = factorize(hess)
@@ -238,6 +237,7 @@ def _run(oracle, x0, termination, max_iter, step, state=None, options=TraceOptio
     x = np.array(x0, dtype=float)
     trace = RunTrace()
     grad = None
+    marks = [replace(termination, epsilon=e) for e in options.op_error_at]
     try:
         for k in range(max_iter + 1):
             f = _finite(oracle.value(x), "objective")
@@ -246,11 +246,14 @@ def _run(oracle, x0, termination, max_iter, step, state=None, options=TraceOptio
             grad_norm = float(np.linalg.norm(grad))
             if k == 0:
                 f0 = f
-            lam, sig, operr = _diagnostics(oracle, x, grad, state, options)
+            converged = _terminated(termination, f, f0, grad_norm)
+            unmet = [t for t in marks if not _terminated(t, f, f0, grad_norm)]
+            row_options = replace(options, op_error=True) if len(unmet) < len(marks) else options
+            marks = unmet
+            lam, sig, operr = _diagnostics(oracle, x, grad, state, row_options)
             row = dict(
                 k=k, f_value=f, grad_norm=grad_norm, lambda_f=lam, sigma=sig, op_error=operr
             )
-            converged = _terminated(termination, f, f0, grad_norm)
             try:
                 if not converged and k < max_iter:
                     x, grad = step(k, x, grad, row)

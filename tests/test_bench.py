@@ -1,9 +1,15 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedyqn import bench
 from greedyqn.bench import (
@@ -23,12 +29,21 @@ from greedyqn.bench import (
 )
 from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start
 from greedyqn.errors import InvalidPlan
-from greedyqn.objectives import QuadraticProblem
+from greedyqn.objectives import DENSE_CAP, QuadraticProblem
 from greedyqn.operator_core import DenseSymmetric
-from greedyqn.solvers import GradientNorm, lambda_f
+from greedyqn.solvers import NUMERICAL_FAILURE, GradientNorm, lambda_f
 
 GOLDEN = Path(__file__).parent / "golden"
 PINS = Path(__file__).resolve().parent.parent / "perfbench" / "pins.json"
+
+
+def _read_columns(path):
+    with path.open(newline="") as fh:
+        return {col[0]: list(col[1:]) for col in zip(*csv.reader(fh))}
+
+
+def _trace_rows(out, method):
+    return (out / f"trace_{method}.csv").read_text().splitlines()[1:]
 
 
 def micro_plan(**overrides):
@@ -312,10 +327,37 @@ class TestLibsvmPlan:
         monkeypatch.setattr(bench, "classical_qn", spy)
         argv = ["--problem", "libsvm", "--dataset", str(target), "--methods", "SR1,GrSR1"]
         assert main(argv + ["--epsilons", "1e-1,1e-4", "--hessian-error"]) == 0
-        assert capsys.readouterr().out.count("epsilon,SR1,GrSR1") == 2
+        captured = capsys.readouterr()
+        assert captured.out.count("epsilon,SR1,GrSR1") == 2
+        assert "note:" not in captured.err  # the reference converged
         assert len(reference_solves) == 1
         assert not target.with_name("tiny.libsvm.fstar.json").exists()
 
+    def test_failed_reference_solve_is_noted(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "tiny.libsvm"
+        target.write_text((GOLDEN / "tiny.libsvm").read_text())
+        reached = []
+        classical_qn = bench.classical_qn
+
+        def failing(oracle, x0, rule, termination, *args, **kwargs):
+            x, trace = classical_qn(oracle, x0, rule, termination, *args, **kwargs)
+            if isinstance(termination, GradientNorm):  # the reference solve
+                del trace.records[3:]
+                trace.outcome, trace.failure_reason = NUMERICAL_FAILURE, "NotPositiveDefinite"
+                reached.append(float(min(trace.f_values())))
+            return x, trace
+
+        monkeypatch.setattr(bench, "classical_qn", failing)
+        argv = ["--problem", "libsvm", "--dataset", str(target), "--methods", "SR1,GrSR1"]
+        assert main(argv + ["--epsilons", "1e-1,1e-4", "--hessian-error"]) == 0
+        captured = capsys.readouterr()
+        notes = [line for line in captured.err.splitlines() if line.startswith("note:")]
+        assert len(notes) == 1
+        assert "numerical_failure (NotPositiveDefinite) at k=2, |grad f|=" in notes[0]
+        assert captured.out.count("epsilon,SR1,GrSR1") == 2
+        # f* is still the least value the reference reached, cached as before
+        cache = json.loads(target.with_name("tiny.libsvm.fstar.json").read_text())
+        assert list(cache["1"].values()) == reached
 
 class TestCli:
     def test_full_run_writes_outputs(self, tmp_path, capsys):
@@ -422,14 +464,43 @@ class TestCli:
         argv = ["--n", "6", "--m", "5", "--methods", "GM,SR1,GrSR1", "--epsilons", "1e-1,1e-4"]
         argv += ["--seed", "7", "--trace", "lambda_f", "--hessian-error", "--out", str(tmp_path)]
         assert main(argv) == 0
-        for name in ("SR1", "GrSR1"):  # rewritten by the Hessian-error pass
-            rows = (tmp_path / f"trace_{name}.csv").read_text().splitlines()[1:]
-            assert all(row.split(",")[5] != "" for row in rows), name
+        counts = _read_columns(tmp_path / "iterations.csv")
+        for name in ("SR1", "GrSR1"):
+            rows = [row.split(",") for row in _trace_rows(tmp_path, name)]
+            assert all(row[5] != "" for row in rows), name
+            # op_error is taken exactly at the rows the error table reads
+            assert [row[0] for row in rows if row[7] != ""] == counts[name]
         captured = capsys.readouterr()
         first, second = captured.out.split("\n\n")
         assert first.startswith("epsilon,GM,SR1,GrSR1\n")
         assert second.startswith("epsilon,SR1,GrSR1\n")
-        assert "# GrSR1 (Hessian error): " in captured.err
+        for name in ("GM", "SR1", "GrSR1"):  # one run per method
+            assert captured.err.count(f"# {name}: ") == 1, name
+
+    def test_hessian_error_over_the_dense_cap_runs_no_method(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a method ran")
+
+        for name in ("gradient_method", "classical_qn", "solve_general"):
+            monkeypatch.setattr(bench, name, refuse)
+        argv = ["--n", str(DENSE_CAP + 1), "--m", "3", "--methods", "GM,SR1,GrSR1"]
+        assert main(argv + ["--epsilons", "1e-1", "--hessian-error"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dense cap" in captured.err
+
+    @pytest.mark.parametrize(
+        "value,tables",
+        [("YES", 2), ("True", 2), ("1", 2), ("no", 1), ("FALSE", 1), ("0", 1), ("on", 0), ("ture", 0)],
+    )
+    def test_config_file_hessian_error_switch(self, tmp_path, capsys, value, tables):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"n = 6\nm = 5\nmethods = SR1\nepsilons = 1e-1\nhessian-error = {value}\n")
+        assert main(["--config", str(cfg)]) == (0 if tables else 2)
+        captured = capsys.readouterr()
+        assert captured.out.count("epsilon,SR1") == tables
+        if not tables:
+            assert "hessian-error" in captured.err
 
     def test_hessian_error_prepares_the_problem_once(self, monkeypatch, capsys):
         calls = []
@@ -461,8 +532,7 @@ class TestCli:
 
     def test_default_plan_reproduces_the_pinned_paper_table(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path)]) == 0
-        with (tmp_path / "iterations.csv").open(newline="") as fh:
-            columns = {col[0]: list(col[1:]) for col in zip(*csv.reader(fh))}
+        columns = _read_columns(tmp_path / "iterations.csv")
         assert columns == json.loads(PINS.read_text())["paper_table"]["iterations"]
 
 
@@ -507,3 +577,54 @@ def test_config_key_matches_flag(action, tmp_path):
     from_config = plan("--config", str(tmp_path / "key.cfg"))
     assert from_config == plan("--config", str(tmp_path / "base.cfg"), *flag)
     assert from_config != plan("--config", str(tmp_path / "base.cfg"))
+
+
+_ALL_METHODS = ["GM", "SR1", "DFP", "BFGS", "GrSR1", "GrDFP", "GrBFGS", "RaSR1", "RaDFP", "RaBFGS"]
+
+
+@st.composite
+def _small_plans(draw):
+    n = draw(st.integers(2, 6))
+    seed = str(draw(st.integers(0, 50)))
+    if draw(st.booleans()):
+        problem = ["--problem", "logsumexp", "--n", str(n), "--m", str(draw(st.integers(2, 6)))]
+    else:
+        problem = ["--problem", "quadratic", "--n", str(n)]
+    methods = draw(st.lists(st.sampled_from(_ALL_METHODS[1:]), min_size=1, unique=True))
+    if draw(st.booleans()):
+        methods.insert(draw(st.integers(0, len(methods))), "GM")
+    exponents = draw(st.lists(st.integers(1, 10), min_size=1, max_size=4, unique=True))
+    epsilons = ",".join(f"1e-{e}" for e in sorted(exponents))
+    budget = draw(st.sampled_from(["1", "3", "50"]))
+    return problem + ["--methods", ",".join(methods), "--epsilons", epsilons, "--seed", seed,
+                      "--budget-factor", budget], methods
+
+
+@settings(max_examples=15, deadline=None)
+@given(_small_plans())
+def test_error_table_reads_the_iteration_runs(plan):
+    """One run per method gives the error cells that op_error at every iterate gives."""
+    argv, methods = plan
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        every, once = Path(tmp) / "every", Path(tmp) / "once"
+        assert main(argv + ["--trace", "op_error", "--out", str(every)]) == 0
+        solvers = [
+            stack.enter_context(mock.patch.object(bench, name, wraps=getattr(bench, name)))
+            for name in ("gradient_method", "classical_qn", "solve_general")
+        ]
+        assert main(argv + ["--hessian-error", "--out", str(once)]) == 0
+        assert sum(solver.call_count for solver in solvers) == len(methods)
+        counts = _read_columns(every / "iterations.csv")
+        assert _read_columns(once / "iterations.csv") == counts
+        errors = _read_columns(once / "hessian_error.csv")
+        assert list(errors) == ["epsilon"] + [m for m in methods if m != "GM"]
+        for method in errors.keys() - {"epsilon"}:
+            rows = _trace_rows(every, method)
+            for count, error in zip(counts[method], errors[method]):
+                if count.isdigit():
+                    assert error != "!"
+                    assert error == rows[int(count)].split(",")[7]  # bit-equal: both .17g
+                else:
+                    assert error == count

@@ -36,4 +36,7 @@ def test_benchmark_patch_lists_cover_a_cli_run(tmp_path, monkeypatch, capsys):
     layers = sum(metrics[f"layer.{layer}.self_s"] for layer in tracing.LAYERS)
     assert layers == pytest.approx(metrics["trace.wall_s"], rel=1e-9)
     assert metrics["broyden.broyden_update.calls"] > 0
+    # one run per method; op_error only where the error table reads it
+    assert metrics["bench.method_runs"] == len(METHODS)
+    assert metrics["broyden.op_error.calls"] <= 3 * 2  # non-GM methods x epsilons
     assert clock.gaps_ms().size > 0
