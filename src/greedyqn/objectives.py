@@ -129,7 +129,8 @@ class LogSumExpProblem(ObjectiveOracle):
             raise ValueError("gamma must be positive")
         self.gamma = float(gamma)
         self.m, self.n = self.c.shape
-        self.lipschitz_l = 2.0 * float(np.sum(self.c * self.c)) + self.gamma
+        self._c_sq = self.c * self.c
+        self.lipschitz_l = 2.0 * float(np.sum(self._c_sq)) + self.gamma
         # The two data terms are convex, so gamma certifies strong convexity.
         self.strong_convexity_mu = self.gamma
         self.self_concordance_m = 2.0
@@ -156,7 +157,7 @@ class LogSumExpProblem(ObjectiveOracle):
         x = _as_vector(x, self.n)
         _, _, pi = self._weights(x)
         soft_grad = self.c.T @ pi
-        return (self.c * self.c).T @ (pi + 1.0) - soft_grad**2 + self.gamma
+        return self._c_sq.T @ (pi + 1.0) - soft_grad**2 + self.gamma
 
     def hessian_vec(self, x, h):
         x = _as_vector(x, self.n)
@@ -196,7 +197,8 @@ class LogisticProblem(ObjectiveOracle):
             raise ValueError("gamma must be positive")
         self.gamma = float(gamma)
         self.m, self.n = self.c.shape
-        self.lipschitz_l = 0.25 * float(np.sum(self.c * self.c)) + self.gamma
+        self._c_sq = self.c * self.c
+        self.lipschitz_l = 0.25 * float(np.sum(self._c_sq)) + self.gamma
         self.strong_convexity_mu = self.gamma
         # No certified constant by default; callers may supply one to force
         # the corrected scheme.
@@ -227,7 +229,7 @@ class LogisticProblem(ObjectiveOracle):
     def hessian_diag(self, x):
         x = _as_vector(x, self.n)
         w = self._hess_weights(x)
-        return (self.c * self.c).T @ w + self.gamma
+        return self._c_sq.T @ w + self.gamma
 
     def hessian_vec(self, x, h):
         x = _as_vector(x, self.n)

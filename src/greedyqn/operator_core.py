@@ -31,6 +31,10 @@ PIVOT_RTOL = 1e-14
 AUDIT_EVERY = 50
 DRIFT_LIMIT = 1e-6
 
+# Row blocks of the in-place rank-two update hold about this many entries
+# (256 KiB of float64), so the update's buffers stay in cache.
+BLOCK_ENTRIES = 32768
+
 
 def _as_vector(u, n):
     v = np.asarray(u, dtype=float)
@@ -39,18 +43,36 @@ def _as_vector(u, n):
     return v
 
 
-def sym_rank2(p, q, c11, c12, c22):
-    """Return c11*p p^T + c12*(p q^T + q p^T) + c22*q q^T, exactly symmetric.
+def _add_sym_rank2(a, op, p, q, c11, c12, c22):
+    """In place, a <- op(a, c11*p p^T + c12*(p q^T + q p^T) + c22*q q^T).
 
-    Assembled from outer products so that entry (i, j) and entry (j, i) are
-    produced by the same floating-point operations.
+    ``op`` is ``np.add`` or ``np.subtract``.  ``a`` is walked in row blocks of
+    about :data:`BLOCK_ENTRIES` entries, so no n x n temporary is built.  Each
+    entry is formed as c11*(p_i p_j), plus c12*((p_i q_j) + (q_i p_j)), plus
+    c22*(q_i q_j), the last two only for non-zero coefficients: the
+    per-entry arithmetic of the outer-product formula, so entries (i, j) and
+    (j, i) receive bit-identical increments.
     """
-    out = c11 * np.outer(p, p)
-    if c12 != 0.0:
-        out += c12 * (np.outer(p, q) + np.outer(q, p))
-    if c22 != 0.0:
-        out += c22 * np.outer(q, q)
-    return out
+    n = p.shape[0]
+    rows = max(1, BLOCK_ENTRIES // max(n, 1))
+    buf = np.empty((3, min(rows, n), n))
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        out, t, u = buf[:, : r1 - r0]
+        np.multiply(p[r0:r1, None], p, out=out)
+        np.multiply(c11, out, out=out)
+        if c12 != 0.0:
+            np.multiply(p[r0:r1, None], q, out=t)
+            np.multiply(q[r0:r1, None], p, out=u)
+            np.add(t, u, out=t)
+            np.multiply(c12, t, out=t)
+            np.add(out, t, out=out)
+        if c22 != 0.0:
+            np.multiply(q[r0:r1, None], q, out=t)
+            np.multiply(c22, t, out=t)
+            np.add(out, t, out=out)
+        block = a[r0:r1]
+        op(block, out, out=block)
 
 
 class DenseSymmetric:
@@ -245,8 +267,8 @@ class SpdState:
         t = kinv @ cmat
         t12 = (t[0, 1] + t[1, 0]) / 2.0
 
-        self._g += sym_rank2(p, q, c11, c12, c22)
-        self._g_inv -= sym_rank2(y1, y2, t[0, 0], t12, t[1, 1])
+        _add_sym_rank2(self._g, np.add, p, q, c11, c12, c22)
+        _add_sym_rank2(self._g_inv, np.subtract, y1, y2, t[0, 0], t12, t[1, 1])
         self._bump()
         return self
 

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedyqn.errors import (
     DimensionMismatch,
@@ -9,7 +13,7 @@ from greedyqn.errors import (
     SingularCapacitance,
 )
 from greedyqn.broyden import UpdatePair
-from greedyqn.operator_core import DenseSymmetric, SpdState, factorize
+from greedyqn.operator_core import BLOCK_ENTRIES, DenseSymmetric, SpdState, factorize
 
 
 class TestDenseSymmetric:
@@ -170,6 +174,91 @@ class TestRank2Update:
             assert np.array_equal(state.diag, state.g.entries.diagonal())
         state.rescale(1.7)
         assert np.array_equal(state.diag, state.g.entries.diagonal())
+
+
+def outer_rank2(p, q, c11, c12, c22):
+    """c11*p p^T + c12*(p q^T + q p^T) + c22*q q^T from full outer products."""
+    out = c11 * np.outer(p, p)
+    if c12 != 0.0:
+        out += c12 * (np.outer(p, q) + np.outer(q, p))
+    if c22 != 0.0:
+        out += c22 * np.outer(q, q)
+    return out
+
+
+def reference_rank2_update(g, g_inv, p, q, c11, c12, c22):
+    """(G + ref, G^-1 - ref'): the update and its 2x2 Woodbury inverse update."""
+    cmat = np.array([[c11, c12], [c12, c22]], dtype=float)
+    y1 = g_inv @ p
+    y2 = g_inv @ q
+    w = np.array([[np.dot(p, y1), np.dot(p, y2)], [np.dot(q, y1), np.dot(q, y2)]])
+    k = np.eye(2) + cmat @ w
+    det = k[0, 0] * k[1, 1] - k[0, 1] * k[1, 0]
+    t = np.array([[k[1, 1], -k[0, 1]], [-k[1, 0], k[0, 0]]]) / det @ cmat
+    t12 = (t[0, 1] + t[1, 0]) / 2.0
+    g_ref = g + outer_rank2(p, q, c11, c12, c22)
+    return g_ref, g_inv - outer_rank2(y1, y2, t[0, 0], t12, t[1, 1])
+
+
+# Dimensions for the in-place update: empty and tiny, one partial row block
+# (17), whole blocks only (256), several blocks with a shorter last one (200).
+BLOCK_SHAPED_N = [0, 1, 2, 17, 256, 200]
+
+
+@st.composite
+def rank2_cases(draw):
+    """A random G with eigenvalues >= 1 and three updates whose norms sum below 1."""
+    n = draw(st.sampled_from(BLOCK_SHAPED_N))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = rng.standard_normal((n, n))
+    g = np.eye(n) + b @ b.T / max(n, 1)
+    coef = st.floats(-0.08, 0.08)
+    updates = []
+    for _ in range(3):
+        p, q = rng.standard_normal(n), rng.standard_normal(n)
+        p /= max(np.linalg.norm(p), 1.0)
+        q /= max(np.linalg.norm(q), 1.0)
+        c12 = draw(st.just(0.0) | coef)
+        c22 = draw(st.just(0.0) | coef)
+        updates.append((p, q, draw(coef), c12, c22))
+    return g, updates
+
+
+class TestInPlaceRank2Kernel:
+    """The blocked in-place update keeps the outer-product formula's bits."""
+
+    def test_block_shapes_are_covered(self):
+        rows = {n: BLOCK_ENTRIES // n for n in BLOCK_SHAPED_N if n}
+        assert rows[17] > 17
+        assert rows[256] < 256 and 256 % rows[256] == 0
+        assert rows[200] < 200 and 200 % rows[200] != 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(rank2_cases())
+    def test_bit_identical_to_outer_products(self, case):
+        g, updates = case
+        state = SpdState(DenseSymmetric(g))
+        ref_g, ref_inv = state.g.entries, state.g_inv.entries
+        for p, q, c11, c12, c22 in updates:
+            ref_g, ref_inv = reference_rank2_update(ref_g, ref_inv, p, q, c11, c12, c22)
+            state.rank2_update(p, q, c11, c12, c22)
+            assert np.array_equal(state.g.entries, ref_g)
+            assert np.array_equal(state.g_inv.entries, ref_inv)
+            assert np.array_equal(state.g.entries, state.g.entries.T)
+            assert np.array_equal(state.g_inv.entries, state.g_inv.entries.T)
+
+    def test_no_dense_temporary(self):
+        n = 1000
+        rng = np.random.default_rng(3)
+        state = SpdState.scaled_identity(n, 2.0)
+        p, q = rng.standard_normal(n), rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            state.rank2_update(p, q, 0.1, 0.02, 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
 
 class TestRescaleSolve:
