@@ -86,6 +86,10 @@ class QuadraticSpec:
     n: int
     seed: int
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise InvalidPlan(f"n must be at least 1, got {self.n}")
+
     def build(self) -> QuadraticProblem:
         rng = RngStream(self.seed, "data")
         m = rng.uniform(-1.0, 1.0, (self.n, self.n))
@@ -122,8 +126,8 @@ class ExperimentPlan:
         if not self.methods:
             raise InvalidPlan("no methods requested")
         eps = [float(e) for e in self.epsilons]
-        if not eps or any(e <= 0 for e in eps):
-            raise InvalidPlan("epsilons must be positive")
+        if not eps or not all(0.0 < e < np.inf for e in eps):
+            raise InvalidPlan("epsilons must be positive and finite")
         if any(later >= earlier for earlier, later in zip(eps, eps[1:])):
             raise InvalidPlan("epsilons must be strictly decreasing")
         self.epsilons = eps
@@ -165,7 +169,14 @@ def _reference_f_star(path: Path, oracle, budget: int) -> float:
     so it never reuses another run's optimum.
     """
     cache = path.with_name(path.name + ".fstar.json")
-    stored = json.loads(cache.read_text()) if cache.exists() else {}
+    try:
+        stored = json.loads(cache.read_text()) if cache.exists() else {}
+    except ValueError:  # not JSON, or not UTF-8
+        stored = None
+    if not isinstance(stored, dict):
+        print(f"note: ignoring unreadable f* cache {cache}; it will be rewritten",
+              file=sys.stderr)
+        stored = {}
     gamma = f"{oracle.gamma:.17g}"
     if not isinstance(stored.get(gamma), dict):  # no entry, or one keyed on gamma alone
         stored[gamma] = {}
@@ -473,12 +484,22 @@ def _plan_from_args(args) -> tuple[ExperimentPlan, bool]:
         gamma = float(settings["gamma"])
         seed = int(settings["seed"])
         budget = int(settings["budget-factor"])
+        epsilons = [float(e) for e in str(settings["epsilons"]).split(",") if e]
+        n_features = settings.get("n-features")
+        n_features = int(n_features) if n_features is not None else None
     except (TypeError, ValueError) as exc:
         raise InvalidPlan(f"bad numeric setting: {exc}") from None
+    if seed < 0:
+        raise InvalidPlan(f"seed must be non-negative, got {seed}")
 
     kind = settings["problem"]
+    if kind in ("logsumexp", "libsvm") and not 0.0 < gamma < np.inf:
+        raise InvalidPlan(f"gamma must be positive and finite, got {gamma}")
     if kind == "logsumexp":
-        problem = SyntheticSpec(n=n, m=m, gamma=gamma, seed=seed)
+        try:
+            problem = SyntheticSpec(n=n, m=m, gamma=gamma, seed=seed)
+        except ValueError as exc:
+            raise InvalidPlan(f"bad problem setting: {exc}") from None
     elif kind == "quadratic":
         problem = QuadraticSpec(n=n, seed=seed)
     elif kind == "libsvm":
@@ -487,12 +508,11 @@ def _plan_from_args(args) -> tuple[ExperimentPlan, bool]:
         label_map = None
         if settings.get("label-remap"):
             label_map = _parse_label_map(settings["label-remap"])
-        n_features = settings.get("n-features")
         problem = LibsvmSpec(
             path=settings["dataset"],
             gamma=gamma,
             label_map=label_map,
-            n_features=int(n_features) if n_features is not None else None,
+            n_features=n_features,
         )
     else:
         raise InvalidPlan(f"unknown problem kind {kind!r}")
@@ -508,7 +528,7 @@ def _plan_from_args(args) -> tuple[ExperimentPlan, bool]:
     plan = ExperimentPlan(
         problem=problem,
         methods=[s for s in str(settings["methods"]).split(",") if s],
-        epsilons=[float(e) for e in str(settings["epsilons"]).split(",") if e],
+        epsilons=epsilons,
         seed=seed,
         iteration_budget_factor=budget,
         output=settings.get("out"),

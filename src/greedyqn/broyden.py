@@ -71,7 +71,8 @@ class UpdatePair:
 
     ``au`` is the action of the target operator on u, ``gu`` the action of
     the current approximation; ``auu``/``guu`` are the matching quadratic
-    forms.
+    forms.  ``from_state`` computes ``gu`` as G @ u unless the caller
+    passes it.
     """
 
     u: np.ndarray
@@ -81,12 +82,13 @@ class UpdatePair:
     guu: float
 
     @classmethod
-    def from_state(cls, state: SpdState, u, au) -> "UpdatePair":
+    def from_state(cls, state: SpdState, u, au, gu=None) -> "UpdatePair":
         u = np.asarray(u, dtype=float)
         au = np.asarray(au, dtype=float)
         if u.shape != (state.n,) or au.shape != (state.n,):
             raise DimensionMismatch("direction/action length mismatch")
-        gu = state.apply(u)
+        if gu is None:
+            gu = state.apply(u)
         return cls(
             u=u,
             au=au,

@@ -6,11 +6,21 @@ problem constants: the gradient Lipschitz constant L and strong-convexity
 constant mu in the Euclidean metric, and the strong self-concordance
 constant M where one is known.
 
-Oracles are immutable after construction and every evaluation is pure, so
-shared problem data may be evaluated from multiple threads.
+Each oracle keeps a one-entry cache: the quantities derived from the last
+point it evaluated (``c @ x`` with the softmax, the logistic margins, or
+``A @ x``), keyed on the bytes of x.  So value, gradient, Hessian diagonal
+and Hessian actions at one point share one ``c @ x`` and one softmax or
+sigmoid pass, and return the same bits as a fresh oracle.  The problem data
+and constants never change after construction.  The cache is safe to use
+from several threads: a call reads the cached record once, a new record is
+built whole before one assignment publishes it, and its lazily filled
+entries never change once set.  Threads that evaluate at different points
+only evict each other's record and recompute it.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -29,6 +39,12 @@ def _stable_softmax(z):
     e = np.exp(z - zmax)
     total = float(np.sum(e))
     return zmax + np.log(total), e / total
+
+
+def _basis(n, i):
+    e = np.zeros(n)
+    e[i] = 1.0
+    return e
 
 
 class ObjectiveOracle:
@@ -51,6 +67,9 @@ class ObjectiveOracle:
     lipschitz_l: float
     strong_convexity_mu: float | None = None
     self_concordance_m: float | None = None
+    # Record type of the quantities derived from one point, and the cached record.
+    _point_type = None
+    _last = None
 
     def value(self, x) -> float:
         raise NotImplementedError
@@ -64,16 +83,45 @@ class ObjectiveOracle:
     def hessian_vec(self, x, h) -> np.ndarray:
         raise NotImplementedError
 
+    def hessian_col(self, x, i: int) -> np.ndarray:
+        """Column i of the Hessian: its action along the basis vector e_i."""
+        return self.hessian_vec(x, _basis(self.n, i))
+
     def full_hessian(self, x) -> DenseSymmetric:
         raise NotImplementedError
+
+    def _at(self, x):
+        """The cached record of x if x has its bits, else a new record, now cached.
+
+        The key is a private copy of x's bytes: comparing bits keeps -0.0
+        apart from +0.0, lets NaN match itself, and ignores later in-place
+        changes to the caller's array.
+        """
+        x = _as_vector(x, self.n)
+        key = x.tobytes()
+        point = self._last
+        if point is None or point.key != key:
+            point = self._point_type(self, x, key)
+            self._last = point
+        return point
 
     def _check_cap(self):
         if self.n > DENSE_CAP:
             raise DimensionTooLarge(f"n={self.n} exceeds the dense-Hessian cap {DENSE_CAP}")
 
 
+class _QuadraticPoint:
+    """A @ x at one point."""
+
+    def __init__(self, oracle, x, key):
+        self.key = key
+        self.ax = oracle.a.entries @ x
+
+
 class QuadraticProblem(ObjectiveOracle):
     """f(x) = 0.5 <A x, x> - <b, x> for SPD A."""
+
+    _point_type = _QuadraticPoint
 
     def __init__(self, a: DenseSymmetric, b):
         self.a = a if isinstance(a, DenseSymmetric) else DenseSymmetric(a)
@@ -85,12 +133,12 @@ class QuadraticProblem(ObjectiveOracle):
         self.self_concordance_m = 0.0  # constant Hessian
 
     def value(self, x):
+        p = self._at(x)
         x = _as_vector(x, self.n)
-        return 0.5 * float(np.dot(self.a.entries @ x, x)) - float(np.dot(self.b, x))
+        return 0.5 * float(np.dot(p.ax, x)) - float(np.dot(self.b, x))
 
     def gradient(self, x):
-        x = _as_vector(x, self.n)
-        return self.a.entries @ x - self.b
+        return self._at(x).ax - self.b
 
     def hessian_diag(self, x):
         _as_vector(x, self.n)
@@ -107,6 +155,20 @@ class QuadraticProblem(ObjectiveOracle):
 
     def minimizer(self) -> np.ndarray:
         return np.linalg.solve(self.a.entries, self.b)
+
+
+class _SoftmaxPoint:
+    """t = c @ x, the log-sum-exp and softmax weights of t - b, and c^T pi on first use."""
+
+    def __init__(self, oracle, x, key):
+        self.key = key
+        self._c = oracle.c
+        self.t = oracle.c @ x
+        self.lse, self.pi = _stable_softmax(self.t - oracle.b)
+
+    @cached_property
+    def soft_grad(self):
+        return self._c.T @ self.pi
 
 
 class LogSumExpProblem(ObjectiveOracle):
@@ -135,50 +197,67 @@ class LogSumExpProblem(ObjectiveOracle):
         self.strong_convexity_mu = self.gamma
         self.self_concordance_m = 2.0
 
+    _point_type = _SoftmaxPoint
+
     def _weights(self, x):
-        t = self.c @ x
-        lse, pi = _stable_softmax(t - self.b)
-        return t, lse, pi
+        """(t, log-sum-exp, softmax weights) at x, from the cache."""
+        p = self._at(x)
+        return p.t, p.lse, p.pi
 
     def value(self, x):
+        p = self._at(x)
         x = _as_vector(x, self.n)
-        t, lse, _ = self._weights(x)
-        val = lse + 0.5 * float(np.dot(t, t)) + 0.5 * self.gamma * float(np.dot(x, x))
+        val = p.lse + 0.5 * float(np.dot(p.t, p.t)) + 0.5 * self.gamma * float(np.dot(x, x))
         if not np.isfinite(val):
             raise NonFiniteResult(f"objective overflowed at |x| = {np.max(np.abs(x))}")
         return val
 
     def gradient(self, x):
-        x = _as_vector(x, self.n)
-        t, _, pi = self._weights(x)
-        return self.c.T @ (pi + t) + self.gamma * x
+        p = self._at(x)
+        return self.c.T @ (p.pi + p.t) + self.gamma * _as_vector(x, self.n)
 
     def hessian_diag(self, x):
-        x = _as_vector(x, self.n)
-        _, _, pi = self._weights(x)
-        soft_grad = self.c.T @ pi
-        return self._c_sq.T @ (pi + 1.0) - soft_grad**2 + self.gamma
+        p = self._at(x)
+        return self._c_sq.T @ (p.pi + 1.0) - p.soft_grad**2 + self.gamma
 
     def hessian_vec(self, x, h):
-        x = _as_vector(x, self.n)
+        p = self._at(x)
         h = _as_vector(h, self.n)
-        _, _, pi = self._weights(x)
-        soft_grad = self.c.T @ pi
-        ch = self.c @ h
+        return self._action(p, h, self.c @ h)
+
+    def hessian_col(self, x, i):
+        return self._action(self._at(x), _basis(self.n, i), self.c[:, i])
+
+    def _action(self, p, h, ch):
+        """Hessian action along h at the point of ``p``, with ``ch`` = c @ h."""
         return (
-            self.c.T @ ((pi + 1.0) * ch)
-            - float(np.dot(soft_grad, h)) * soft_grad
+            self.c.T @ ((p.pi + 1.0) * ch)
+            - float(np.dot(p.soft_grad, h)) * p.soft_grad
             + self.gamma * h
         )
 
     def full_hessian(self, x):
         self._check_cap()
-        x = _as_vector(x, self.n)
-        _, _, pi = self._weights(x)
-        soft_grad = self.c.T @ pi
-        h = (self.c.T * (pi + 1.0)) @ self.c - np.outer(soft_grad, soft_grad)
+        p = self._at(x)
+        h = (self.c.T * (p.pi + 1.0)) @ self.c - np.outer(p.soft_grad, p.soft_grad)
         h[np.diag_indices(self.n)] += self.gamma
         return DenseSymmetric(h)
+
+
+class _SigmoidPoint:
+    """Margins t = y * (c @ x); sigmoid(-t) and the Hessian weights on first use."""
+
+    def __init__(self, oracle, x, key):
+        self.key = key
+        self.t = oracle.labels * (oracle.c @ x)
+
+    @cached_property
+    def sig_neg(self):
+        return expit(-self.t)
+
+    @cached_property
+    def weights(self):
+        return expit(self.t) * self.sig_neg
 
 
 class LogisticProblem(ObjectiveOracle):
@@ -193,6 +272,8 @@ class LogisticProblem(ObjectiveOracle):
             raise DimensionMismatch("labels length must match the number of rows of c")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
+        if not np.all(np.isfinite(self.c)):
+            raise ValueError("data entries must be finite")
         if not gamma > 0:
             raise ValueError("gamma must be positive")
         self.gamma = float(gamma)
@@ -204,13 +285,12 @@ class LogisticProblem(ObjectiveOracle):
         # the corrected scheme.
         self.self_concordance_m = self_concordance_m
 
-    def _margins(self, x):
-        return self.labels * (self.c @ x)
+    _point_type = _SigmoidPoint
 
     def value(self, x):
+        p = self._at(x)
         x = _as_vector(x, self.n)
-        t = self._margins(x)
-        val = float(np.sum(np.logaddexp(0.0, -t))) + 0.5 * self.gamma * float(
+        val = float(np.sum(np.logaddexp(0.0, -p.t))) + 0.5 * self.gamma * float(
             np.dot(x, x)
         )
         if not np.isfinite(val):
@@ -218,29 +298,26 @@ class LogisticProblem(ObjectiveOracle):
         return val
 
     def gradient(self, x):
-        x = _as_vector(x, self.n)
-        t = self._margins(x)
-        return self.c.T @ (-self.labels * expit(-t)) + self.gamma * x
-
-    def _hess_weights(self, x):
-        t = self._margins(x)
-        return expit(t) * expit(-t)
+        p = self._at(x)
+        return self.c.T @ (-self.labels * p.sig_neg) + self.gamma * _as_vector(x, self.n)
 
     def hessian_diag(self, x):
-        x = _as_vector(x, self.n)
-        w = self._hess_weights(x)
-        return self._c_sq.T @ w + self.gamma
+        return self._c_sq.T @ self._at(x).weights + self.gamma
 
     def hessian_vec(self, x, h):
-        x = _as_vector(x, self.n)
+        p = self._at(x)
         h = _as_vector(h, self.n)
-        w = self._hess_weights(x)
-        return self.c.T @ (w * (self.c @ h)) + self.gamma * h
+        return self._action(p, h, self.c @ h)
+
+    def hessian_col(self, x, i):
+        return self._action(self._at(x), _basis(self.n, i), self.c[:, i])
+
+    def _action(self, p, h, ch):
+        """Hessian action along h at the point of ``p``, with ``ch`` = c @ h."""
+        return self.c.T @ (p.weights * ch) + self.gamma * h
 
     def full_hessian(self, x):
         self._check_cap()
-        x = _as_vector(x, self.n)
-        w = self._hess_weights(x)
-        h = (self.c.T * w) @ self.c
+        h = (self.c.T * self._at(x).weights) @ self.c
         h[np.diag_indices(self.n)] += self.gamma
         return DenseSymmetric(h)

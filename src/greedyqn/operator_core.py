@@ -43,6 +43,13 @@ def _as_vector(u, n):
     return v
 
 
+def _check_scale(c):
+    if not c > 0:
+        raise NonPositiveScale(f"scale must be positive, got {c}")
+    if not np.isfinite(c):
+        raise NonFiniteResult(f"scale must be finite, got {c}")
+
+
 def _add_sym_rank2(a, op, p, q, c11, c12, c22):
     """In place, a <- op(a, c11*p p^T + c12*(p q^T + q p^T) + c22*q q^T).
 
@@ -190,8 +197,8 @@ class SpdState:
 
     @classmethod
     def scaled_identity(cls, n: int, c: float) -> "SpdState":
-        if c <= 0:
-            raise NonPositiveScale(f"scale must be positive, got {c}")
+        """c * I (0 < c < inf)."""
+        _check_scale(c)
         return cls._from_arrays(np.eye(n) * c, np.eye(n) / c)
 
     @classmethod
@@ -229,6 +236,10 @@ class SpdState:
     def apply(self, u) -> np.ndarray:
         """G @ u."""
         return self._g @ _as_vector(u, self.n)
+
+    def column(self, i: int) -> np.ndarray:
+        """G @ e_i, copied from row i of G (G is stored exactly symmetric)."""
+        return self._g[i].copy()
 
     def solve(self, rhs) -> np.ndarray:
         """G^{-1} @ rhs via the maintained inverse (O(n^2))."""
@@ -274,10 +285,7 @@ class SpdState:
 
     def rescale(self, c: float) -> "SpdState":
         """G <- c*G, G^{-1} <- G^{-1}/c (0 < c < inf)."""
-        if not c > 0:
-            raise NonPositiveScale(f"scale must be positive, got {c}")
-        if not np.isfinite(c):
-            raise NonFiniteResult(f"scale must be finite, got {c}")
+        _check_scale(c)
         self._g *= c
         self._g_inv /= c
         self._bump()

@@ -269,9 +269,12 @@ def _run(oracle, x0, termination, max_iter, step, state=None, options=TraceOptio
     return x, trace
 
 
-def _apply_family_update(state, u, au, rule):
-    """The rule's family update of ``state`` along u, whose exact target action is ``au``."""
-    return broyden_update(state, UpdatePair.from_state(state, u, au), rule)
+def _apply_family_update(state, u, au, rule, gu=None):
+    """The rule's family update of ``state`` along u, whose exact target action is ``au``.
+
+    ``gu`` is G @ u when the caller already has it.
+    """
+    return broyden_update(state, UpdatePair.from_state(state, u, au, gu), rule)
 
 
 def solve_general(
@@ -287,9 +290,10 @@ def solve_general(
     (1 + m_const * r_k) so the Hessian at the new point stays dominated,
     selects the update direction (greedy coordinate or random sphere), and
     applies the tau-update against the exact Hessian action at the new
-    point.  A non-finite Hessian output ends the run as
-    :class:`NonFiniteResult`, non-positive curvature along u as
-    :class:`NonPositiveCurvature`.
+    point.  Along a greedy e_i that action is the oracle's Hessian column
+    i, and G e_i is read off G as its column i.  A non-finite Hessian
+    output ends the run as :class:`NonFiniteResult`, non-positive
+    curvature along u as :class:`NonPositiveCurvature`.
     """
     n = oracle.n
     state = SpdState.scaled_identity(n, oracle.lipschitz_l)
@@ -309,12 +313,15 @@ def solve_general(
             idx = row["direction_index"] = greedy_direction(state.diag, diag_a)
             u = np.zeros(n)
             u[idx] = 1.0
+            au = _finite(oracle.hessian_col(x_next, idx), "Hessian action along u")
+            gu = state.column(idx)
         else:
             u = unit_sphere_direction(rng, n)
-        au = _finite(oracle.hessian_vec(x_next, u), "Hessian action along u")
+            au = _finite(oracle.hessian_vec(x_next, u), "Hessian action along u")
+            gu = None
         if on_iteration is not None:
             on_iteration(IterationEvent(k, x.copy(), x_next.copy(), r_k, idx, state))
-        _apply_family_update(state, u, au, config.rule)
+        _apply_family_update(state, u, au, config.rule, gu)
         return x_next, None
 
     return _run(oracle, x0, config.termination, config.max_iter, step, state, config.trace)

@@ -87,6 +87,11 @@ class TestPlanValidation:
         with pytest.raises(InvalidPlan):
             micro_plan(epsilons=[1e-1, 0.0])
 
+    @pytest.mark.parametrize("epsilons", [[1e-1, np.nan], [np.inf, 1e-3], [np.nan]])
+    def test_epsilons_must_be_finite(self, epsilons):
+        with pytest.raises(InvalidPlan, match="finite"):
+            micro_plan(epsilons=epsilons)
+
     def test_needs_methods(self):
         with pytest.raises(InvalidPlan):
             micro_plan(methods=[])
@@ -359,6 +364,28 @@ class TestLibsvmPlan:
         cache = json.loads(target.with_name("tiny.libsvm.fstar.json").read_text())
         assert list(cache["1"].values()) == reached
 
+    @pytest.mark.parametrize("corrupt", ["{not json", "[1.5, 2.5]", "\udcff"])
+    def test_corrupt_cache_is_a_miss(self, corrupt, tmp_path, capsys):
+        target = tmp_path / "tiny.libsvm"
+        target.write_text((GOLDEN / "tiny.libsvm").read_text())
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        (fresh / "tiny.libsvm").write_text(target.read_text())
+        cache = tmp_path / "tiny.libsvm.fstar.json"
+        cache.write_bytes(corrupt.encode("utf-8", "surrogateescape"))
+        argv = ["--problem", "libsvm", "--methods", "SR1,GrSR1", "--epsilons", "1e-1,1e-4"]
+        assert main(argv + ["--dataset", str(target)]) == 0
+        captured = capsys.readouterr()
+        notes = [line for line in captured.err.splitlines() if line.startswith("note:")]
+        assert notes == [f"note: ignoring unreadable f* cache {cache}; it will be rewritten"]
+        assert main(argv + ["--dataset", str(fresh / "tiny.libsvm")]) == 0
+        assert capsys.readouterr().out == captured.out
+        rewritten = json.loads(cache.read_text())
+        assert rewritten == json.loads((fresh / "tiny.libsvm.fstar.json").read_text())
+        assert main(argv + ["--dataset", str(target)]) == 0  # now a plain cache hit
+        assert "note:" not in capsys.readouterr().err
+
+
 class TestCli:
     def test_full_run_writes_outputs(self, tmp_path, capsys):
         code = main(
@@ -390,6 +417,35 @@ class TestCli:
 
     def test_invalid_method_exits_two(self, capsys):
         assert main(["--methods", "Newton", "--epsilons", "1e-1"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--gamma", "0"], "gamma must be positive and finite"),
+            (["--gamma", "-1"], "gamma must be positive and finite"),
+            (["--gamma", "nan"], "gamma must be positive and finite"),
+            (["--gamma", "inf"], "gamma must be positive and finite"),
+            (["--problem", "libsvm", "--gamma", "0"], "gamma must be positive and finite"),
+            (["--problem", "libsvm", "--gamma", "nan"], "gamma must be positive and finite"),
+            (["--n", "0"], "n must be at least 2"),
+            (["--n", "1"], "n must be at least 2"),
+            (["--m", "0"], "m must be at least 1"),
+            (["--problem", "quadratic", "--n", "0"], "n must be at least 1"),
+            (["--epsilons", "1e-1,nan"], "epsilons must be positive and finite"),
+            (["--epsilons", "inf,1e-3"], "epsilons must be positive and finite"),
+            (["--epsilons", "1e-1,abc"], "bad numeric setting"),
+            (["--seed", "-1"], "seed must be non-negative"),
+        ],
+    )
+    def test_bad_numeric_setting_exits_two(self, argv, message, monkeypatch, capsys):
+        prepared = []
+        monkeypatch.setattr(bench, "_prepare", lambda plan: prepared.append(plan))
+        dataset = ["--dataset", str(GOLDEN / "tiny.libsvm")] if "libsvm" in argv else []
+        assert main(argv + dataset + ["--methods", "GM,SR1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert prepared == []
 
     def test_missing_dataset_exits_three(self, capsys):
         code = main(

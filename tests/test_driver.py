@@ -112,9 +112,9 @@ class TestNonFiniteHessian:
     @pytest.mark.parametrize(
         "method,call,r_k_set,dir_index",
         [
-            ("hessian_vec", 5, False, None),  # step action at k = 2
+            ("hessian_vec", 3, False, None),  # step action at k = 2
             ("hessian_diag", 3, True, None),  # diagonal at x_3
-            ("hessian_vec", 6, True, 7),  # action along the chosen e_7
+            ("hessian_col", 3, True, 7),  # action along the chosen e_7
         ],
     )
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

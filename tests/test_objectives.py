@@ -1,10 +1,19 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import central_diff_gradient, central_diff_hessian, min_eig, random_spd
+from greedyqn import objectives
+from greedyqn.broyden import UpdateRule
+from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start
 from greedyqn.errors import DimensionMismatch, DimensionTooLarge
 from greedyqn.objectives import DENSE_CAP, LogisticProblem, LogSumExpProblem, QuadraticProblem
 from greedyqn.operator_core import DenseSymmetric
+from greedyqn.solvers import DirectionStrategy, GradientNorm, SolverConfig, solve_general
 
 
 def make_lse(rng, n, m, gamma=1.0):
@@ -218,3 +227,210 @@ class TestSelfConcordanceBounds:
             scale = max(np.abs(hx).max(), np.abs(hy).max())
             assert min_eig(factor * hx - hy) >= -1e-7 * factor * scale
             assert min_eig(hy - hx / factor) >= -1e-7 * factor * scale
+
+
+class TestDataValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_logistic_refuses_non_finite_data(self, bad):
+        c = np.ones((3, 2))
+        c[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            LogisticProblem(c, [1.0, -1.0, 1.0], gamma=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_logsumexp_refuses_non_finite_data(self, bad):
+        c = np.ones((3, 2))
+        c[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            LogSumExpProblem(c, np.zeros(3), gamma=1.0)
+
+
+# --- the per-point cache -------------------------------------------------
+
+_KINDS = ("quadratic", "logsumexp", "logistic")
+
+
+def _sparse_data(rng, m, n):
+    """Uniform data with about a third of the entries exactly zero, as LIBSVM rows give."""
+    return rng.uniform(-1.0, 1.0, (m, n)) * (rng.uniform(size=(m, n)) < 0.65)
+
+
+def _oracle_factory(kind, seed, n, m):
+    """A function building equal fresh oracles of ``kind`` from seeded data."""
+    rng = np.random.default_rng(seed)
+    if kind == "quadratic":
+        a, b = random_spd(rng, n), rng.standard_normal(n)
+        return lambda: QuadraticProblem(DenseSymmetric(a), b)
+    c = _sparse_data(rng, m, n)
+    if kind == "logsumexp":
+        b = rng.uniform(-1.0, 1.0, m)
+        return lambda: LogSumExpProblem(c, b, 0.5)
+    labels = rng.choice([-1.0, 1.0], size=m)
+    return lambda: LogisticProblem(c, labels, 0.5)
+
+
+def _points(rng, n):
+    """Candidate points: signed zeros, ordinary points, a one-bit sign change, overflow."""
+    x = rng.uniform(-1.0, 1.0, n)
+    flipped = x.copy()
+    flipped[0] = -0.0
+    x[0] = 0.0
+    mixed = np.zeros(n)
+    mixed[::2] = -0.0
+    return [np.zeros(n), -np.zeros(n), mixed, x, flipped, 3.0 * x, 1e200 * x, np.full(n, np.nan)]
+
+
+def _bits(out):
+    if isinstance(out, DenseSymmetric):
+        return out.entries.tobytes()
+    return np.asarray(out, dtype=float).tobytes()
+
+
+def _call(oracle, call, x):
+    """(bits of the output, or the type and text of the error) of one oracle call."""
+    name, arg = call
+    try:
+        with np.errstate(all="ignore"):
+            if name in ("hessian_vec", "hessian_col"):
+                out = getattr(oracle, name)(x, arg)
+            else:
+                out = getattr(oracle, name)(x)
+    except Exception as exc:  # compared across oracles, never swallowed
+        return type(exc).__name__, str(exc)
+    return _bits(out)
+
+
+@st.composite
+def call_sequences(draw):
+    kind = draw(st.sampled_from(_KINDS))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    points = _points(np.random.default_rng(seed + 1), n)
+    h = np.random.default_rng(seed + 2).standard_normal(n)
+    method = st.sampled_from(["value", "gradient", "hessian_diag", "hessian_vec",
+                              "hessian_col", "full_hessian"])
+    calls = draw(st.lists(
+        st.tuples(st.integers(0, len(points) - 1), method, st.integers(0, n - 1)),
+        min_size=1, max_size=25,
+    ))
+    return _oracle_factory(kind, seed, n, m), points, h, calls
+
+
+class TestPointCache:
+    """Each oracle caches its last point and still returns a fresh oracle's bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(call_sequences())
+    def test_any_call_sequence_matches_a_fresh_oracle(self, case):
+        make, points, h, calls = case
+        cached = make()
+        x = np.empty_like(points[0])  # one buffer, rewritten in place before each call
+        for j, name, i in calls:
+            x[...] = points[j]
+            call = (name, h if name == "hessian_vec" else i)
+            assert _call(cached, call, x) == _call(make(), call, points[j].copy())
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_cache_is_keyed_on_bits(self, kind):
+        oracle = _oracle_factory(kind, 5, 4, 6)()
+        plus, minus = np.zeros(4), -np.zeros(4)
+        first = oracle._at(plus)
+        assert oracle._at(plus.copy()) is first
+        assert oracle._at(minus) is not first  # -0.0 == 0.0, but not bit for bit
+        nan = np.full(4, np.nan)
+        assert oracle._at(nan.copy()) is oracle._at(nan)  # NaN != NaN, but same bits
+        x = np.ones(4)
+        at_x = oracle._at(x)
+        x[2] = 2.0  # the caller changes its array in place
+        assert oracle._at(x) is not at_x
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(_KINDS), st.integers(1, 12), st.integers(1, 15),
+           st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+    def test_hessian_col_is_hessian_vec_along_e_i(self, kind, n, m, seed, scale):
+        oracle = _oracle_factory(kind, seed, n, m)()
+        x = scale * np.random.default_rng(seed + 3).uniform(-1.0, 1.0, n)
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = 1.0
+            assert oracle.hessian_col(x, i).tobytes() == oracle.hessian_vec(x, e).tobytes()
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_threads_sharing_an_oracle_get_a_fresh_oracles_bits(self, kind):
+        """Threads at the same point share its record; at different points they evict it."""
+        oracle = _oracle_factory(kind, 9, 5, 7)()
+        rng = np.random.default_rng(10)
+        points = [rng.uniform(-1.0, 1.0, 5) for _ in range(6)]
+        calls = [("value", None), ("gradient", None), ("hessian_diag", None),
+                 ("hessian_vec", np.ones(5)), ("hessian_col", 3)]
+        expected = [[_call(_oracle_factory(kind, 9, 5, 7)(), c, x) for c in calls]
+                    for x in points]
+        mismatches = []
+
+        def work(j):
+            for r in range(150):
+                k = (j + r // 3) % len(points)
+                if [_call(oracle, c, points[k]) for c in calls] != expected[k]:
+                    mismatches.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(j,)) for j in range(len(points))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+    @pytest.mark.parametrize("kind", ["logsumexp", "logistic"])
+    def test_one_softmax_or_sigmoid_pass_per_point(self, kind, monkeypatch):
+        """Greedy iterations evaluate each point several times but pass over it once."""
+        if kind == "logsumexp":
+            inner = generate_logsumexp(SyntheticSpec(n=8, m=8, gamma=1.0, seed=2))
+            name = "_stable_softmax"
+        else:
+            rng = np.random.default_rng(4)
+            inner = LogisticProblem(_sparse_data(rng, 20, 8), rng.choice([-1.0, 1.0], 20), 0.5)
+            name = "expit"
+        real = getattr(objectives, name)
+        passes = []
+
+        def spy(z):
+            passes.append(np.asarray(z).tobytes())
+            return real(z)
+
+        monkeypatch.setattr(objectives, name, spy)
+        points, calls = set(), []
+
+        class Recording:
+            def __getattr__(self, attr):
+                method = getattr(inner, attr)
+                if not callable(method):
+                    return method
+
+                def record(x, *args):
+                    calls.append(attr)
+                    points.add(np.asarray(x).tobytes())
+                    return method(x, *args)
+
+                return record
+
+        cfg = SolverConfig(
+            rule=UpdateRule.bfgs(),
+            strategy=DirectionStrategy.greedy(),
+            termination=GradientNorm(1e-300),
+            max_iter=3,
+        )
+        solve_general(Recording(), generate_start(8, 2), cfg)
+        assert len(points) == 4  # x_0 .. x_3
+        assert len(calls) == 5 * 3 + 2  # value, gradient, step action, diagonal, column
+        assert len(set(passes)) == len(passes)  # no softmax or sigmoid is recomputed
+        if kind == "logsumexp":
+            assert len(passes) == len(points)
+        else:  # sigmoid(-t) and sigmoid(t), each once at every point
+            assert len(passes) == 2 * len(points)

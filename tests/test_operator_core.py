@@ -330,6 +330,17 @@ class TestStateLifecycle:
         with pytest.raises(NotPositiveDefinite):
             SpdState.from_diagonal([1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "scale,error",
+        [(0.0, NonPositiveScale), (-2.0, NonPositiveScale), (np.nan, NonPositiveScale),
+         (np.inf, NonFiniteResult)],
+    )
+    def test_scaled_identity_refuses_what_rescale_refuses(self, scale, error):
+        with pytest.raises(error):
+            SpdState.scaled_identity(3, scale)
+        with pytest.raises(error):
+            SpdState.scaled_identity(3, 1.0).rescale(scale)
+
     def test_exposed_matrices_are_read_only(self, rng):
         state = SpdState(DenseSymmetric(random_like(rng, 3)))
         with pytest.raises(ValueError):
@@ -354,3 +365,37 @@ class TestMaintenanceStress:
         rel = np.max(np.abs(state.g_inv.entries - fresh)) / np.max(np.abs(fresh))
         assert rel <= 1e-8
         assert state.update_count == 1000
+
+
+@st.composite
+def updated_states(draw):
+    """A state after a random mix of rank-two updates and rescales."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = SpdState.scaled_identity(n, draw(st.floats(0.1, 10.0)))
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.booleans()):
+            state.rescale(draw(st.floats(0.5, 2.0)))
+        else:
+            p, q = rng.standard_normal(n), rng.standard_normal(n)
+            c11, c22 = rng.uniform(0.01, 0.3, 2)
+            c12 = rng.uniform(-0.9, 0.9) * np.sqrt(c11 * c22)
+            state.rank2_update(p, q, c11, draw(st.sampled_from([0.0, c12])), c22)
+    return state
+
+
+class TestColumn:
+    @settings(max_examples=60, deadline=None)
+    @given(updated_states())
+    def test_column_is_apply_along_e_i(self, state):
+        for i in range(state.n):
+            e = np.zeros(state.n)
+            e[i] = 1.0
+            assert state.column(i).tobytes() == state.apply(e).tobytes()
+
+    def test_column_is_a_copy(self, rng):
+        state = SpdState(DenseSymmetric(random_like(rng, 4)))
+        col = state.column(1)
+        col[:] = 0.0
+        assert np.array_equal(state.column(1), state.g.entries[:, 1])
+        assert state.column(1)[1] > 0.0
