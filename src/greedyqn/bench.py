@@ -379,6 +379,22 @@ def _trace_csv(trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The names of the files ``_write_outputs`` writes.
+_OUTPUT_PATTERNS = ("iterations.*", "hessian_error.*", "trace_*.csv")
+
+
+def _refuse_used_output(out):
+    """:class:`InvalidPlan` if directory ``out`` holds a table or trace file already.
+
+    The files of two runs in one directory would read as one result set.
+    """
+    if out is None:
+        return
+    used = sorted({p.name for pattern in _OUTPUT_PATTERNS for p in Path(out).glob(pattern)})
+    if used:
+        raise InvalidPlan(f"output directory {out} already holds {', '.join(used)}")
+
+
 def _write_outputs(plan: ExperimentPlan, tables: dict, traces):
     out = Path(plan.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -546,6 +562,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         plan, want_error_table = _plan_from_args(args)
+        _refuse_used_output(plan.output)
         tables = _run_tables(plan, _prepare(plan), want_error_table)
         print("\n".join(emit_table(t, "csv") for t in tables.values()), end="")
         for name, seconds in tables["iterations"].metadata["wall_times"].items():

@@ -9,6 +9,7 @@ this down.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,7 +111,7 @@ def parse_libsvm(text: str, label_map=None, n_features: int | None = None) -> Li
                 raise MalformedLine(line_no, f"bad pair {tok!r}") from None
             if pos < 1:
                 raise MalformedLine(line_no, f"index {pos} must be >= 1")
-            if not np.isfinite(val):
+            if not math.isfinite(val):
                 raise MalformedLine(line_no, f"non-finite value {tok!r}")
             if pos <= prev:
                 raise NonMonotoneIndices(line_no)

@@ -20,6 +20,7 @@ only evict each other's record and recompute it.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -35,9 +36,9 @@ DENSE_CAP = 500
 
 def _stable_softmax(z):
     """(log-sum-exp, softmax weights) of z with max-subtraction."""
-    zmax = float(np.max(z))
+    zmax = float(z.max())
     e = np.exp(z - zmax)
-    total = float(np.sum(e))
+    total = float(e.sum())
     return zmax + np.log(total), e / total
 
 
@@ -208,7 +209,7 @@ class LogSumExpProblem(ObjectiveOracle):
         p = self._at(x)
         x = _as_vector(x, self.n)
         val = p.lse + 0.5 * float(np.dot(p.t, p.t)) + 0.5 * self.gamma * float(np.dot(x, x))
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise NonFiniteResult(f"objective overflowed at |x| = {np.max(np.abs(x))}")
         return val
 
@@ -293,7 +294,7 @@ class LogisticProblem(ObjectiveOracle):
         val = float(np.sum(np.logaddexp(0.0, -p.t))) + 0.5 * self.gamma * float(
             np.dot(x, x)
         )
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise NonFiniteResult(f"objective overflowed at |x| = {np.max(np.abs(x))}")
         return val
 

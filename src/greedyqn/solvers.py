@@ -16,6 +16,7 @@ patched.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -216,7 +217,8 @@ _STEP_ERRORS = (
 
 def _finite(values, what: str):
     """``values`` unchanged, or :class:`NonFiniteResult` if any entry is NaN or inf."""
-    if not np.isfinite(values).all():
+    finite = math.isfinite(values) if isinstance(values, float) else np.isfinite(values).all()
+    if not finite:
         raise NonFiniteResult(f"{what} is not finite")
     return values
 
@@ -242,14 +244,22 @@ def _run(oracle, x0, termination, max_iter, step, state=None, options=TraceOptio
         for k in range(max_iter + 1):
             f = _finite(oracle.value(x), "objective")
             if grad is None:
-                grad = _finite(oracle.gradient(x), "gradient")
-            grad_norm = float(np.linalg.norm(grad))
+                grad = oracle.gradient(x)
+            # np.linalg.norm's own expression for a 1-D float vector.  A NaN or
+            # inf entry makes it non-finite, so only then are the entries checked:
+            # a finite gradient whose norm overflowed passes.
+            grad_norm = math.sqrt(grad.dot(grad))
+            if not math.isfinite(grad_norm):
+                _finite(grad, "gradient")
             if k == 0:
                 f0 = f
             converged = _terminated(termination, f, f0, grad_norm)
-            unmet = [t for t in marks if not _terminated(t, f, f0, grad_norm)]
-            row_options = replace(options, op_error=True) if len(unmet) < len(marks) else options
-            marks = unmet
+            row_options = options
+            if marks:
+                unmet = [t for t in marks if not _terminated(t, f, f0, grad_norm)]
+                if len(unmet) < len(marks):
+                    row_options = replace(options, op_error=True)
+                marks = unmet
             lam, sig, operr = _diagnostics(oracle, x, grad, state, row_options)
             row = dict(
                 k=k, f_value=f, grad_norm=grad_norm, lambda_f=lam, sigma=sig, op_error=operr

@@ -545,6 +545,39 @@ class TestCli:
         assert captured.out == ""
         assert "dense cap" in captured.err
 
+    def test_second_run_into_one_directory_is_refused(self, tmp_path, monkeypatch, capsys):
+        argv = ["--m", "5", "--epsilons", "1e-1,1e-4", "--seed", "7", "--out", str(tmp_path)]
+        assert main(argv + ["--n", "8", "--methods", "GM,SR1,GrSR1", "--hessian-error"]) == 0
+        first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert "hessian_error.csv" in first and "trace_GrSR1.csv" in first
+        capsys.readouterr()
+        prepared = []
+        monkeypatch.setattr(bench, "_prepare", lambda plan: prepared.append(plan))
+        assert main(argv + ["--n", "12", "--methods", "GM"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "already holds" in captured.err
+        assert prepared == []  # refused before the problem is built or any method runs
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+
+    @pytest.mark.parametrize(
+        "stale,refused",
+        [
+            ("iterations.md", True),
+            ("hessian_error.csv", True),
+            ("trace_RaSR1.csv", True),
+            ("notes.txt", False),
+            ("trace_GM.txt", False),
+        ],
+    )
+    def test_output_directory_with_a_result_file_is_refused(self, tmp_path, capsys, stale, refused):
+        (tmp_path / stale).write_text("kept\n")
+        argv = ["--n", "6", "--m", "5", "--methods", "GM", "--epsilons", "1e-1"]
+        assert main(argv + ["--out", str(tmp_path)]) == (2 if refused else 0)
+        assert (stale in capsys.readouterr().err) == refused
+        assert (tmp_path / stale).read_text() == "kept\n"
+        assert (tmp_path / "iterations.csv").exists() != refused
+
     @pytest.mark.parametrize(
         "value,tables",
         [("YES", 2), ("True", 2), ("1", 2), ("no", 1), ("FALSE", 1), ("0", 1), ("on", 0), ("ture", 0)],

@@ -65,19 +65,43 @@ class FaultyOracle:
         return faulty
 
 
-def _grsr1_run(method, call, fault, **config):
-    """GrSR1 with correction on log-sum-exp n = 8, seed 2, one oracle call faulted."""
-    inner = generate_logsumexp(SyntheticSpec(n=8, m=8, gamma=1.0, seed=2))
+_LSE8 = SyntheticSpec(n=8, m=8, gamma=1.0, seed=2)
+
+
+def _lse_run(entry, oracle, max_iter=8000, **config):
+    """GM, classical SR1 or GrSR1 with correction on log-sum-exp n = 8, seed 2.
+
+    ``config`` goes to the GrSR1 run's :class:`SolverConfig`.
+    """
+    x0 = generate_start(8, 2)
+    termination = FunctionResidual(1e-9, generate_logsumexp(_LSE8).value(np.zeros(8)))
+    if entry == "gm":
+        return gradient_method(oracle, x0, termination, max_iter)
+    if entry == "classical":
+        return classical_qn(oracle, x0, UpdateRule.sr1(), termination, max_iter)
     cfg = SolverConfig(
         rule=UpdateRule.sr1(),
         strategy=DirectionStrategy.greedy(),
-        termination=FunctionResidual(1e-9, inner.value(np.zeros(8))),
-        max_iter=8000,
+        termination=termination,
+        max_iter=max_iter,
         correction=True,
         m_const=2.0,
         **config,
     )
-    return solve_general(FaultyOracle(inner, method, call, fault), generate_start(8, 2), cfg)
+    return solve_general(oracle, x0, cfg)
+
+
+def _iterate(entry, k):
+    """x_k of the fault-free ``_lse_run``."""
+    if k == 0:
+        return generate_start(8, 2)
+    return _lse_run(entry, generate_logsumexp(_LSE8), max_iter=k)[0]
+
+
+def _grsr1_run(method, call, fault, **config):
+    """GrSR1 with correction on log-sum-exp n = 8, seed 2, one oracle call faulted."""
+    oracle = FaultyOracle(generate_logsumexp(_LSE8), method, call, fault)
+    return _lse_run("greedy", oracle, **config)
 
 
 def golden_text(tmp_path: Path) -> str:
@@ -128,7 +152,7 @@ class TestNonFiniteHessian:
         assert last.direction_index == dir_index
 
     def test_random_directions(self):
-        inner = generate_logsumexp(SyntheticSpec(n=8, m=8, gamma=1.0, seed=2))
+        inner = generate_logsumexp(_LSE8)
         oracle = FaultyOracle(inner, "hessian_vec", 4, lambda out: out * np.nan)
         f_star = inner.value(np.zeros(8))
         cfg = SolverConfig(
@@ -167,6 +191,72 @@ def test_overflowing_correction_fails_at_the_rescale(call, monkeypatch):
     assert len(trace.records) == call
     assert trace.records[-1].r_k == np.inf
     assert trace.records[-1].direction_index is None
+
+
+class TestGradientFiniteness:
+    """The driver reads the gradient's finiteness off its norm; the outcomes are pinned here."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", ["gm", "classical", "greedy"])
+    @pytest.mark.parametrize("call", [1, 2, 5])
+    def test_non_finite_entry_ends_the_run(self, entry, call, bad):
+        def fault(g):
+            g = g.copy()
+            g[3] = bad
+            return g
+
+        inner = generate_logsumexp(_LSE8)
+        x, trace = _lse_run(entry, FaultyOracle(inner, "gradient", call, fault))
+        assert trace.outcome == NUMERICAL_FAILURE
+        assert trace.failure_reason == "NonFiniteResult"
+        # GM and the greedy scheme read each gradient in the driver, at k = call - 1,
+        # before its record; classical SR1 reads all but the first in the step of
+        # k = call - 2, whose record is kept.
+        in_step = entry == "classical" and call > 1
+        stop = call - 2 if in_step else call - 1
+        _, clean = _lse_run(entry, generate_logsumexp(_LSE8))
+        assert trace.records == clean.records[: stop + 1 if in_step else stop]
+        assert x.tobytes() == _iterate(entry, stop).tobytes()
+
+    @pytest.mark.parametrize("call", [1, 2, 5])
+    def test_overflowing_norm_of_a_finite_gradient_is_no_failure(self, call):
+        """Finite entries near 1e200 overflow the norm to inf; the run goes on with them.
+
+        Gradient descent steps by -grad / L, and the objective at that far
+        point overflows one iteration later.
+        """
+        inner = generate_logsumexp(_LSE8)
+        big = np.full(8, 1e200)
+        with np.errstate(over="ignore"):
+            x, trace = _lse_run("gm", FaultyOracle(inner, "gradient", call, lambda g: big))
+        _, clean = _lse_run("gm", generate_logsumexp(_LSE8))
+        assert trace.records[: call - 1] == clean.records[: call - 1]
+        last = trace.records[call - 1]
+        assert (last.k, last.grad_norm) == (call - 1, np.inf)
+        assert last.f_value == clean.records[call - 1].f_value
+        assert len(trace.records) == call
+        assert trace.outcome == NUMERICAL_FAILURE
+        assert trace.failure_reason == "NonFiniteResult"  # the objective at x_call
+        assert x.tobytes() == (_iterate("gm", call - 1) - big / inner.lipschitz_l).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    steps=st.integers(1, 30),
+)
+def test_recorded_gradient_norm_is_numpys_norm(seed, n, scale, steps):
+    """Each record's grad_norm has the bits of np.linalg.norm of the gradient at x_k."""
+    oracle = generate_logsumexp(SyntheticSpec(n=n, m=n + 3, gamma=0.5, seed=seed % 997))
+    x0 = scale * np.random.default_rng(seed).standard_normal(n)
+    _, trace = gradient_method(oracle, x0, GradientNorm(1e-300), steps)
+    x = x0
+    for record in trace.records:
+        grad = oracle.gradient(x)
+        assert np.float64(record.grad_norm).tobytes() == np.linalg.norm(grad).tobytes()
+        x = x - grad / oracle.lipschitz_l
 
 
 _RULES = [UpdateRule.sr1(), UpdateRule.dfp(), UpdateRule.bfgs(), UpdateRule.fixed(0.5)]

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import central_diff_gradient, central_diff_hessian, min_eig, random_spd
 from greedyqn import objectives
 from greedyqn.broyden import UpdateRule
 from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start
-from greedyqn.errors import DimensionMismatch, DimensionTooLarge
+from greedyqn.errors import DimensionMismatch, DimensionTooLarge, NonFiniteResult
 from greedyqn.objectives import DENSE_CAP, LogisticProblem, LogSumExpProblem, QuadraticProblem
 from greedyqn.operator_core import DenseSymmetric
 from greedyqn.solvers import DirectionStrategy, GradientNorm, SolverConfig, solve_general
@@ -434,3 +435,40 @@ class TestPointCache:
             assert len(passes) == len(points)
         else:  # sigmoid(-t) and sigmoid(t), each once at every point
             assert len(passes) == 2 * len(points)
+
+
+def _softmax_by_functions(z):
+    """The max-subtracted softmax written with ``np.max`` and ``np.sum``."""
+    zmax = float(np.max(z))
+    e = np.exp(z - zmax)
+    total = float(np.sum(e))
+    return zmax + np.log(total), e / total
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    z=hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(-1e300, 1e300)),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.0, 1e-3, 1.0, 40.0, 1e150, 1e200]),
+    gamma=st.floats(1e-3, 10.0),
+)
+def test_logsumexp_matches_the_numpy_function_expressions(z, seed, scale, gamma):
+    """The softmax, value and gradient equal their np.max/np.sum forms bit for bit."""
+    with np.errstate(all="ignore"):
+        pairs = zip(objectives._stable_softmax(z), _softmax_by_functions(z))
+        assert all(_bits(new) == _bits(old) for new, old in pairs)
+        rng = np.random.default_rng(seed)
+        m, n = rng.integers(1, 10, size=2)
+        c, b = rng.uniform(-1.0, 1.0, (m, n)), rng.uniform(-1.0, 1.0, m)
+        x = scale * rng.standard_normal(n)
+        prob = LogSumExpProblem(c, b, gamma)
+        t = c @ x
+        lse, pi = _softmax_by_functions(t - b)
+        value = lse + 0.5 * float(np.dot(t, t)) + 0.5 * gamma * float(np.dot(x, x))
+        grad = c.T @ (pi + t) + gamma * x
+        if np.isfinite(value):
+            assert _bits(prob.value(x)) == _bits(value)
+        else:
+            with pytest.raises(NonFiniteResult):
+                prob.value(x)
+        assert _bits(prob.gradient(x)) == _bits(grad)
