@@ -96,13 +96,13 @@ class ObjectiveOracle:
 
         The key is a private copy of x's bytes: comparing bits keeps -0.0
         apart from +0.0, lets NaN match itself, and ignores later in-place
-        changes to the caller's array.
+        changes to the caller's array.  The record's ``x`` is a read-only
+        view of that copy, so it never aliases the caller's array either.
         """
-        x = _as_vector(x, self.n)
-        key = x.tobytes()
+        key = _as_vector(x, self.n).tobytes()
         point = self._last
         if point is None or point.key != key:
-            point = self._point_type(self, x, key)
+            point = self._point_type(self, np.frombuffer(key), key)
             self._last = point
         return point
 
@@ -112,10 +112,11 @@ class ObjectiveOracle:
 
 
 class _QuadraticPoint:
-    """A @ x at one point."""
+    """x and A @ x at one point."""
 
     def __init__(self, oracle, x, key):
         self.key = key
+        self.x = x
         self.ax = oracle.a.entries @ x
 
 
@@ -135,8 +136,7 @@ class QuadraticProblem(ObjectiveOracle):
 
     def value(self, x):
         p = self._at(x)
-        x = _as_vector(x, self.n)
-        return 0.5 * float(np.dot(p.ax, x)) - float(np.dot(self.b, x))
+        return 0.5 * float(np.dot(p.ax, p.x)) - float(np.dot(self.b, p.x))
 
     def gradient(self, x):
         return self._at(x).ax - self.b
@@ -159,10 +159,11 @@ class QuadraticProblem(ObjectiveOracle):
 
 
 class _SoftmaxPoint:
-    """t = c @ x, the log-sum-exp and softmax weights of t - b, and c^T pi on first use."""
+    """x, t = c @ x, the log-sum-exp and softmax weights of t - b, and c^T pi on first use."""
 
     def __init__(self, oracle, x, key):
         self.key = key
+        self.x = x
         self._c = oracle.c
         self.t = oracle.c @ x
         self.lse, self.pi = _stable_softmax(self.t - oracle.b)
@@ -200,22 +201,16 @@ class LogSumExpProblem(ObjectiveOracle):
 
     _point_type = _SoftmaxPoint
 
-    def _weights(self, x):
-        """(t, log-sum-exp, softmax weights) at x, from the cache."""
-        p = self._at(x)
-        return p.t, p.lse, p.pi
-
     def value(self, x):
         p = self._at(x)
-        x = _as_vector(x, self.n)
-        val = p.lse + 0.5 * float(np.dot(p.t, p.t)) + 0.5 * self.gamma * float(np.dot(x, x))
+        val = p.lse + 0.5 * float(np.dot(p.t, p.t)) + 0.5 * self.gamma * float(np.dot(p.x, p.x))
         if not math.isfinite(val):
-            raise NonFiniteResult(f"objective overflowed at |x| = {np.max(np.abs(x))}")
+            raise NonFiniteResult(f"objective overflowed at |x| = {np.max(np.abs(p.x))}")
         return val
 
     def gradient(self, x):
         p = self._at(x)
-        return self.c.T @ (p.pi + p.t) + self.gamma * _as_vector(x, self.n)
+        return self.c.T @ (p.pi + p.t) + self.gamma * p.x
 
     def hessian_diag(self, x):
         p = self._at(x)
@@ -246,10 +241,11 @@ class LogSumExpProblem(ObjectiveOracle):
 
 
 class _SigmoidPoint:
-    """Margins t = y * (c @ x); sigmoid(-t) and the Hessian weights on first use."""
+    """x and the margins t = y * (c @ x); sigmoid(-t) and the Hessian weights on first use."""
 
     def __init__(self, oracle, x, key):
         self.key = key
+        self.x = x
         self.t = oracle.labels * (oracle.c @ x)
 
     @cached_property
@@ -290,17 +286,16 @@ class LogisticProblem(ObjectiveOracle):
 
     def value(self, x):
         p = self._at(x)
-        x = _as_vector(x, self.n)
         val = float(np.sum(np.logaddexp(0.0, -p.t))) + 0.5 * self.gamma * float(
-            np.dot(x, x)
+            np.dot(p.x, p.x)
         )
         if not math.isfinite(val):
-            raise NonFiniteResult(f"objective overflowed at |x| = {np.max(np.abs(x))}")
+            raise NonFiniteResult(f"objective overflowed at |x| = {np.max(np.abs(p.x))}")
         return val
 
     def gradient(self, x):
         p = self._at(x)
-        return self.c.T @ (-self.labels * p.sig_neg) + self.gamma * _as_vector(x, self.n)
+        return self.c.T @ (-self.labels * p.sig_neg) + self.gamma * p.x
 
     def hessian_diag(self, x):
         return self._c_sq.T @ self._at(x).weights + self.gamma

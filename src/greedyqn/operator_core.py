@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import (
     DimensionMismatch,
@@ -138,39 +139,35 @@ class CholeskyFactor:
     lower: np.ndarray
 
     def solve(self, rhs):
-        """Solve (L L^T) x = rhs by two triangular substitutions."""
-        rhs = np.asarray(rhs, dtype=float)
-        y = solve_triangular(self.lower, rhs, lower=True)
-        return solve_triangular(self.lower, y, lower=True, trans="T")
+        """Solve (L L^T) x = rhs."""
+        return cho_solve((self.lower, True), rhs)
 
     def inverse(self) -> np.ndarray:
-        """Dense inverse of the factored matrix, symmetrized exactly."""
-        inv = self.solve(np.eye(self.n))
-        return (inv + inv.T) / 2.0
+        """Dense inverse of the factored matrix (LAPACK ``potri``), mirrored exactly."""
+        if self.n == 0:
+            return np.zeros((0, 0))
+        inv, _ = dpotri(self.lower, lower=1)
+        return np.tril(inv) + np.tril(inv, -1).T
 
 
 def factorize(m: DenseSymmetric) -> CholeskyFactor:
-    """Cholesky-factorize an SPD matrix.
+    """Cholesky-factorize an SPD matrix with LAPACK ``potrf``.
 
-    Raises :class:`NotPositiveDefinite` when a pivot falls at or below
+    Raises :class:`NotPositiveDefinite` when a pivot, the square of a
+    diagonal entry of the factor, falls at or below
     ``PIVOT_RTOL * max(diagonal)``, which signals loss of definiteness.
     """
     a = m.entries
-    n = m.n
-    max_diag = float(np.max(a.diagonal())) if n else 0.0
-    tiny = PIVOT_RTOL * max(max_diag, 0.0)
-    low = np.zeros((n, n))
-    for j in range(n):
+    tiny = PIVOT_RTOL * max(float(a.diagonal().max()), 0.0) if m.n else 0.0
+    low, info = dpotrf(a, lower=1, clean=1)
+    # potrf stops at column info - 1 (pivot <= 0); columns before it are valid.
+    valid = m.n if info == 0 else info - 1
+    small = np.flatnonzero(low.diagonal()[:valid] ** 2 <= tiny)
+    if info or small.size:
+        j = int(small[0]) if small.size else valid
         pivot = a[j, j] - np.dot(low[j, :j], low[j, :j])
-        if pivot <= tiny:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at column {j} (threshold {tiny:.3e})"
-            )
-        ljj = np.sqrt(pivot)
-        low[j, j] = ljj
-        if j + 1 < n:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / ljj
-    return CholeskyFactor(n=n, lower=low)
+        raise NotPositiveDefinite(f"pivot {pivot:.3e} at column {j} (threshold {tiny:.3e})")
+    return CholeskyFactor(n=m.n, lower=low)
 
 
 class SpdState:
@@ -190,10 +187,9 @@ class SpdState:
     def __init__(self, g: DenseSymmetric):
         self.n = g.n
         self._g = np.array(g.entries)
-        self._g_inv = factorize(g).inverse()
         self.update_count = 0
         self._since_audit = 0
-        self.drift = self.audit()
+        self.refactorize()
 
     @classmethod
     def scaled_identity(cls, n: int, c: float) -> "SpdState":
@@ -300,8 +296,7 @@ class SpdState:
 
     def refactorize(self):
         """Rebuild the inverse from a fresh dense factorization of G."""
-        chol = factorize(DenseSymmetric._wrap(self._g.copy()))
-        self._g_inv = chol.inverse()
+        self._g_inv = factorize(self.g).inverse()
         self.audit()
 
     def _bump(self):

@@ -27,6 +27,27 @@ def random_dominating_pair(rng, n, spread=2.0):
     return a, (g + g.T) / 2.0
 
 
+def reference_cholesky(a, rtol):
+    """Column-by-column Cholesky of symmetric ``a`` with a relative pivot rule.
+
+    Column j's pivot is a[j, j] - |L[j, :j]|^2.  Returns (L, pivots) when
+    every pivot exceeds ``rtol * max(diagonal)``, else (None, pivots) with
+    the pivots ending at the first one at or below that threshold.
+    """
+    n = a.shape[0]
+    tiny = rtol * max(float(np.max(a.diagonal())), 0.0) if n else 0.0
+    low = np.zeros((n, n))
+    pivots = []
+    for j in range(n):
+        pivot = a[j, j] - np.dot(low[j, :j], low[j, :j])
+        pivots.append(pivot)
+        if pivot <= tiny:
+            return None, pivots
+        low[j, j] = np.sqrt(pivot)
+        low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    return low, pivots
+
+
 def central_diff_gradient(f, x, h=1e-6):
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)

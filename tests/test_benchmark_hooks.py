@@ -39,6 +39,8 @@ def test_benchmark_patch_lists_cover_a_cli_run(tmp_path, monkeypatch, capsys):
     # one run per method; op_error only where the error table reads it
     assert metrics["bench.method_runs"] == len(METHODS)
     assert metrics["broyden.op_error.calls"] <= 3 * 2  # non-GM methods x epsilons
+    # every dense factorization goes through the traced ``factorize``
+    assert metrics["operator_core.factorize.calls"] >= metrics["broyden.op_error.calls"] > 0
     # one value call per iteration: each run of R records gives R - 1 gaps
     records = [len((tmp_path / f"trace_{m}.csv").read_text().splitlines()) - 1 for m in METHODS]
     assert clock.gaps_ms().size == sum(r - 1 for r in records) > 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedyqn.data_io import (
     LibsvmDataset,
@@ -68,6 +70,25 @@ class TestRngStream:
         assert np.array_equal(a, b)
 
 
+# finite values, with signed zeros and subnormals drawn often
+_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310]
+)
+
+
+@st.composite
+def libsvm_datasets(draw):
+    """Labels of +-1 and rows with strictly increasing indices, empty rows included."""
+    n_features = draw(st.integers(0, 30))
+    labels, rows = [], []
+    for _ in range(draw(st.integers(1, 10))):
+        idx = sorted(draw(st.sets(st.integers(0, n_features - 1), max_size=8))) if n_features else []
+        vals = [draw(_VALUES) for _ in idx]
+        labels.append(draw(st.sampled_from([-1.0, 1.0])))
+        rows.append((np.array(idx, dtype=int), np.array(vals, dtype=float)))
+    return LibsvmDataset(labels=np.array(labels), rows=rows, n_features=n_features)
+
+
 class TestParseLibsvm:
     def test_basic_line(self):
         ds = parse_libsvm("+1 1:0.5 3:-2\n")
@@ -131,6 +152,18 @@ class TestParseLibsvm:
         for (i1, v1), (i2, v2) in zip(ds.rows, back.rows):
             assert i1.tolist() == i2.tolist()
             assert v1.tolist() == v2.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(libsvm_datasets())
+    def test_generated_round_trip_is_byte_exact(self, ds):
+        back = parse_libsvm(serialize_libsvm(ds), n_features=ds.n_features)
+        assert back.n_features == ds.n_features
+        assert back.labels.dtype == ds.labels.dtype
+        assert back.labels.tobytes() == ds.labels.tobytes()
+        assert len(back.rows) == len(ds.rows)
+        for (i1, v1), (i2, v2) in zip(ds.rows, back.rows):
+            assert (i2.dtype, i2.tobytes()) == (i1.dtype, i1.tobytes())
+            assert (v2.dtype, v2.tobytes()) == (v1.dtype, v1.tobytes())
 
     def test_to_dense(self):
         ds = parse_libsvm("+1 2:3\n-1 1:1\n")

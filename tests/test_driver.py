@@ -167,6 +167,16 @@ class TestNonFiniteHessian:
         assert trace.records[-1].k == 1
 
 
+def test_singular_capacitance_ends_the_run_as_a_named_outcome():
+    # The third gradient repeats the second, so y = 0 and the SR1 secant
+    # update would make G singular.
+    second = generate_logsumexp(_LSE8).gradient(_iterate("classical", 1))
+    oracle = FaultyOracle(generate_logsumexp(_LSE8), "gradient", 3, lambda _: second.copy())
+    _, trace = _lse_run("classical", oracle)
+    assert (trace.outcome, trace.failure_reason) == (NUMERICAL_FAILURE, "SingularCapacitance")
+    assert [r.k for r in trace.records] == [0, 1, 2]
+
+
 @pytest.mark.parametrize("call", [1, 2, 3, 5, 8, 13])
 def test_overflowing_correction_fails_at_the_rescale(call, monkeypatch):
     """A gradient scaled by 1e300 overflows r_k, so the correction factor is inf.

@@ -74,7 +74,7 @@ class TestGradient:
         prob = make_lse(rng, 4, 7)
         for scale in (1.0, 1e2, 1e4):
             x = rng.uniform(-1.0, 1.0, 4) * scale
-            _, _, pi = prob._weights(x)
+            pi = prob._at(x).pi
             assert np.all(pi >= 0.0) and np.all(pi <= 1.0)
             assert abs(float(np.sum(pi)) - 1.0) <= 1e-12
 
@@ -345,6 +345,18 @@ class TestPointCache:
         at_x = oracle._at(x)
         x[2] = 2.0  # the caller changes its array in place
         assert oracle._at(x) is not at_x
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_cached_point_does_not_alias_the_callers_array(self, kind):
+        make = _oracle_factory(kind, 11, 5, 7)
+        oracle = make()
+        x1 = np.random.default_rng(12).uniform(-1.0, 1.0, 5)
+        old = x1.copy()
+        oracle.value(x1)
+        x1[1] = 7.0  # the caller changes its array in place
+        assert not np.shares_memory(oracle._at(old).x, x1)
+        assert oracle.gradient(old.copy()).tobytes() == make().gradient(old).tobytes()
+        assert oracle.value(old.copy()) == make().value(old)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(_KINDS), st.integers(1, 12), st.integers(1, 15),

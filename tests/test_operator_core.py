@@ -1,10 +1,13 @@
+import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_dominating_pair, random_spd, reference_cholesky
 from greedyqn.errors import (
     DimensionMismatch,
     NonFiniteResult,
@@ -12,8 +15,16 @@ from greedyqn.errors import (
     NotPositiveDefinite,
     SingularCapacitance,
 )
-from greedyqn.broyden import UpdatePair
-from greedyqn.operator_core import BLOCK_ENTRIES, DenseSymmetric, SpdState, factorize
+from greedyqn.broyden import UpdatePair, UpdateRule, broyden_update
+from greedyqn.operator_core import (
+    AUDIT_EVERY,
+    BLOCK_ENTRIES,
+    DRIFT_LIMIT,
+    PIVOT_RTOL,
+    DenseSymmetric,
+    SpdState,
+    factorize,
+)
 
 
 class TestDenseSymmetric:
@@ -45,6 +56,22 @@ def random_like(rng, n):
     return a @ a.T + n * np.eye(n)
 
 
+@st.composite
+def indefinite_matrices(draw):
+    """Rank-deficient Gram matrices and matrices with one negative eigenvalue."""
+    n = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        c = rng.standard_normal((n, draw(st.integers(0, n - 1))))
+        a = c @ c.T
+    else:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        eigs = rng.uniform(0.5, 3.0, n)
+        eigs[draw(st.integers(0, n - 1))] = -draw(st.floats(0.1, 1.0))
+        a = (q * eigs) @ q.T
+    return DenseSymmetric(a * 10.0 ** draw(st.integers(-3, 3))).entries
+
+
 class TestFactorize:
     def test_identity(self):
         f = factorize(DenseSymmetric.identity(3))
@@ -63,8 +90,9 @@ class TestFactorize:
         assert rel <= 1e-10
 
     def test_not_positive_definite(self):
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite) as info:
             factorize(DenseSymmetric(np.array([[1.0, 2.0], [2.0, 1.0]])))
+        assert str(info.value) == "pivot -3.000e+00 at column 1 (threshold 1.000e-14)"
 
     def test_tiny_pivot_relative_to_scale(self):
         # second pivot eliminates to zero: below 1e-14 * max-diagonal
@@ -78,6 +106,35 @@ class TestFactorize:
         rhs = rng.standard_normal(6)
         x = f.solve(rhs)
         assert np.linalg.norm(a.entries @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+    def test_empty_matrix_is_silent(self, capfd):
+        f = factorize(DenseSymmetric(np.zeros((0, 0))))
+        assert f.lower.shape == (0, 0)
+        assert f.inverse().shape == (0, 0)
+        assert SpdState(DenseSymmetric(np.zeros((0, 0)))).drift == 0.0
+        assert capfd.readouterr() == ("", "")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.floats(1.0, 1e6),
+           st.integers(-3, 3))
+    def test_generated_spd_reconstructs(self, n, seed, cond, exponent):
+        a = random_spd(np.random.default_rng(seed), n, cond) * 10.0**exponent
+        low = factorize(DenseSymmetric(a)).lower
+        assert np.array_equal(low, np.tril(low))
+        assert np.linalg.norm(low @ low.T - a) <= 1e-12 * np.linalg.norm(a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(indefinite_matrices())
+    def test_generated_failure_names_the_reference_column(self, a):
+        _, pivots = reference_cholesky(a, PIVOT_RTOL)
+        tiny = PIVOT_RTOL * max(float(np.max(a.diagonal())), 0.0)
+        # only matrices whose pivots are clearly on one side of the threshold
+        assume(pivots[-1] <= tiny / 10 and all(p > 10 * tiny for p in pivots[:-1]))
+        with pytest.raises(NotPositiveDefinite) as info:
+            factorize(DenseSymmetric(a))
+        found = re.fullmatch(r"pivot (\S+) at column (\d+) \(threshold \S+\)", str(info.value))
+        assert int(found[2]) == len(pivots) - 1
+        assert math.isfinite(float(found[1]))
 
 
 class TestApplyQuadForm:
@@ -365,6 +422,48 @@ class TestMaintenanceStress:
         rel = np.max(np.abs(state.g_inv.entries - fresh)) / np.max(np.abs(fresh))
         assert rel <= 1e-8
         assert state.update_count == 1000
+
+
+@st.composite
+def update_sequences(draw):
+    """(n, seed, steps): rescales by c > 1, each followed by fewer than n family updates.
+
+    Fewer than n updates between rescales keep G - A of full rank, so SR1
+    never reaches G = A, where its secant denominator is rounding noise.
+    """
+    n = draw(st.integers(2, 10))
+    rules = st.sampled_from([UpdateRule.sr1(), UpdateRule.dfp(), UpdateRule.bfgs()])
+    rules |= st.floats(0.0, 1.0).map(UpdateRule.fixed)
+    steps = []
+    while len(steps) <= AUDIT_EVERY + 10:
+        steps.append(("rescale", draw(st.floats(1.1, 2.0))))
+        steps += [("update", draw(rules)) for _ in range(draw(st.integers(1, n - 1)))]
+    return n, draw(st.integers(0, 2**32 - 1)), steps
+
+
+class TestWoodburyConsistency:
+    """The maintained inverse follows family updates and rescales past an audit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(update_sequences())
+    def test_inverse_stays_symmetric_and_consistent(self, case):
+        n, seed, steps = case
+        rng = np.random.default_rng(seed)
+        a, g = random_dominating_pair(rng, n)
+        state = SpdState(DenseSymmetric(g))
+        fresh = np.linalg.inv(g)
+        rel = np.max(np.abs(state.g_inv.entries - fresh)) / np.max(np.abs(fresh))
+        assert rel <= 1e-12
+        for kind, arg in steps:
+            if kind == "rescale":
+                state.rescale(arg)
+            else:
+                u = rng.standard_normal(n)
+                broyden_update(state, UpdatePair.from_state(state, u, a @ u), arg)
+            g_inv = state.g_inv.entries
+            assert np.array_equal(g_inv, g_inv.T)
+            assert np.max(np.abs(state.g.entries @ g_inv - np.eye(n))) <= DRIFT_LIMIT
+        assert state.update_count > AUDIT_EVERY
 
 
 @st.composite
