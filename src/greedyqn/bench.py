@@ -13,8 +13,6 @@ refused, and explicit flags override the file.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -161,46 +159,16 @@ class _Prepared:
     m_const: float  # correction constant of the Broyden runs; 0.0 turns it off
 
 
-def _reference_f_star(path: Path, oracle, budget: int) -> float:
-    """Logistic optimum via a cached high-accuracy reference solve.
-
-    The cache next to the dataset maps gamma, then the digest of the parsed
-    data, to f*: a label remap or feature-count override changes the data,
-    so it never reuses another run's optimum.
-    """
-    cache = path.with_name(path.name + ".fstar.json")
-    try:
-        stored = json.loads(cache.read_text()) if cache.exists() else {}
-    except ValueError:  # not JSON, or not UTF-8
-        stored = None
-    if not isinstance(stored, dict):
-        print(f"note: ignoring unreadable f* cache {cache}; it will be rewritten",
-              file=sys.stderr)
-        stored = {}
-    gamma = f"{oracle.gamma:.17g}"
-    if not isinstance(stored.get(gamma), dict):  # no entry, or one keyed on gamma alone
-        stored[gamma] = {}
-    by_data = stored[gamma]
-    data = hashlib.sha256(repr(oracle.c.shape).encode())
-    data.update(oracle.c.tobytes())
-    data.update(oracle.labels.tobytes())
-    digest = data.hexdigest()
-    if digest in by_data:
-        return float(by_data[digest])
+def _reference_f_star(oracle) -> float:
+    """Logistic optimum: the least value of a classical SR1 solve to |grad f| <= 1e-13."""
     _, trace = classical_qn(
-        oracle, np.zeros(oracle.n), UpdateRule.sr1(), GradientNorm(1e-13), budget
+        oracle, np.zeros(oracle.n), UpdateRule.sr1(), GradientNorm(1e-13), 50 * oracle.n
     )
-    f_star = float(min(trace.f_values()))
     if trace.outcome != CONVERGED:
         last = trace.records[-1]
         print(f"note: reference solve for f* ended {trace.outcome} ({trace.failure_reason})"
               f" at k={last.k}, |grad f|={last.grad_norm:.3g}", file=sys.stderr)
-    by_data[digest] = f_star
-    try:
-        cache.write_text(json.dumps(stored, sort_keys=True))
-    except OSError:
-        pass  # read-only dataset directory: recompute next time
-    return f_star
+    return float(min(trace.f_values()))
 
 
 def _prepare(plan: ExperimentPlan) -> _Prepared:
@@ -216,8 +184,10 @@ def _prepare(plan: ExperimentPlan) -> _Prepared:
         dataset = parse_libsvm(
             path.read_text(), label_map=prob.label_map, n_features=prob.n_features
         )
+        if dataset.n_features < 1:
+            raise InvalidPlan(f"dataset {path} has no feature (n = 0)")
         oracle = dataset.to_logistic(prob.gamma)
-        f_star = _reference_f_star(path, oracle, 50 * oracle.n)
+        f_star = _reference_f_star(oracle)
         desc = f"logistic {path.name} n={oracle.n} m={oracle.m} gamma={prob.gamma:g}"
     elif isinstance(prob, QuadraticSpec):
         oracle = prob.build()

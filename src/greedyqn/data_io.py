@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,29 +50,25 @@ class RngStream:
 
 @dataclass
 class LibsvmDataset:
-    """Sparse binary-classification dataset in LIBSVM row format.
+    """Sparse binary-classification dataset in CSR (compressed sparse row) form.
 
-    ``rows[i]`` is a pair (indices, values) with 0-based, strictly
-    increasing indices.  ``n_features`` is the max feature index seen
-    unless an explicit override was supplied at parse time.
+    Row i holds the 0-based, strictly increasing column indices
+    ``indices[indptr[i]:indptr[i + 1]]`` and their ``values``.
+    ``n_features`` is the max feature index seen unless an explicit override
+    was supplied at parse time.
     """
 
     labels: np.ndarray
-    rows: list = field(default_factory=list)
-    n_features: int = 0
-
-    @property
-    def m(self) -> int:
-        return len(self.rows)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.m, self.n_features))
-        for i, (idx, vals) in enumerate(self.rows):
-            out[i, idx] = vals
-        return out
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    n_features: int
 
     def to_logistic(self, gamma: float) -> LogisticProblem:
-        return LogisticProblem(self.to_dense(), self.labels, gamma)
+        m = self.labels.size
+        c = np.zeros((m, self.n_features))
+        c[np.repeat(np.arange(m), np.diff(self.indptr)), self.indices] = self.values
+        return LogisticProblem(c, self.labels, gamma)
 
 
 def parse_libsvm(text: str, label_map=None, n_features: int | None = None) -> LibsvmDataset:
@@ -84,7 +80,9 @@ def parse_libsvm(text: str, label_map=None, n_features: int | None = None) -> Li
     -1 or +1.
     """
     labels = []
-    rows = []
+    indptr = [0]
+    indices = []
+    values = []
     max_index = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -99,8 +97,6 @@ def parse_libsvm(text: str, label_map=None, n_features: int | None = None) -> Li
             label = float(label_map[label])
         if label not in (-1.0, 1.0):
             raise UnmappedLabel(tokens[0])
-        idx = []
-        vals = []
         prev = 0
         for tok in tokens[1:]:
             try:
@@ -116,10 +112,10 @@ def parse_libsvm(text: str, label_map=None, n_features: int | None = None) -> Li
             if pos <= prev:
                 raise NonMonotoneIndices(line_no)
             prev = pos
-            idx.append(pos - 1)
-            vals.append(val)
+            indices.append(pos - 1)
+            values.append(val)
         labels.append(label)
-        rows.append((np.array(idx, dtype=int), np.array(vals, dtype=float)))
+        indptr.append(len(indices))
         max_index = max(max_index, prev)
     if n_features is not None:
         if n_features < max_index:
@@ -129,15 +125,23 @@ def parse_libsvm(text: str, label_map=None, n_features: int | None = None) -> Li
         cols = n_features
     else:
         cols = max_index
-    return LibsvmDataset(labels=np.array(labels), rows=rows, n_features=cols)
+    return LibsvmDataset(
+        labels=np.array(labels, dtype=float),
+        indptr=np.array(indptr, dtype=int),
+        indices=np.array(indices, dtype=int),
+        values=np.array(values, dtype=float),
+        n_features=cols,
+    )
 
 
 def serialize_libsvm(dataset: LibsvmDataset) -> str:
     """Inverse of :func:`parse_libsvm` (17-significant-digit values)."""
     lines = []
-    for label, (idx, vals) in zip(dataset.labels, dataset.rows):
+    for label, lo, hi in zip(dataset.labels, dataset.indptr, dataset.indptr[1:]):
         parts = [f"{label:.17g}"]
-        parts.extend(f"{i + 1}:{v:.17g}" for i, v in zip(idx, vals))
+        parts.extend(
+            f"{i + 1}:{v:.17g}" for i, v in zip(dataset.indices[lo:hi], dataset.values[lo:hi])
+        )
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 

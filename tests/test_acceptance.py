@@ -295,11 +295,9 @@ def test_criterion_11_parser_and_determinism():
         text = (GOLDEN / "tiny.libsvm").read_text()
         ds = parse_libsvm(text)
         back = parse_libsvm(serialize_libsvm(ds), n_features=ds.n_features)
-        assert back.labels.tolist() == ds.labels.tolist()
         assert back.n_features == ds.n_features
-        for (i1, v1), (i2, v2) in zip(ds.rows, back.rows):
-            assert i1.tolist() == i2.tolist()
-            assert v1.tolist() == v2.tolist()
+        for name in ("labels", "indptr", "indices", "values"):
+            assert getattr(back, name).tolist() == getattr(ds, name).tolist(), name
 
         plan = ExperimentPlan(
             problem=SyntheticSpec(n=6, m=5, gamma=1.0, seed=7),

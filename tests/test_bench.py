@@ -283,43 +283,26 @@ class TestLibsvmPlan:
         )
         table = run_plan(plan)
         assert all(isinstance(c, int) for row in table.cells for c in row)
-        cache = tmp_path / "tiny.libsvm.fstar.json"
-        assert cache.exists()
-        stored = json.loads(cache.read_text())
-        assert "1" in stored
-        # cached value is reused on the second run
         table2 = run_plan(plan)
         assert table2.cells == table.cells
 
-    def test_f_star_cache_is_keyed_on_the_parsed_data(self, tmp_path):
-        # a label remap changes the objective, so it must not reuse the
-        # optimum cached for the unmapped labels of the same file
-        data = (GOLDEN / "tiny.libsvm").read_text()
-        for sub in ("shared", "fresh"):
-            (tmp_path / sub).mkdir()
-            (tmp_path / sub / "tiny.libsvm").write_text(data)
-
-        def f_star(sub, label_map):
-            spec = LibsvmSpec(str(tmp_path / sub / "tiny.libsvm"), 1.0, label_map)
-            return _prepare(micro_plan(problem=spec)).f_star
-
-        plain = f_star("shared", None)
-        remapped = f_star("shared", {-1.0: 1.0})
-        assert remapped == f_star("fresh", {-1.0: 1.0})
-        assert remapped != plain
-        assert f_star("shared", None) == plain
-
-    def test_unwritable_cache_solves_the_reference_once(self, tmp_path, monkeypatch, capsys):
-        # the suite runs as root, so an unwritable directory is simulated
+    def test_f_star_follows_the_parsed_data(self, tmp_path):
+        # a label remap changes the objective, so it changes the optimum
         target = tmp_path / "tiny.libsvm"
         target.write_text((GOLDEN / "tiny.libsvm").read_text())
-        write_text = Path.write_text
 
-        def refuse_cache(path, *args, **kwargs):
-            if path.name.endswith(".fstar.json"):
-                raise OSError("read-only dataset directory")
-            return write_text(path, *args, **kwargs)
+        def f_star(label_map):
+            return _prepare(micro_plan(problem=LibsvmSpec(str(target), 1.0, label_map))).f_star
 
+        plain = f_star(None)
+        remapped = f_star({-1.0: 1.0})
+        assert remapped != plain
+        assert f_star(None) == plain
+        assert f_star({-1.0: 1.0}) == remapped
+
+    def test_reference_is_solved_once_per_invocation(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "tiny.libsvm"
+        target.write_text((GOLDEN / "tiny.libsvm").read_text())
         reference_solves = []
         classical_qn = bench.classical_qn
 
@@ -328,7 +311,6 @@ class TestLibsvmPlan:
                 reference_solves.append(termination)
             return classical_qn(oracle, x0, rule, termination, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "write_text", refuse_cache)
         monkeypatch.setattr(bench, "classical_qn", spy)
         argv = ["--problem", "libsvm", "--dataset", str(target), "--methods", "SR1,GrSR1"]
         assert main(argv + ["--epsilons", "1e-1,1e-4", "--hessian-error"]) == 0
@@ -336,7 +318,35 @@ class TestLibsvmPlan:
         assert captured.out.count("epsilon,SR1,GrSR1") == 2
         assert "note:" not in captured.err  # the reference converged
         assert len(reference_solves) == 1
-        assert not target.with_name("tiny.libsvm.fstar.json").exists()
+
+    def test_writes_nothing_beside_the_dataset(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "tiny.libsvm").write_text((GOLDEN / "tiny.libsvm").read_text())
+        before = {p.name: p.read_bytes() for p in data.iterdir()}
+        argv = ["--problem", "libsvm", "--dataset", str(data / "tiny.libsvm")]
+        argv += ["--methods", "GM,SR1,GrSR1", "--epsilons", "1e-1,1e-4", "--hessian-error"]
+        assert main(argv + ["--format", "csv,md", "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert {p.name: p.read_bytes() for p in data.iterdir()} == before
+        assert (tmp_path / "out" / "iterations.csv").exists()
+
+    @pytest.mark.parametrize("text", ["1\n-1\n", ""], ids=["labels-only", "empty"])
+    @pytest.mark.parametrize("flags", [[], ["--n-features", "0"]], ids=["inferred", "override"])
+    def test_dataset_without_features_is_refused(self, text, flags, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "nofeat.libsvm"
+        target.write_text(text)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no method may run on a dataset without features")
+
+        for name in ("gradient_method", "classical_qn", "solve_general"):
+            monkeypatch.setattr(bench, name, refuse)
+        argv = ["--problem", "libsvm", "--dataset", str(target), "--methods", "GM,SR1,GrSR1"]
+        assert main(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "no feature" in captured.err
 
     def test_failed_reference_solve_is_noted(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "tiny.libsvm"
@@ -360,30 +370,9 @@ class TestLibsvmPlan:
         assert len(notes) == 1
         assert "numerical_failure (NotPositiveDefinite) at k=2, |grad f|=" in notes[0]
         assert captured.out.count("epsilon,SR1,GrSR1") == 2
-        # f* is still the least value the reference reached, cached as before
-        cache = json.loads(target.with_name("tiny.libsvm.fstar.json").read_text())
-        assert list(cache["1"].values()) == reached
-
-    @pytest.mark.parametrize("corrupt", ["{not json", "[1.5, 2.5]", "\udcff"])
-    def test_corrupt_cache_is_a_miss(self, corrupt, tmp_path, capsys):
-        target = tmp_path / "tiny.libsvm"
-        target.write_text((GOLDEN / "tiny.libsvm").read_text())
-        fresh = tmp_path / "fresh"
-        fresh.mkdir()
-        (fresh / "tiny.libsvm").write_text(target.read_text())
-        cache = tmp_path / "tiny.libsvm.fstar.json"
-        cache.write_bytes(corrupt.encode("utf-8", "surrogateescape"))
-        argv = ["--problem", "libsvm", "--methods", "SR1,GrSR1", "--epsilons", "1e-1,1e-4"]
-        assert main(argv + ["--dataset", str(target)]) == 0
-        captured = capsys.readouterr()
-        notes = [line for line in captured.err.splitlines() if line.startswith("note:")]
-        assert notes == [f"note: ignoring unreadable f* cache {cache}; it will be rewritten"]
-        assert main(argv + ["--dataset", str(fresh / "tiny.libsvm")]) == 0
-        assert capsys.readouterr().out == captured.out
-        rewritten = json.loads(cache.read_text())
-        assert rewritten == json.loads((fresh / "tiny.libsvm.fstar.json").read_text())
-        assert main(argv + ["--dataset", str(target)]) == 0  # now a plain cache hit
-        assert "note:" not in capsys.readouterr().err
+        # f* is still the least value the reference reached
+        assert _prepare(micro_plan(problem=LibsvmSpec(str(target), 1.0))).f_star == reached[-1]
+        assert reached[-1] == reached[0]
 
 
 class TestCli:

@@ -76,6 +76,23 @@ _VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
 )
 
 
+def csr_dataset(labels, rows, n_features):
+    """A :class:`LibsvmDataset` from per-row (indices, values) lists."""
+    lengths = [len(idx) for idx, _ in rows]
+    return LibsvmDataset(
+        labels=np.array(labels, dtype=float),
+        indptr=np.cumsum([0] + lengths),
+        indices=np.array([i for idx, _ in rows for i in idx], dtype=int),
+        values=np.array([v for _, vals in rows for v in vals], dtype=float),
+        n_features=n_features,
+    )
+
+
+def csr_arrays(ds):
+    """The dataset's arrays as (dtype, bytes) pairs, for exact comparison."""
+    return [(a.dtype, a.tobytes()) for a in (ds.labels, ds.indptr, ds.indices, ds.values)]
+
+
 @st.composite
 def libsvm_datasets(draw):
     """Labels of +-1 and rows with strictly increasing indices, empty rows included."""
@@ -83,21 +100,16 @@ def libsvm_datasets(draw):
     labels, rows = [], []
     for _ in range(draw(st.integers(1, 10))):
         idx = sorted(draw(st.sets(st.integers(0, n_features - 1), max_size=8))) if n_features else []
-        vals = [draw(_VALUES) for _ in idx]
         labels.append(draw(st.sampled_from([-1.0, 1.0])))
-        rows.append((np.array(idx, dtype=int), np.array(vals, dtype=float)))
-    return LibsvmDataset(labels=np.array(labels), rows=rows, n_features=n_features)
+        rows.append((idx, [draw(_VALUES) for _ in idx]))
+    return csr_dataset(labels, rows, n_features)
 
 
 class TestParseLibsvm:
     def test_basic_line(self):
         ds = parse_libsvm("+1 1:0.5 3:-2\n")
-        assert ds.m == 1
         assert ds.n_features == 3
-        assert ds.labels.tolist() == [1.0]
-        idx, vals = ds.rows[0]
-        assert idx.tolist() == [0, 2]
-        assert vals.tolist() == [0.5, -2.0]
+        assert csr_arrays(ds) == csr_arrays(csr_dataset([1.0], [([0, 2], [0.5, -2.0])], 3))
 
     def test_label_remap(self):
         ds = parse_libsvm("2 1:1\n", label_map={2.0: -1.0})
@@ -105,8 +117,9 @@ class TestParseLibsvm:
 
     def test_comments_and_blank_lines(self):
         ds = parse_libsvm("# header\n\n+1 1:1 # trailing\n-1 2:3\n")
-        assert ds.m == 2
         assert ds.n_features == 2
+        expected = csr_dataset([1.0, -1.0], [([0], [1.0]), ([1], [3.0])], 2)
+        assert csr_arrays(ds) == csr_arrays(expected)
 
     def test_unmapped_label(self):
         with pytest.raises(UnmappedLabel):
@@ -143,32 +156,35 @@ class TestParseLibsvm:
         for _ in range(12):
             k = int(rng.integers(0, 6))
             idx = np.sort(rng.choice(np.arange(30), size=k, replace=False))
-            vals = rng.standard_normal(k)
-            rows.append((idx.astype(int), vals))
+            rows.append((idx.tolist(), rng.standard_normal(k).tolist()))
             labels.append(float(rng.choice([-1.0, 1.0])))
-        ds = LibsvmDataset(labels=np.array(labels), rows=rows, n_features=30)
+        ds = csr_dataset(labels, rows, 30)
         back = parse_libsvm(serialize_libsvm(ds), n_features=30)
-        assert back.labels.tolist() == ds.labels.tolist()
-        for (i1, v1), (i2, v2) in zip(ds.rows, back.rows):
-            assert i1.tolist() == i2.tolist()
-            assert v1.tolist() == v2.tolist()
+        assert csr_arrays(back) == csr_arrays(ds)
 
     @settings(max_examples=100, deadline=None)
     @given(libsvm_datasets())
     def test_generated_round_trip_is_byte_exact(self, ds):
         back = parse_libsvm(serialize_libsvm(ds), n_features=ds.n_features)
         assert back.n_features == ds.n_features
-        assert back.labels.dtype == ds.labels.dtype
-        assert back.labels.tobytes() == ds.labels.tobytes()
-        assert len(back.rows) == len(ds.rows)
-        for (i1, v1), (i2, v2) in zip(ds.rows, back.rows):
-            assert (i2.dtype, i2.tobytes()) == (i1.dtype, i1.tobytes())
-            assert (v2.dtype, v2.tobytes()) == (v1.dtype, v1.tobytes())
+        assert csr_arrays(back) == csr_arrays(ds)
 
     def test_to_dense(self):
-        ds = parse_libsvm("+1 2:3\n-1 1:1\n")
-        dense = ds.to_dense()
-        assert dense.tolist() == [[0.0, 3.0], [1.0, 0.0]]
+        c = parse_libsvm("+1 2:3\n-1 1:-0\n").to_logistic(gamma=1.0).c
+        assert c.tobytes() == np.array([[0.0, 3.0], [-0.0, 0.0]]).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(libsvm_datasets(), st.floats(0.1, 10.0))
+    def test_to_logistic_scatters_each_entry_exactly(self, ds, gamma):
+        # a reference built entry by entry; scipy's toarray() would turn -0.0 into +0.0
+        expected = np.zeros((ds.labels.size, ds.n_features))
+        for row in range(ds.labels.size):
+            for k in range(ds.indptr[row], ds.indptr[row + 1]):
+                expected[row, ds.indices[k]] = ds.values[k]
+        with np.errstate(over="ignore"):  # c * c of the largest drawn values
+            prob = ds.to_logistic(gamma)
+        assert prob.c.tobytes() == expected.tobytes()
+        assert prob.labels.tobytes() == ds.labels.tobytes()
 
     def test_to_logistic(self):
         prob = parse_libsvm("+1 1:1\n-1 2:1\n").to_logistic(gamma=0.5)
