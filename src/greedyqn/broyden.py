@@ -3,8 +3,9 @@
 The family is parameterized by tau in [0, 1]: tau = 0 is the symmetric
 rank-one update (SR1), tau = 1 is DFP, and tau = <Au, u>/<Gu, u> recovers
 BFGS.  Every member is a symmetric rank-two modification of G lying in
-span{Au, Gu}, so it maps onto a single
-:meth:`~greedyqn.operator_core.SpdState.rank2_update` call.
+span{Au, Gu}, or span{y, Gs} for a secant step.  :func:`family_coefficients`
+is the one rule for its coefficients in both cases, so each update is a
+single :meth:`~greedyqn.operator_core.SpdState.rank2_update` call.
 """
 
 from __future__ import annotations
@@ -98,49 +99,47 @@ class UpdatePair:
         )
 
 
-def tau_split(rule: UpdateRule, pair: UpdatePair) -> tuple[float, float]:
-    """Mixing parameter for the rule as the pair (tau, 1 - tau).
+def family_coefficients(rule: UpdateRule, alpha, beta) -> tuple[float, float, float]:
+    """The rule's (c11, c12, c22): G gains c11 p p^T + c12 (p q^T + q p^T) + c22 q q^T.
 
-    Both components are computed directly (for BFGS: auu/guu and
-    (guu - auu)/guu) so that neither suffers cancellation when tau is close
-    to 1.
+    (p, q) is (Au, Gu) for an exact target action along u and (y, Gs) for a
+    secant step, with alpha = <p, u> and beta = <q, u>.  Fixed tau blends the
+    DFP triple ((alpha + beta)/alpha^2, -1/alpha, 0) and the SR1 triple
+    (-1, 1, -1)/(beta - alpha), each built only under a non-zero weight, so
+    SR1 never divides by alpha nor DFP by beta - alpha.  BFGS (tau =
+    alpha/beta) takes its closed form, where the blend's c12 is rounding noise.
     """
-    if pair.auu <= 0.0 or pair.guu <= 0.0:
-        raise NonPositiveCurvature(
-            f"curvatures must be positive (auu={pair.auu}, guu={pair.guu})"
-        )
-    if rule.kind is UpdateKind.SR1:
-        return 0.0, 1.0
-    if rule.kind is UpdateKind.DFP:
-        return 1.0, 0.0
     if rule.kind is UpdateKind.BFGS:
-        return pair.auu / pair.guu, (pair.guu - pair.auu) / pair.guu
-    return rule.tau, 1.0 - rule.tau
+        return 1.0 / alpha, 0.0, -1.0 / beta
+    tau = {UpdateKind.SR1: 0.0, UpdateKind.DFP: 1.0}.get(rule.kind, rule.tau)
+    c11 = c12 = c22 = 0.0
+    if tau != 0.0:
+        c11 = tau * (alpha + beta) / (alpha * alpha)
+        c12 = -tau / alpha
+    if tau != 1.0:
+        w = (1.0 - tau) / (beta - alpha)
+        c11, c12, c22 = c11 - w, c12 + w, -w
+    return c11, c12, c22
 
 
 def broyden_update(state: SpdState, pair: UpdatePair, rule: UpdateRule) -> SpdState:
     """Apply the rule's member of the Broyden family to ``state`` in place.
 
-    This is the one place that decides a family update.  The curvatures
-    <Au, u> and <Gu, u> must be positive (:func:`tau_split` raises
-    :class:`NonPositiveCurvature` otherwise).  When the direction carries no
-    approximation error, <(G - A)u, u> <= DEGENERACY_RTOL * <Au, u>, the
-    operator is left unchanged: the SR1 denominator would vanish, every
-    member degenerates to the identity update, and the BFGS parameter would
-    leave [0, 1] if G dipped below A along u.  Otherwise G gains
-    c_aa Au Au^T + c_ag (Au Gu^T + Gu Au^T) + c_gg Gu Gu^T, the blend of the
-    DFP and SR1 formulas with weight tau.
+    This is the one place that decides a family update along a direction
+    with an exact target action.  The curvatures <Au, u> and <Gu, u> must be
+    positive (:class:`NonPositiveCurvature` otherwise).  When the direction
+    carries no approximation error, <(G - A)u, u> <= DEGENERACY_RTOL *
+    <Au, u>, the operator is left unchanged: the SR1 denominator would
+    vanish, every member degenerates to the identity update, and the BFGS
+    parameter would leave [0, 1] if G dipped below A along u.  Otherwise G
+    gains the :func:`family_coefficients` rank-two term on (Au, Gu).
     """
-    tau, one_minus_tau = tau_split(rule, pair)
     auu, guu = pair.auu, pair.guu
-    delta = guu - auu
-    if delta <= DEGENERACY_RTOL * auu:
+    if auu <= 0.0 or guu <= 0.0:
+        raise NonPositiveCurvature(f"curvatures must be positive (auu={auu}, guu={guu})")
+    if guu - auu <= DEGENERACY_RTOL * auu:
         return state
-    w = one_minus_tau / delta
-    c_aa = tau * (auu + guu) / (auu * auu) - w
-    c_ag = -tau / auu + w
-    c_gg = -w
-    return state.rank2_update(pair.au, pair.gu, c_aa, c_ag, c_gg)
+    return state.rank2_update(pair.au, pair.gu, *family_coefficients(rule, auu, guu))
 
 
 def greedy_direction(diag_g, diag_a) -> int:

@@ -40,7 +40,7 @@ class NonPositiveHessianDiagonal(GreedyQnError):
 
 
 class NonFiniteResult(GreedyQnError):
-    """An objective evaluation overflowed despite stabilization."""
+    """An oracle output, a scale or an operator's diagonal entry is NaN or inf."""
 
 
 class MalformedLine(GreedyQnError):

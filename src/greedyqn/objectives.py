@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import expit
 
-from .errors import DimensionMismatch, DimensionTooLarge, NonFiniteResult
+from .errors import DimensionMismatch, DimensionTooLarge, InvalidPlan, NonFiniteResult
 from .operator_core import DenseSymmetric, _as_vector
 
 # Largest dimension for dense n x n Hessian work: ``full_hessian`` refuses
@@ -40,6 +40,11 @@ def _stable_softmax(z):
     e = np.exp(z - zmax)
     total = float(e.sum())
     return zmax + np.log(total), e / total
+
+
+def _sq_norm(v) -> float:
+    """<v, v>, inf on overflow: ``np.vdot`` is ``np.dot``'s BLAS ddot without its warning."""
+    return float(np.vdot(v, v))
 
 
 def _basis(n, i):
@@ -203,7 +208,7 @@ class LogSumExpProblem(ObjectiveOracle):
 
     def value(self, x):
         p = self._at(x)
-        val = p.lse + 0.5 * float(np.dot(p.t, p.t)) + 0.5 * self.gamma * float(np.dot(p.x, p.x))
+        val = p.lse + 0.5 * _sq_norm(p.t) + 0.5 * self.gamma * _sq_norm(p.x)
         if not math.isfinite(val):
             raise NonFiniteResult(f"objective overflowed at |x| = {np.max(np.abs(p.x))}")
         return val
@@ -275,8 +280,14 @@ class LogisticProblem(ObjectiveOracle):
             raise ValueError("gamma must be positive")
         self.gamma = float(gamma)
         self.m, self.n = self.c.shape
-        self._c_sq = self.c * self.c
-        self.lipschitz_l = 0.25 * float(np.sum(self._c_sq)) + self.gamma
+        with np.errstate(over="ignore"):
+            self._c_sq = self.c * self.c
+            sq_sum = float(np.sum(self._c_sq))
+        if not math.isfinite(sq_sum):
+            i, j = np.unravel_index(np.argmax(np.abs(self.c)), self.c.shape)
+            raise InvalidPlan(f"data entry {float(self.c[i, j])!r} at row {i}, column {j} "
+                              "(0-based) is too large: the sum of squared entries overflows")
+        self.lipschitz_l = 0.25 * sq_sum + self.gamma
         self.strong_convexity_mu = self.gamma
         # No certified constant by default; callers may supply one to force
         # the corrected scheme.
@@ -286,9 +297,7 @@ class LogisticProblem(ObjectiveOracle):
 
     def value(self, x):
         p = self._at(x)
-        val = float(np.sum(np.logaddexp(0.0, -p.t))) + 0.5 * self.gamma * float(
-            np.dot(p.x, p.x)
-        )
+        val = float(np.sum(np.logaddexp(0.0, -p.t))) + 0.5 * self.gamma * _sq_norm(p.x)
         if not math.isfinite(val):
             raise NonFiniteResult(f"objective overflowed at |x| = {np.max(np.abs(p.x))}")
         return val

@@ -201,6 +201,8 @@ class SpdState:
     def from_diagonal(cls, d) -> "SpdState":
         """Diagonal SPD state with exact reciprocal inverse entries."""
         d = np.asarray(d, dtype=float)
+        if not np.all(np.isfinite(d)):
+            raise NonFiniteResult("diagonal entries must be finite")
         if d.ndim != 1 or np.any(d <= 0):
             raise NotPositiveDefinite("diagonal entries must be positive")
         return cls._from_arrays(np.diag(d), np.diag(1.0 / d))

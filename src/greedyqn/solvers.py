@@ -29,6 +29,7 @@ from .broyden import (
     _op_error_from_factor,
     _sigma_from_factor,
     broyden_update,
+    family_coefficients,
     greedy_direction,
 )
 from .data_io import RngStream, unit_sphere_direction
@@ -358,32 +359,19 @@ def gradient_method(
 
 
 def _secant_coefficients(rule: UpdateRule, alpha, beta):
-    """Stable rank-two coefficients on (y, Gs) for the secant update.
+    """The rule's :func:`family_coefficients` on (y, Gs), or None to skip the update.
 
-    Returns None when the rule's skip test fires (degenerate SR1
-    denominator, or nonpositive curvature for the DFP/BFGS-type rules).
+    SR1 skips when |<Gs - y, s>| = |beta - alpha| is negligible relative to
+    |<y, s>| = |alpha|, the other rules when alpha is not positive, fixed tau
+    on both.  Unlike :func:`broyden_update`'s screen this is two-sided: a secant
+    pair does not keep G above the target.
     """
-    delta = beta - alpha
-    if rule.kind is UpdateKind.SR1:
-        if abs(delta) <= DEGENERACY_RTOL * abs(alpha):
-            return None
-        return -1.0 / delta, 1.0 / delta, -1.0 / delta
-    if alpha <= 0.0:
+    sr1_part = rule.kind in (UpdateKind.SR1, UpdateKind.FIXED_TAU)
+    if sr1_part and abs(beta - alpha) <= DEGENERACY_RTOL * abs(alpha):
         return None
-    if rule.kind is UpdateKind.BFGS:
-        return 1.0 / alpha, 0.0, -1.0 / beta
-    if rule.kind is UpdateKind.DFP:
-        return (alpha + beta) / alpha**2, -1.0 / alpha, 0.0
-    # fixed tau: convex combination of the DFP and SR1 coefficient triples
-    if abs(delta) <= DEGENERACY_RTOL * abs(alpha):
+    if alpha <= 0.0 and rule.kind is not UpdateKind.SR1:
         return None
-    t = rule.tau
-    omt = 1.0 - t
-    return (
-        t * (alpha + beta) / alpha**2 - omt / delta,
-        -t / alpha + omt / delta,
-        -omt / delta,
-    )
+    return family_coefficients(rule, alpha, beta)
 
 
 def classical_qn(

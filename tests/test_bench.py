@@ -348,6 +348,19 @@ class TestLibsvmPlan:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "no feature" in captured.err
 
+    def test_overflowing_data_value_is_refused(self, tmp_path, capsys):
+        target = tmp_path / "huge.libsvm"
+        target.write_text("+1 1:1e200 2:1\n-1 2:3\n")
+        argv = ["--problem", "libsvm", "--dataset", str(target), "--methods", "GrSR1"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: data entry 1e+200 at row 0, column 0 (0-based) is too large:"
+            " the sum of squared entries overflows\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_failed_reference_solve_is_noted(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "tiny.libsvm"
         target.write_text((GOLDEN / "tiny.libsvm").read_text())

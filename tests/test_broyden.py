@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
@@ -11,10 +11,10 @@ from greedyqn.broyden import (
     UpdatePair,
     UpdateRule,
     broyden_update,
+    family_coefficients,
     greedy_direction,
     relative_op_error,
     sigma,
-    tau_split,
 )
 from greedyqn.errors import (
     NonPositiveCurvature,
@@ -32,37 +32,42 @@ def make_pair(g, a, u):
     return state, UpdatePair.from_state(state, u, a @ u)
 
 
-class TestTauFor:
-    """The mixing parameter tau, the first component of ``tau_split``."""
+def _bits(coeffs):
+    return np.array(coeffs, dtype=float).tobytes()
 
-    def test_bfgs_ratio(self):
-        pair = UpdatePair(np.ones(1), np.ones(1), auu=1.0, gu=np.ones(1), guu=3.0)
-        assert tau_split(UpdateRule.bfgs(), pair)[0] == pytest.approx(1.0 / 3.0)
 
-    def test_sr1_is_zero(self):
-        pair = UpdatePair(np.ones(1), np.ones(1), auu=2.0, gu=np.ones(1), guu=5.0)
-        assert tau_split(UpdateRule.sr1(), pair)[0] == 0.0
+class TestFamilyCoefficients:
+    """The one coefficient rule (c11, c12, c22) on (p, q), alpha = <p, u>, beta = <q, u>."""
 
-    def test_dfp_is_one(self):
-        pair = UpdatePair(np.ones(1), np.ones(1), auu=2.0, gu=np.ones(1), guu=5.0)
-        assert tau_split(UpdateRule.dfp(), pair)[0] == 1.0
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+    def test_fixed_zero_is_sr1_bit_for_bit(self, alpha, beta):
+        assume(abs(beta - alpha) >= 1e-6)
+        sr1 = family_coefficients(UpdateRule.sr1(), alpha, beta)
+        assert _bits(family_coefficients(UpdateRule.fixed(0.0), alpha, beta)) == _bits(sr1)
 
-    def test_fixed_passthrough(self):
-        pair = UpdatePair(np.ones(1), np.ones(1), auu=2.0, gu=np.ones(1), guu=5.0)
-        assert tau_split(UpdateRule.fixed(0.25), pair)[0] == 0.25
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-6, 1e6), st.floats(-1e6, 1e6))
+    def test_fixed_one_is_dfp_bit_for_bit(self, alpha, beta):
+        dfp = family_coefficients(UpdateRule.dfp(), alpha, beta)
+        assert _bits(family_coefficients(UpdateRule.fixed(1.0), alpha, beta)) == _bits(dfp)
 
-    def test_nonpositive_curvature(self):
-        pair = UpdatePair(np.ones(1), np.ones(1), auu=-1.0, gu=np.ones(1), guu=5.0)
-        with pytest.raises(NonPositiveCurvature):
-            tau_split(UpdateRule.bfgs(), pair)
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-6, 1e6), st.floats(1.01, 1e4))
+    def test_bfgs_is_the_blend_at_alpha_over_beta(self, alpha, ratio):
+        # the paper's definition of BFGS: tau = <Au, u>/<Gu, u>
+        beta = alpha * ratio
+        bfgs = np.array(family_coefficients(UpdateRule.bfgs(), alpha, beta))
+        blend = np.array(family_coefficients(UpdateRule.fixed(alpha / beta), alpha, beta))
+        assert bfgs[1] == 0.0
+        assert np.max(np.abs(bfgs - blend)) <= 1e-12 * np.max(np.abs(bfgs))
 
-    def test_split_components_sum_to_one(self, rng):
-        a, g = random_dominating_pair(rng, 6)
-        _, pair = make_pair(g, a, rng.standard_normal(6))
-        for rule in (UpdateRule.sr1(), UpdateRule.bfgs(), UpdateRule.dfp(), UpdateRule.fixed(0.3)):
-            tau, omt = tau_split(rule, pair)
-            assert tau + omt == pytest.approx(1.0, abs=1e-12)
-            assert 0.0 <= tau <= 1.0
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1e-6, 1e6))
+    def test_members_skip_the_other_denominator(self, x):
+        # SR1 never divides by alpha, DFP never by beta - alpha
+        assert np.all(np.isfinite(family_coefficients(UpdateRule.sr1(), 0.0, x)))
+        assert np.all(np.isfinite(family_coefficients(UpdateRule.dfp(), x, x)))
 
 
 class TestBroydenUpdate:

@@ -15,6 +15,7 @@ from greedyqn.data_io import (
 )
 from greedyqn.errors import (
     DimensionMismatch,
+    InvalidPlan,
     MalformedLine,
     NonMonotoneIndices,
     UnmappedLabel,
@@ -181,8 +182,13 @@ class TestParseLibsvm:
         for row in range(ds.labels.size):
             for k in range(ds.indptr[row], ds.indptr[row + 1]):
                 expected[row, ds.indices[k]] = ds.values[k]
-        with np.errstate(over="ignore"):  # c * c of the largest drawn values
-            prob = ds.to_logistic(gamma)
+        with np.errstate(over="ignore"):
+            overflows = not np.isfinite(np.sum(expected * expected))
+        if overflows:  # the largest drawn values are refused, not turned into inf
+            with pytest.raises(InvalidPlan, match="too large"):
+                ds.to_logistic(gamma)
+            return
+        prob = ds.to_logistic(gamma)
         assert prob.c.tobytes() == expected.tobytes()
         assert prob.labels.tobytes() == ds.labels.tobytes()
 

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 
@@ -11,7 +12,7 @@ from conftest import central_diff_gradient, central_diff_hessian, min_eig, rando
 from greedyqn import objectives
 from greedyqn.broyden import UpdateRule
 from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start
-from greedyqn.errors import DimensionMismatch, DimensionTooLarge, NonFiniteResult
+from greedyqn.errors import DimensionMismatch, DimensionTooLarge, InvalidPlan, NonFiniteResult
 from greedyqn.objectives import DENSE_CAP, LogisticProblem, LogSumExpProblem, QuadraticProblem
 from greedyqn.operator_core import DenseSymmetric
 from greedyqn.solvers import DirectionStrategy, GradientNorm, SolverConfig, solve_general
@@ -53,6 +54,13 @@ class TestValue:
         for prob in all_problems(rng):
             with pytest.raises(DimensionMismatch):
                 prob.value(np.zeros(prob.n + 1))
+
+    def test_overflowing_objective_is_refused(self):
+        # refused as NonFiniteResult, with no numpy overflow warning on the way
+        for prob in (LogisticProblem(np.ones((3, 2)), [1.0, -1.0, 1.0], gamma=1.0),
+                     LogSumExpProblem(np.ones((3, 2)), np.zeros(3), gamma=1.0)):
+            with pytest.raises(NonFiniteResult, match="overflowed"):
+                prob.value(np.full(2, 1e200))
 
 
 class TestGradient:
@@ -237,6 +245,18 @@ class TestDataValidation:
         c[1, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             LogisticProblem(c, [1.0, -1.0, 1.0], gamma=1.0)
+
+    def test_logistic_refuses_data_whose_square_overflows(self):
+        c = np.ones((3, 2))
+        c[2, 1] = -1e200
+        with pytest.raises(InvalidPlan, match=re.escape("-1e+200 at row 2, column 1 ")):
+            LogisticProblem(c, [1.0, -1.0, 1.0], gamma=1.0)
+
+    def test_logistic_refuses_an_overflowing_sum_of_squares(self):
+        # each square is finite (1e308), their sum is not
+        c = np.full((4, 1), 1e154)
+        with pytest.raises(InvalidPlan, match=re.escape("1e+154 at row 0, column 0 ")):
+            LogisticProblem(c, [1.0, -1.0, 1.0, 1.0], gamma=1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_logsumexp_refuses_non_finite_data(self, bad):

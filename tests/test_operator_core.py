@@ -58,17 +58,19 @@ def random_like(rng, n):
 
 @st.composite
 def indefinite_matrices(draw):
-    """Rank-deficient Gram matrices and matrices with one negative eigenvalue."""
+    """Matrices with one negative eigenvalue, from -1e-8 to -1, and the others in [0.5, 3].
+
+    The failing pivot is then negative in exact arithmetic by far more than
+    rounding.  Exactly singular matrices (rank-deficient Gram matrices) are
+    left out: their zero pivot falls on either side of the threshold by
+    rounding alone, so no failing column can be asserted for them.
+    """
     n = draw(st.integers(1, 16))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        c = rng.standard_normal((n, draw(st.integers(0, n - 1))))
-        a = c @ c.T
-    else:
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        eigs = rng.uniform(0.5, 3.0, n)
-        eigs[draw(st.integers(0, n - 1))] = -draw(st.floats(0.1, 1.0))
-        a = (q * eigs) @ q.T
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eigs = rng.uniform(0.5, 3.0, n)
+    eigs[draw(st.integers(0, n - 1))] = -(10.0 ** draw(st.floats(-8.0, 0.0)))
+    a = (q * eigs) @ q.T
     return DenseSymmetric(a * 10.0 ** draw(st.integers(-3, 3))).entries
 
 
@@ -386,6 +388,11 @@ class TestStateLifecycle:
     def test_from_diagonal_rejects_nonpositive(self):
         with pytest.raises(NotPositiveDefinite):
             SpdState.from_diagonal([1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_diagonal_refuses_non_finite(self, bad):
+        with pytest.raises(NonFiniteResult):
+            SpdState.from_diagonal([bad, 1.0])
 
     @pytest.mark.parametrize(
         "scale,error",

@@ -260,27 +260,30 @@ class RecordingOracle:
 
 
 class TestClassicalQn:
-    def test_secant_equals_exact_action_on_quadratic(self, rng):
-        # along the step s, y = A s up to rounding, so one classical update
-        # coincides with the exact-action update in the same direction
+    def test_secant_equals_exact_action_on_quadratic(self, rng, monkeypatch):
+        # along the step s, y = A s up to rounding, so the operator built by
+        # classical_qn's first step equals the exact-action update along s
         prob = quadratic(rng, 6, cond=10.0)
         a = prob.a.entries
-        big_l = prob.lipschitz_l
         x0 = rng.standard_normal(6)
-        for rule in (UpdateRule.sr1(), UpdateRule.bfgs(), UpdateRule.dfp()):
-            _, trace1 = classical_qn(prob, x0, rule, GradientNorm(1e-15), 1)
-            # replay one step with the exact target action
-            state = SpdState.scaled_identity(6, big_l)
-            grad = prob.gradient(x0)
-            s = -state.solve(grad)
-            exact = SpdState.scaled_identity(6, big_l)
+        scaled_identity = SpdState.scaled_identity
+        built = []
+
+        def capture(n, c):
+            built.append(scaled_identity(n, c))
+            return built[-1]
+
+        monkeypatch.setattr(SpdState, "scaled_identity", capture)
+        for rule in (UpdateRule.sr1(), UpdateRule.dfp(), UpdateRule.bfgs(), UpdateRule.fixed(0.3)):
+            built.clear()
+            classical_qn(prob, x0, rule, GradientNorm(1e-15), 1)
+            (classical,) = built
+            assert classical.update_count == 1
+            exact = scaled_identity(6, prob.lipschitz_l)
+            s = -exact.solve(prob.gradient(x0))
             broyden_update(exact, UpdatePair.from_state(exact, s, a @ s), rule)
-            # re-run the classical iteration to capture its updated operator
-            state2 = SpdState.scaled_identity(6, big_l)
-            y = prob.gradient(x0 + s) - grad
-            broyden_update(state2, UpdatePair.from_state(state2, s, y), rule)
             scale = np.abs(exact.g.entries).max()
-            assert np.max(np.abs(state2.g.entries - exact.g.entries)) <= 1e-9 * scale
+            assert np.max(np.abs(classical.g.entries - exact.g.entries)) <= 1e-9 * scale
 
     def test_converges_on_synthetic(self):
         spec = SyntheticSpec(n=30, m=30, gamma=1.0, seed=6)
