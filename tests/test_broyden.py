@@ -70,6 +70,17 @@ class TestFamilyCoefficients:
         assert np.all(np.isfinite(family_coefficients(UpdateRule.dfp(), x, x)))
 
 
+class TestTauFor:
+    """The BFGS mixing parameter tau = <Au, u>/<Gu, u> needs positive curvatures."""
+
+    def test_nonpositive_curvature(self):
+        state = SpdState.from_diagonal([5.0])
+        pair = UpdatePair(np.ones(1), np.ones(1), auu=-1.0, gu=np.ones(1), guu=5.0)
+        with pytest.raises(NonPositiveCurvature):
+            broyden_update(state, pair, UpdateRule.bfgs())
+        assert np.array_equal(state.g.entries, np.diag([5.0]))
+
+
 class TestBroydenUpdate:
     def test_degenerate_direction_leaves_state_unchanged(self, rng):
         a = random_spd(rng, 4)
