@@ -106,6 +106,13 @@ class LibsvmSpec:
     n_features: int | None = None
 
 
+def _refuse_repeats(labels, what):
+    """:class:`InvalidPlan` if a table label repeats: its rows or columns would read as one."""
+    repeated = sorted({x for x in labels if labels.count(x) > 1})
+    if repeated:
+        raise InvalidPlan(f"repeated {what}: {', '.join(repeated)}")
+
+
 @dataclass
 class ExperimentPlan:
     problem: object  # SyntheticSpec | LibsvmSpec | QuadraticSpec
@@ -123,11 +130,14 @@ class ExperimentPlan:
         ]
         if not self.methods:
             raise InvalidPlan("no methods requested")
+        _refuse_repeats([m.name for m in self.methods], "method")
         eps = [float(e) for e in self.epsilons]
         if not eps or not all(0.0 < e < np.inf for e in eps):
             raise InvalidPlan("epsilons must be positive and finite")
         if any(later >= earlier for earlier, later in zip(eps, eps[1:])):
             raise InvalidPlan("epsilons must be strictly decreasing")
+        # table rows are labelled f"{eps:g}", so two epsilons must not share a label
+        _refuse_repeats([f"{e:g}" for e in eps], "epsilon label")
         self.epsilons = eps
         if self.iteration_budget_factor < 1:
             raise InvalidPlan("iteration budget factor must be at least 1")
@@ -302,12 +312,10 @@ def run_hessian_error_plan(plan: ExperimentPlan) -> ResultTable:
     return _run_tables(plan, _prepare(plan), errors=True)["hessian_error"]
 
 
-def _format_cell(cell, markdown: bool) -> str:
-    if isinstance(cell, str):
-        return cell
-    if isinstance(cell, int):
-        return str(cell)
-    return f"{cell:.2e}" if markdown else f"{cell:.17g}"
+def _format_cell(cell, markdown: bool = False) -> str:
+    if isinstance(cell, float):
+        return f"{cell:.2e}" if markdown else f"{cell:.17g}"
+    return "" if cell is None else str(cell)
 
 
 def emit_table(table: ResultTable, fmt: str) -> str:
@@ -336,16 +344,9 @@ def emit_table(table: ResultTable, fmt: str) -> str:
 
 
 def _trace_csv(trace) -> str:
-    def fmt(v):
-        if v is None:
-            return ""
-        if isinstance(v, int):
-            return str(v)
-        return f"{v:.17g}"
-
     row = attrgetter(*(f.name for f in fields(IterationRecord)))  # in the header's order
     lines = ["k,f,grad_norm,r_k,dir_index,lambda_f,sigma,op_error"]
-    lines += [",".join(map(fmt, row(r))) for r in trace.records]
+    lines += [",".join(map(_format_cell, row(r))) for r in trace.records]
     return "\n".join(lines) + "\n"
 
 

@@ -66,39 +66,6 @@ class UpdateRule:
         return cls(UpdateKind.FIXED_TAU, tau)
 
 
-@dataclass(frozen=True)
-class UpdatePair:
-    """Precomputed quantities for one update direction u.
-
-    ``au`` is the action of the target operator on u, ``gu`` the action of
-    the current approximation; ``auu``/``guu`` are the matching quadratic
-    forms.  ``from_state`` computes ``gu`` as G @ u unless the caller
-    passes it.
-    """
-
-    u: np.ndarray
-    au: np.ndarray
-    auu: float
-    gu: np.ndarray
-    guu: float
-
-    @classmethod
-    def from_state(cls, state: SpdState, u, au, gu=None) -> "UpdatePair":
-        u = np.asarray(u, dtype=float)
-        au = np.asarray(au, dtype=float)
-        if u.shape != (state.n,) or au.shape != (state.n,):
-            raise DimensionMismatch("direction/action length mismatch")
-        if gu is None:
-            gu = state.apply(u)
-        return cls(
-            u=u,
-            au=au,
-            auu=float(np.dot(au, u)),
-            gu=gu,
-            guu=float(np.dot(gu, u)),
-        )
-
-
 def family_coefficients(rule: UpdateRule, alpha, beta) -> tuple[float, float, float]:
     """The rule's (c11, c12, c22): G gains c11 p p^T + c12 (p q^T + q p^T) + c22 q q^T.
 
@@ -122,24 +89,32 @@ def family_coefficients(rule: UpdateRule, alpha, beta) -> tuple[float, float, fl
     return c11, c12, c22
 
 
-def broyden_update(state: SpdState, pair: UpdatePair, rule: UpdateRule) -> SpdState:
+def broyden_update(state: SpdState, u, au, rule: UpdateRule, gu=None) -> SpdState:
     """Apply the rule's member of the Broyden family to ``state`` in place.
 
-    This is the one place that decides a family update along a direction
-    with an exact target action.  The curvatures <Au, u> and <Gu, u> must be
-    positive (:class:`NonPositiveCurvature` otherwise).  When the direction
-    carries no approximation error, <(G - A)u, u> <= DEGENERACY_RTOL *
-    <Au, u>, the operator is left unchanged: the SR1 denominator would
-    vanish, every member degenerates to the identity update, and the BFGS
-    parameter would leave [0, 1] if G dipped below A along u.  Otherwise G
-    gains the :func:`family_coefficients` rank-two term on (Au, Gu).
+    This is the one place that decides a family update along a direction u
+    with an exact target action ``au``; ``gu`` is G @ u when the caller
+    already has it.  The curvatures <Au, u> and <Gu, u> must be positive
+    (:class:`NonPositiveCurvature` otherwise).  When the direction carries
+    no approximation error, <(G - A)u, u> <= DEGENERACY_RTOL * <Au, u>, the
+    operator is left unchanged: the SR1 denominator would vanish, every
+    member degenerates to the identity update, and the BFGS parameter would
+    leave [0, 1] if G dipped below A along u.  Otherwise G gains the
+    :func:`family_coefficients` rank-two term on (Au, Gu).
     """
-    auu, guu = pair.auu, pair.guu
+    u = np.asarray(u, dtype=float)
+    au = np.asarray(au, dtype=float)
+    if u.shape != (state.n,) or au.shape != (state.n,):
+        raise DimensionMismatch("direction/action length mismatch")
+    if gu is None:
+        gu = state.apply(u)
+    auu = float(np.dot(au, u))
+    guu = float(np.dot(gu, u))
     if auu <= 0.0 or guu <= 0.0:
         raise NonPositiveCurvature(f"curvatures must be positive (auu={auu}, guu={guu})")
     if guu - auu <= DEGENERACY_RTOL * auu:
         return state
-    return state.rank2_update(pair.au, pair.gu, *family_coefficients(rule, auu, guu))
+    return state.rank2_update(au, gu, *family_coefficients(rule, auu, guu))
 
 
 def greedy_direction(diag_g, diag_a) -> int:

@@ -53,6 +53,37 @@ def _basis(n, i):
     return e
 
 
+def _checked_data(c, gamma):
+    """(c, c*c, sum of c*c) for a data oracle, after every check its data needs.
+
+    c must be a finite 2-D array and gamma positive and finite.  Data whose
+    sum of squares overflows is refused as :class:`InvalidPlan` naming the
+    largest entry: the Lipschitz constant built from it would be inf.
+    """
+    c = np.array(c, dtype=float)
+    if c.ndim != 2:
+        raise DimensionMismatch("c must be an m x n array")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("data entries must be finite")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    with np.errstate(over="ignore"):
+        c_sq = c * c
+        sq_sum = float(np.sum(c_sq))
+    if not math.isfinite(sq_sum):
+        i, j = np.unravel_index(np.argmax(np.abs(c)), c.shape)
+        raise InvalidPlan(f"data entry {float(c[i, j])!r} at row {i}, column {j} "
+                          "(0-based) is too large: the sum of squared entries overflows")
+    return c, c_sq, sq_sum
+
+
+def _finite_value(val, x) -> float:
+    """``val``, the objective at x, refused as :class:`NonFiniteResult` if it overflowed."""
+    if not math.isfinite(val):
+        raise NonFiniteResult(f"objective overflowed at |x| = {np.max(np.abs(x))}")
+    return val
+
+
 class ObjectiveOracle:
     """Common evaluation interface for the three objective families.
 
@@ -186,20 +217,15 @@ class LogSumExpProblem(ObjectiveOracle):
     """
 
     def __init__(self, c, b, gamma: float):
-        self.c = np.array(c, dtype=float)
-        if self.c.ndim != 2:
-            raise DimensionMismatch("c must be an m x n array")
+        self.c, self._c_sq, sq_sum = _checked_data(c, gamma)
         self.b = np.array(b, dtype=float)
         if self.b.shape != (self.c.shape[0],):
             raise DimensionMismatch("b length must match the number of rows of c")
-        if not (np.all(np.isfinite(self.c)) and np.all(np.isfinite(self.b))):
+        if not np.all(np.isfinite(self.b)):
             raise ValueError("data entries must be finite")
-        if not gamma > 0:
-            raise ValueError("gamma must be positive")
         self.gamma = float(gamma)
         self.m, self.n = self.c.shape
-        self._c_sq = self.c * self.c
-        self.lipschitz_l = 2.0 * float(np.sum(self._c_sq)) + self.gamma
+        self.lipschitz_l = 2.0 * sq_sum + self.gamma
         # The two data terms are convex, so gamma certifies strong convexity.
         self.strong_convexity_mu = self.gamma
         self.self_concordance_m = 2.0
@@ -208,10 +234,9 @@ class LogSumExpProblem(ObjectiveOracle):
 
     def value(self, x):
         p = self._at(x)
-        val = p.lse + 0.5 * _sq_norm(p.t) + 0.5 * self.gamma * _sq_norm(p.x)
-        if not math.isfinite(val):
-            raise NonFiniteResult(f"objective overflowed at |x| = {np.max(np.abs(p.x))}")
-        return val
+        return _finite_value(
+            p.lse + 0.5 * _sq_norm(p.t) + 0.5 * self.gamma * _sq_norm(p.x), p.x
+        )
 
     def gradient(self, x):
         p = self._at(x)
@@ -265,42 +290,26 @@ class _SigmoidPoint:
 class LogisticProblem(ObjectiveOracle):
     """f(x) = sum_j ln(1 + exp(-y_j <c_j, x>)) + 0.5*gamma*|x|^2, labels y in {-1, +1}."""
 
-    def __init__(self, c, labels, gamma: float, self_concordance_m: float | None = None):
-        self.c = np.array(c, dtype=float)
-        if self.c.ndim != 2:
-            raise DimensionMismatch("c must be an m x n array")
+    def __init__(self, c, labels, gamma: float):
+        self.c, self._c_sq, sq_sum = _checked_data(c, gamma)
         self.labels = np.array(labels, dtype=float)
         if self.labels.shape != (self.c.shape[0],):
             raise DimensionMismatch("labels length must match the number of rows of c")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        if not np.all(np.isfinite(self.c)):
-            raise ValueError("data entries must be finite")
-        if not gamma > 0:
-            raise ValueError("gamma must be positive")
         self.gamma = float(gamma)
         self.m, self.n = self.c.shape
-        with np.errstate(over="ignore"):
-            self._c_sq = self.c * self.c
-            sq_sum = float(np.sum(self._c_sq))
-        if not math.isfinite(sq_sum):
-            i, j = np.unravel_index(np.argmax(np.abs(self.c)), self.c.shape)
-            raise InvalidPlan(f"data entry {float(self.c[i, j])!r} at row {i}, column {j} "
-                              "(0-based) is too large: the sum of squared entries overflows")
         self.lipschitz_l = 0.25 * sq_sum + self.gamma
         self.strong_convexity_mu = self.gamma
-        # No certified constant by default; callers may supply one to force
-        # the corrected scheme.
-        self.self_concordance_m = self_concordance_m
+        # self_concordance_m stays None: with no certified constant the correction is off.
 
     _point_type = _SigmoidPoint
 
     def value(self, x):
         p = self._at(x)
-        val = float(np.sum(np.logaddexp(0.0, -p.t))) + 0.5 * self.gamma * _sq_norm(p.x)
-        if not math.isfinite(val):
-            raise NonFiniteResult(f"objective overflowed at |x| = {np.max(np.abs(p.x))}")
-        return val
+        return _finite_value(
+            float(np.sum(np.logaddexp(0.0, -p.t))) + 0.5 * self.gamma * _sq_norm(p.x), p.x
+        )
 
     def gradient(self, x):
         p = self._at(x)

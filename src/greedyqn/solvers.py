@@ -24,7 +24,6 @@ import numpy as np
 from .broyden import (
     DEGENERACY_RTOL,
     UpdateKind,
-    UpdatePair,
     UpdateRule,
     _op_error_from_factor,
     _sigma_from_factor,
@@ -281,11 +280,8 @@ def _run(oracle, x0, termination, max_iter, step, state=None, options=TraceOptio
 
 
 def _apply_family_update(state, u, au, rule, gu=None):
-    """The rule's family update of ``state`` along u, whose exact target action is ``au``.
-
-    ``gu`` is G @ u when the caller already has it.
-    """
-    return broyden_update(state, UpdatePair.from_state(state, u, au, gu), rule)
+    """The rule's family update of ``state`` along u, whose exact target action is ``au``."""
+    return broyden_update(state, u, au, rule, gu)
 
 
 def solve_general(

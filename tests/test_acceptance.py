@@ -13,7 +13,7 @@ from scipy.linalg import eigh
 
 from conftest import min_eig, random_dominating_pair, random_spd
 from greedyqn.bench import ExperimentPlan, emit_table, run_hessian_error_plan, run_plan
-from greedyqn.broyden import UpdatePair, UpdateRule, broyden_update
+from greedyqn.broyden import UpdateRule, broyden_update
 from greedyqn.data_io import SyntheticSpec, generate_logsumexp, parse_libsvm, serialize_libsvm
 from greedyqn.objectives import LogisticProblem, LogSumExpProblem, QuadraticProblem
 from greedyqn.operator_core import DenseSymmetric, SpdState
@@ -108,8 +108,7 @@ def test_criterion_3_update_ordering_and_sandwich():
 
             def updated(rule):
                 state = SpdState(DenseSymmetric(g))
-                pair = UpdatePair.from_state(state, u, a @ u)
-                broyden_update(state, pair, rule)
+                broyden_update(state, u, a @ u, rule)
                 return state.g.entries
 
             results = {

@@ -449,6 +449,26 @@ class TestCli:
         assert captured.err.startswith("error: ") and message in captured.err
         assert prepared == []
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--methods", "GrSR1,GrSR1", "--epsilons", "1.0000001e-1,1e-1,1e-3"],
+             "repeated method: GrSR1"),
+            (["--methods", "GM,GrSR1", "--epsilons", "1.0000001e-1,1e-1,1e-3"],
+             "repeated epsilon label: 0.1"),
+        ],
+    )
+    def test_ambiguous_plan_exits_two(self, argv, message, monkeypatch, capsys):
+        # a repeated label would give two table rows or columns under one
+        # name, and two runs one trace file and one wall-time line
+        prepared = []
+        monkeypatch.setattr(bench, "_prepare", lambda plan: prepared.append(plan))
+        assert main(["--n", "6", "--m", "5", "--seed", "7"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert prepared == []
+
     def test_missing_dataset_exits_three(self, capsys):
         code = main(
             ["--problem", "libsvm", "--dataset", "/does/not/exist", "--epsilons", "1e-1"]

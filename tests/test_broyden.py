@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,8 +5,8 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh
 
 from conftest import dense_broyden, min_eig, random_dominating_pair, random_spd
+from greedyqn import broyden
 from greedyqn.broyden import (
-    UpdatePair,
     UpdateRule,
     broyden_update,
     family_coefficients,
@@ -17,6 +15,7 @@ from greedyqn.broyden import (
     sigma,
 )
 from greedyqn.errors import (
+    DimensionMismatch,
     NonPositiveCurvature,
     NonPositiveHessianDiagonal,
     NotPositiveDefinite,
@@ -27,9 +26,8 @@ from greedyqn.operator_core import DenseSymmetric, SpdState
 FAMILY = (UpdateRule.sr1(), UpdateRule.bfgs(), UpdateRule.fixed(0.5), UpdateRule.dfp())
 
 
-def make_pair(g, a, u):
-    state = SpdState(DenseSymmetric(g))
-    return state, UpdatePair.from_state(state, u, a @ u)
+def make_state(g):
+    return SpdState(DenseSymmetric(g))
 
 
 def _bits(coeffs):
@@ -74,37 +72,54 @@ class TestTauFor:
     """The BFGS mixing parameter tau = <Au, u>/<Gu, u> needs positive curvatures."""
 
     def test_nonpositive_curvature(self):
-        state = SpdState.from_diagonal([5.0])
-        pair = UpdatePair(np.ones(1), np.ones(1), auu=-1.0, gu=np.ones(1), guu=5.0)
+        state = SpdState.from_diagonal([5.0])  # <Au, u> = -1, <Gu, u> = 5
         with pytest.raises(NonPositiveCurvature):
-            broyden_update(state, pair, UpdateRule.bfgs())
+            broyden_update(state, np.ones(1), -np.ones(1), UpdateRule.bfgs())
         assert np.array_equal(state.g.entries, np.diag([5.0]))
 
 
 class TestBroydenUpdate:
+    def test_computes_forms_from_state(self, rng, monkeypatch):
+        a, g = random_dominating_pair(rng, 5)
+        u = rng.standard_normal(5)
+        forms = []
+        coefficients = broyden.family_coefficients
+
+        def spy(rule, alpha, beta):
+            forms.append((alpha, beta))
+            return coefficients(rule, alpha, beta)
+
+        monkeypatch.setattr(broyden, "family_coefficients", spy)
+        broyden_update(make_state(g), u, a @ u, UpdateRule.sr1())
+        ((auu, guu),) = forms
+        assert auu == pytest.approx(float(u @ a @ u), rel=1e-12)
+        assert guu == pytest.approx(float(u @ g @ u), rel=1e-12)
+
+    def test_dimension_mismatch(self):
+        state = SpdState.scaled_identity(3, 1.0)
+        with pytest.raises(DimensionMismatch):
+            broyden_update(state, np.ones(2), np.ones(3), UpdateRule.sr1())
+
     def test_degenerate_direction_leaves_state_unchanged(self, rng):
         a = random_spd(rng, 4)
         state = SpdState(DenseSymmetric(a))
         u = rng.standard_normal(4)
-        pair = UpdatePair.from_state(state, u, a @ u)  # G == A along u
         g0 = state.g.entries.copy()
-        broyden_update(state, pair, UpdateRule.fixed(0.5))
+        broyden_update(state, u, a @ u, UpdateRule.fixed(0.5))  # G == A along u
         assert np.array_equal(state.g.entries, g0)
 
     def test_sr1_shared_eigenvector_example(self):
         state = SpdState.from_diagonal([3.0, 3.0])
         a = np.diag([1.0, 2.0])
         u = np.array([1.0, 0.0])
-        pair = UpdatePair.from_state(state, u, a @ u)
-        broyden_update(state, pair, UpdateRule.sr1())
+        broyden_update(state, u, a @ u, UpdateRule.sr1())
         assert np.allclose(state.g.entries, np.diag([1.0, 3.0]), atol=1e-14)
 
     def test_dfp_coincides_on_shared_eigenvector(self):
         state = SpdState.from_diagonal([3.0, 3.0])
         a = np.diag([1.0, 2.0])
         u = np.array([1.0, 0.0])
-        pair = UpdatePair.from_state(state, u, a @ u)
-        broyden_update(state, pair, UpdateRule.dfp())
+        broyden_update(state, u, a @ u, UpdateRule.dfp())
         assert np.allclose(state.g.entries, np.diag([1.0, 3.0]), atol=1e-14)
 
     def test_matches_dense_formula(self, rng):
@@ -113,16 +128,16 @@ class TestBroydenUpdate:
             a, g = random_dominating_pair(rng, n)
             u = rng.standard_normal(n)
             tau = float(rng.uniform(0.0, 1.0))
-            state, pair = make_pair(g, a, u)
-            broyden_update(state, pair, UpdateRule.fixed(tau))
+            state = make_state(g)
+            broyden_update(state, u, a @ u, UpdateRule.fixed(tau))
             ref = dense_broyden(g, a, u, tau)
             assert np.max(np.abs(state.g.entries - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_rejects_tau_outside_unit_interval(self, rng):
         a, g = random_dominating_pair(rng, 3)
-        state, pair = make_pair(g, a, rng.standard_normal(3))
+        u = rng.standard_normal(3)
         with pytest.raises(ValueError):
-            broyden_update(state, pair, UpdateRule.fixed(1.5))
+            broyden_update(make_state(g), u, a @ u, UpdateRule.fixed(1.5))
 
     def test_monotone_in_tau(self, rng):
         for _ in range(40):
@@ -132,8 +147,8 @@ class TestBroydenUpdate:
             taus = sorted(rng.uniform(0.0, 1.0, 2))
             results = []
             for tau in taus:
-                state, pair = make_pair(g, a, u)
-                broyden_update(state, pair, UpdateRule.fixed(float(tau)))
+                state = make_state(g)
+                broyden_update(state, u, a @ u, UpdateRule.fixed(float(tau)))
                 results.append(state.g.entries)
             scale = np.max(np.abs(results[1]))
             assert min_eig(results[1] - results[0]) >= -1e-9 * scale
@@ -145,8 +160,8 @@ class TestBroydenUpdate:
             u = rng.standard_normal(n)
             eta = float(np.max(eigh(g, a, eigvals_only=True)))
             for rule in FAMILY:
-                state, pair = make_pair(g, a, u)
-                broyden_update(state, pair, rule)
+                state = make_state(g)
+                broyden_update(state, u, a @ u, rule)
                 gp = state.g.entries
                 scale = np.max(np.abs(gp))
                 assert min_eig(gp - a) >= -1e-9 * scale
@@ -158,9 +173,9 @@ class TestBroydenUpdate:
             a, g = random_dominating_pair(rng, n)
             u = rng.standard_normal(n)
             tau = float(rng.uniform(0.0, 1.0))
-            state, pair = make_pair(g, a, u)
+            state = make_state(g)
             before = sigma(DenseSymmetric(a), DenseSymmetric(g))
-            broyden_update(state, pair, UpdateRule.fixed(tau))
+            broyden_update(state, u, a @ u, UpdateRule.fixed(tau))
             after = sigma(DenseSymmetric(a), state.g)
             gain = float(u @ (g - a) @ u) / float(u @ a @ u)
             assert before - after >= gain - 1e-9
@@ -177,9 +192,8 @@ class TestBroydenUpdate:
                 idx = greedy_direction(state.diag, a.diagonal())
                 u = np.zeros(n)
                 u[idx] = 1.0
-                pair = UpdatePair.from_state(state, u, a @ u)
                 before = sigma(DenseSymmetric(a), DenseSymmetric(g))
-                broyden_update(state, pair, rule)
+                broyden_update(state, u, a @ u, rule)
                 after = sigma(DenseSymmetric(a), state.g)
                 assert after <= (1.0 - mu / (n * big_l)) * before + 1e-9
 
@@ -207,8 +221,8 @@ class TestUpdateContract:
     def test_sandwich(self, case):
         a, g, u, rule = case
         eta = float(np.max(eigh(g, a, eigvals_only=True)))
-        state, pair = make_pair(g, a, u)
-        broyden_update(state, pair, rule)
+        state = make_state(g)
+        broyden_update(state, u, a @ u, rule)
         gp = state.g.entries
         scale = np.max(np.abs(gp))
         assert min_eig(gp - a) >= -1e-9 * scale
@@ -221,9 +235,9 @@ class TestUpdateContract:
         # G - A = P (G - A) P with P the projector orthogonal to u, so G
         # agrees with A along u
         p = np.eye(u.size) - np.outer(u, u) / (u @ u)
-        state, pair = make_pair(a + p @ (g - a) @ p, a, u)
+        state = make_state(a + p @ (g - a) @ p)
         g0, inv0 = state.g.entries, state.g_inv.entries
-        assert broyden_update(state, pair, rule) is state
+        assert broyden_update(state, u, a @ u, rule) is state
         assert np.array_equal(state.g.entries, g0)
         assert np.array_equal(state.g_inv.entries, inv0)
 
@@ -231,28 +245,15 @@ class TestUpdateContract:
     @given(update_cases(), st.sampled_from(["auu", "guu", "both"]), st.floats(0.0, 1e3))
     def test_nonpositive_curvature_is_refused(self, case, which, size):
         a, g, u, rule = case
-        state, pair = make_pair(g, a, u)
-        if which in ("auu", "both"):
-            pair = replace(pair, auu=-size)
-        if which in ("guu", "both"):
-            pair = replace(pair, guu=-size)
+        state = make_state(g)
+        # an action along -u scaled so that its curvature is -size
+        bent = -size * u / (u @ u)
+        au = bent if which in ("auu", "both") else a @ u
+        gu = bent if which in ("guu", "both") else None
         g0 = state.g.entries
         with pytest.raises(NonPositiveCurvature):
-            broyden_update(state, pair, rule)
+            broyden_update(state, u, au, rule, gu)
         assert np.array_equal(state.g.entries, g0)
-
-
-class TestUpdatePair:
-    def test_from_state_computes_forms(self, rng):
-        a, g = random_dominating_pair(rng, 5)
-        state, pair = make_pair(g, a, rng.standard_normal(5))
-        assert pair.auu == pytest.approx(float(pair.u @ a @ pair.u), rel=1e-12)
-        assert pair.guu == pytest.approx(float(pair.u @ g @ pair.u), rel=1e-12)
-
-    def test_dimension_mismatch(self, rng):
-        state = SpdState.scaled_identity(3, 1.0)
-        with pytest.raises(Exception):
-            UpdatePair.from_state(state, np.ones(2), np.ones(3))
 
 
 class TestGreedyDirection:

@@ -193,15 +193,6 @@ class TestConstants:
         assert make_quadratic(rng, 3).self_concordance_m == 0.0
         assert make_logistic(rng, 3, 4).self_concordance_m is None
 
-    def test_logistic_constant_can_be_supplied(self, rng):
-        prob = LogisticProblem(
-            rng.uniform(-1, 1, (4, 3)),
-            rng.choice([-1.0, 1.0], 4),
-            gamma=1.0,
-            self_concordance_m=3.0,
-        )
-        assert prob.self_concordance_m == 3.0
-
     def test_mu_is_gamma(self, rng):
         assert make_lse(rng, 3, 4, gamma=0.3).strong_convexity_mu == 0.3
         assert make_logistic(rng, 3, 4, gamma=0.3).strong_convexity_mu == 0.3
@@ -264,6 +255,28 @@ class TestDataValidation:
         c[2, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             LogSumExpProblem(c, np.zeros(3), gamma=1.0)
+
+    @pytest.mark.parametrize(
+        "c,gamma,error,message",
+        [
+            (np.full((2, 2), 1e200), 1.0, InvalidPlan, "1e+200 at row 0, column 0 "),
+            # each square is finite (1e308), their sum is not
+            (np.full((4, 1), 1e154), 1.0, InvalidPlan, "1e+154 at row 0, column 0 "),
+            (np.array([[1.0, np.nan]]), 1.0, ValueError, "data entries must be finite"),
+            (np.array([[-np.inf, 1.0]]), 1.0, ValueError, "data entries must be finite"),
+            (np.ones((2, 2)), 0.0, ValueError, "gamma must be positive and finite, got 0.0"),
+            (np.ones((2, 2)), -1.0, ValueError, "gamma must be positive and finite, got -1.0"),
+            (np.ones((2, 2)), np.nan, ValueError, "gamma must be positive and finite, got nan"),
+            (np.ones((2, 2)), np.inf, ValueError, "gamma must be positive and finite, got inf"),
+        ],
+        ids=["square", "sum-of-squares", "nan", "inf", "gamma-0", "gamma-neg", "gamma-nan",
+             "gamma-inf"],
+    )
+    @pytest.mark.parametrize("oracle", [LogSumExpProblem, LogisticProblem])
+    def test_both_data_oracles_refuse_bad_data(self, oracle, c, gamma, error, message):
+        # one label vector fits both: all +1 is a valid b and valid labels
+        with pytest.raises(error, match=re.escape(message)):
+            oracle(c, np.ones(c.shape[0]), gamma)
 
 
 # --- the per-point cache -------------------------------------------------

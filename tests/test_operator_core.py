@@ -11,11 +11,12 @@ from conftest import random_dominating_pair, random_spd, reference_cholesky
 from greedyqn.errors import (
     DimensionMismatch,
     NonFiniteResult,
+    NonPositiveCurvature,
     NonPositiveScale,
     NotPositiveDefinite,
     SingularCapacitance,
 )
-from greedyqn.broyden import UpdatePair, UpdateRule, broyden_update
+from greedyqn.broyden import UpdateRule, broyden_update
 from greedyqn.operator_core import (
     AUDIT_EVERY,
     BLOCK_ENTRIES,
@@ -139,8 +140,16 @@ class TestFactorize:
         assert math.isfinite(float(found[1]))
 
 
+def _guu(state, u):
+    """<G u, u> as ``broyden_update`` computes it, read off its refusal of <Au, u> < 0."""
+    u = np.asarray(u, dtype=float)
+    with pytest.raises(NonPositiveCurvature) as refusal:
+        broyden_update(state, u, -u, UpdateRule.sr1())
+    return float(re.search(r"guu=(\S+)\)", str(refusal.value)).group(1))
+
+
 class TestApplyQuadForm:
-    """G u through ``SpdState.apply``; <G u, u> through ``UpdatePair.from_state``."""
+    """G u through ``SpdState.apply``; <G u, u> through ``broyden_update``."""
 
     def test_apply_identity(self):
         out = SpdState.scaled_identity(3, 1.0).apply([1.0, 2.0, 3.0])
@@ -166,17 +175,17 @@ class TestApplyQuadForm:
 
     def test_quad_form_identity(self):
         state = SpdState.scaled_identity(2, 1.0)
-        assert UpdatePair.from_state(state, [3.0, 4.0], [3.0, 4.0]).guu == 25.0
+        assert _guu(state, [3.0, 4.0]) == 25.0
 
     def test_quad_form_diagonal(self):
         state = SpdState.from_diagonal([1.0, 2.0])
-        assert UpdatePair.from_state(state, [1.0, 1.0], [1.0, 1.0]).guu == 3.0
+        assert _guu(state, [1.0, 1.0]) == 3.0
 
     def test_quad_form_matches_apply_then_dot(self, rng):
         state = SpdState(DenseSymmetric(random_like(rng, 5)))
         u = rng.standard_normal(5)
         expected = float(np.dot(state.apply(u), u))
-        guu = UpdatePair.from_state(state, u, u).guu
+        guu = _guu(state, u)
         assert abs(guu - expected) <= 1e-13 * abs(expected)
 
 
@@ -466,7 +475,7 @@ class TestWoodburyConsistency:
                 state.rescale(arg)
             else:
                 u = rng.standard_normal(n)
-                broyden_update(state, UpdatePair.from_state(state, u, a @ u), arg)
+                broyden_update(state, u, a @ u, arg)
             g_inv = state.g_inv.entries
             assert np.array_equal(g_inv, g_inv.T)
             assert np.max(np.abs(state.g.entries @ g_inv - np.eye(n))) <= DRIFT_LIMIT

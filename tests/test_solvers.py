@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import eigh
 
 from conftest import min_eig, random_spd
-from greedyqn.broyden import UpdatePair, UpdateRule, broyden_update
+from greedyqn.broyden import UpdateRule, broyden_update
 from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start, parse_libsvm
 from greedyqn.errors import DimensionTooLarge
 from greedyqn.objectives import DENSE_CAP, LogisticProblem, QuadraticProblem
@@ -281,7 +281,7 @@ class TestClassicalQn:
             assert classical.update_count == 1
             exact = scaled_identity(6, prob.lipschitz_l)
             s = -exact.solve(prob.gradient(x0))
-            broyden_update(exact, UpdatePair.from_state(exact, s, a @ s), rule)
+            broyden_update(exact, s, a @ s, rule)
             scale = np.abs(exact.g.entries).max()
             assert np.max(np.abs(classical.g.entries - exact.g.entries)) <= 1e-9 * scale
 
