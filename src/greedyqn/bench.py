@@ -166,7 +166,6 @@ class _Prepared:
     f_star: float
     x0: np.ndarray
     description: str
-    m_const: float  # correction constant of the Broyden runs; 0.0 turns it off
 
 
 def _reference_f_star(oracle) -> float:
@@ -206,7 +205,7 @@ def _prepare(plan: ExperimentPlan) -> _Prepared:
     else:
         raise InvalidPlan(f"unsupported problem spec {type(prob).__name__}")
     x0 = generate_start(oracle.n, plan.seed)
-    return _Prepared(oracle, f_star, x0, desc, oracle.self_concordance_m or 0.0)
+    return _Prepared(oracle, f_star, x0, desc)
 
 
 def _run_tables(plan: ExperimentPlan, prepared: _Prepared, errors: bool):
@@ -215,17 +214,20 @@ def _run_tables(plan: ExperimentPlan, prepared: _Prepared, errors: bool):
     Returns the tables by file stem: "iterations" and, when ``errors`` is
     set, "hessian_error" for the methods other than GM; the runs then take
     ``op_error`` at the first iterate meeting each epsilon, the rows the
-    error table reads.  With ``plan.output`` every table and trace file is
-    written once.
+    error table reads.  Above the dense cap a plan asking for the error table
+    or for any traced diagnostic is refused before a method runs.  With
+    ``plan.output`` every table and trace file is written once.
     """
     oracle = prepared.oracle
+    m_const = oracle.self_concordance_m or 0.0  # 0.0 turns the correction off
     error_methods = [m for m in plan.methods if m.family != "gm"]
     trace_opts = plan.trace_options
+    if errors and not error_methods:
+        raise InvalidPlan("no method with a Hessian approximation for the error table")
+    dense = errors or trace_opts.lambda_f or trace_opts.sigma or trace_opts.op_error
+    if dense and oracle.n > DENSE_CAP:
+        raise InvalidPlan(f"n={oracle.n} exceeds the dense cap {DENSE_CAP}")
     if errors:
-        if not error_methods:
-            raise InvalidPlan("no method with a Hessian approximation for the error table")
-        if oracle.n > DENSE_CAP:
-            raise InvalidPlan(f"n={oracle.n} exceeds the dense cap {DENSE_CAP}")
         trace_opts = replace(trace_opts, op_error_at=tuple(plan.epsilons))
     budget = plan.iteration_budget_factor * oracle.n
     termination = FunctionResidual(plan.epsilons[-1], prepared.f_star)
@@ -252,8 +254,8 @@ def _run_tables(plan: ExperimentPlan, prepared: _Prepared, errors: bool):
                 strategy=strategy,
                 termination=termination,
                 max_iter=budget,
-                correction=prepared.m_const > 0.0,
-                m_const=prepared.m_const,
+                correction=m_const > 0.0,
+                m_const=m_const,
                 trace=trace_opts,
             )
             _, trace = solve_general(oracle, prepared.x0, config)

@@ -11,6 +11,7 @@ single :meth:`~greedyqn.operator_core.SpdState.rank2_update` call.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from scipy.linalg import eigh, solve_triangular
 
 from .errors import (
     DimensionMismatch,
+    NonFiniteResult,
     NonPositiveCurvature,
     NonPositiveHessianDiagonal,
 )
@@ -75,18 +77,26 @@ def family_coefficients(rule: UpdateRule, alpha, beta) -> tuple[float, float, fl
     (-1, 1, -1)/(beta - alpha), each built only under a non-zero weight, so
     SR1 never divides by alpha nor DFP by beta - alpha.  BFGS (tau =
     alpha/beta) takes its closed form, where the blend's c12 is rounding noise.
+    An alpha^2 that underflows to 0, or a coefficient that is not finite, is
+    refused as :class:`NonFiniteResult`.
     """
     if rule.kind is UpdateKind.BFGS:
-        return 1.0 / alpha, 0.0, -1.0 / beta
-    tau = {UpdateKind.SR1: 0.0, UpdateKind.DFP: 1.0}.get(rule.kind, rule.tau)
-    c11 = c12 = c22 = 0.0
-    if tau != 0.0:
-        c11 = tau * (alpha + beta) / (alpha * alpha)
-        c12 = -tau / alpha
-    if tau != 1.0:
-        w = (1.0 - tau) / (beta - alpha)
-        c11, c12, c22 = c11 - w, c12 + w, -w
-    return c11, c12, c22
+        coeffs = 1.0 / alpha, 0.0, -1.0 / beta
+    else:
+        tau = {UpdateKind.SR1: 0.0, UpdateKind.DFP: 1.0}.get(rule.kind, rule.tau)
+        c11 = c12 = c22 = 0.0
+        if tau != 0.0:
+            if alpha * alpha == 0.0:
+                raise NonFiniteResult(f"alpha^2 underflows to 0 (alpha = {alpha!r})")
+            c11 = tau * (alpha + beta) / (alpha * alpha)
+            c12 = -tau / alpha
+        if tau != 1.0:
+            w = (1.0 - tau) / (beta - alpha)
+            c11, c12, c22 = c11 - w, c12 + w, -w
+        coeffs = c11, c12, c22
+    if not all(map(math.isfinite, coeffs)):
+        raise NonFiniteResult(f"update coefficients {coeffs} are not finite")
+    return coeffs
 
 
 def broyden_update(state: SpdState, u, au, rule: UpdateRule, gu=None) -> SpdState:

@@ -23,8 +23,8 @@ from .errors import (
 from .objectives import LogisticProblem, LogSumExpProblem, _stable_softmax
 
 
-class RngStream:
-    """Deterministic 64-bit generator keyed by (seed, stream label).
+class RngStream(np.random.Generator):
+    """Deterministic 64-bit PCG64 generator keyed by (seed, stream label).
 
     The label is hashed into the seed material, so streams with different
     labels are statistically independent while staying reproducible.
@@ -35,14 +35,11 @@ class RngStream:
         self.label = label
         digest = hashlib.sha256(label.encode("utf-8")).digest()
         label_key = int.from_bytes(digest[:8], "little")
-        seq = np.random.SeedSequence([self.seed, label_key])
-        self._gen = np.random.Generator(np.random.PCG64(seq))
+        super().__init__(np.random.PCG64(np.random.SeedSequence([self.seed, label_key])))
 
-    def uniform(self, low: float, high: float, size=None):
-        return self._gen.uniform(low, high, size=size)
-
-    def standard_normal(self, size=None):
-        return self._gen.standard_normal(size=size)
+    def __reduce__(self):
+        # pickle and copy keep the class, the key and the position in the stream
+        return RngStream, (self.seed, self.label), self.bit_generator.state
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, label={self.label!r})"
@@ -181,22 +178,23 @@ def generate_logsumexp(spec: SyntheticSpec) -> LogSumExpProblem:
     return LogSumExpProblem(c, b, spec.gamma)
 
 
-def generate_start(n: int, seed: int) -> np.ndarray:
-    """Uniform point on the sphere of radius 1/n (normalized Gaussian)."""
-    rng = RngStream(seed, "start")
+def _normal_draw(rng: RngStream, n: int):
+    """(v, |v|) for a standard normal v in R^n, drawn once more if |v| is 0."""
     v = rng.standard_normal(n)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:  # probability zero; redraw defensively
         v = rng.standard_normal(n)
         norm = float(np.linalg.norm(v))
+    return v, norm
+
+
+def generate_start(n: int, seed: int) -> np.ndarray:
+    """Uniform point on the sphere of radius 1/n (normalized Gaussian)."""
+    v, norm = _normal_draw(RngStream(seed, "start"), n)
     return v / (norm * n)
 
 
 def unit_sphere_direction(rng: RngStream, n: int) -> np.ndarray:
     """One uniform direction on the unit sphere from an existing stream."""
-    v = rng.standard_normal(n)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        v = rng.standard_normal(n)
-        norm = float(np.linalg.norm(v))
+    v, norm = _normal_draw(rng, n)
     return v / norm

@@ -30,7 +30,7 @@ from .errors import DimensionMismatch, DimensionTooLarge, InvalidPlan, NonFinite
 from .operator_core import DenseSymmetric, _as_vector
 
 # Largest dimension for dense n x n Hessian work: ``full_hessian`` refuses
-# larger problems and the per-iteration O(n^3) diagnostics skip them.
+# larger problems, so the per-iteration O(n^3) diagnostics fail above it.
 DENSE_CAP = 500
 
 
@@ -53,12 +53,13 @@ def _basis(n, i):
     return e
 
 
-def _checked_data(c, gamma):
-    """(c, c*c, sum of c*c) for a data oracle, after every check its data needs.
+def _checked_data(c, gamma, curvature):
+    """(c, c*c, L) for a data oracle, after every check its data needs.
 
-    c must be a finite 2-D array and gamma positive and finite.  Data whose
-    sum of squares overflows is refused as :class:`InvalidPlan` naming the
-    largest entry: the Lipschitz constant built from it would be inf.
+    c must be a finite 2-D array and gamma positive and finite.  The
+    gradient's Lipschitz constant is L = curvature * sum(c*c) + gamma.  Data
+    whose sum of squares overflows is refused as :class:`InvalidPlan` naming
+    the largest entry, and so is any other data that makes L inf.
     """
     c = np.array(c, dtype=float)
     if c.ndim != 2:
@@ -74,7 +75,11 @@ def _checked_data(c, gamma):
         i, j = np.unravel_index(np.argmax(np.abs(c)), c.shape)
         raise InvalidPlan(f"data entry {float(c[i, j])!r} at row {i}, column {j} "
                           "(0-based) is too large: the sum of squared entries overflows")
-    return c, c_sq, sq_sum
+    lipschitz = curvature * sq_sum + float(gamma)
+    if not math.isfinite(lipschitz):
+        raise InvalidPlan(f"the Lipschitz constant {curvature:g} * sum(c*c) + gamma overflows "
+                          f"(sum(c*c) = {sq_sum!r}, gamma = {float(gamma)!r})")
+    return c, c_sq, lipschitz
 
 
 def _finite_value(val, x) -> float:
@@ -217,7 +222,7 @@ class LogSumExpProblem(ObjectiveOracle):
     """
 
     def __init__(self, c, b, gamma: float):
-        self.c, self._c_sq, sq_sum = _checked_data(c, gamma)
+        self.c, self._c_sq, self.lipschitz_l = _checked_data(c, gamma, 2.0)
         self.b = np.array(b, dtype=float)
         if self.b.shape != (self.c.shape[0],):
             raise DimensionMismatch("b length must match the number of rows of c")
@@ -225,7 +230,6 @@ class LogSumExpProblem(ObjectiveOracle):
             raise ValueError("data entries must be finite")
         self.gamma = float(gamma)
         self.m, self.n = self.c.shape
-        self.lipschitz_l = 2.0 * sq_sum + self.gamma
         # The two data terms are convex, so gamma certifies strong convexity.
         self.strong_convexity_mu = self.gamma
         self.self_concordance_m = 2.0
@@ -291,7 +295,7 @@ class LogisticProblem(ObjectiveOracle):
     """f(x) = sum_j ln(1 + exp(-y_j <c_j, x>)) + 0.5*gamma*|x|^2, labels y in {-1, +1}."""
 
     def __init__(self, c, labels, gamma: float):
-        self.c, self._c_sq, sq_sum = _checked_data(c, gamma)
+        self.c, self._c_sq, self.lipschitz_l = _checked_data(c, gamma, 0.25)
         self.labels = np.array(labels, dtype=float)
         if self.labels.shape != (self.c.shape[0],):
             raise DimensionMismatch("labels length must match the number of rows of c")
@@ -299,7 +303,6 @@ class LogisticProblem(ObjectiveOracle):
             raise ValueError("labels must be -1 or +1")
         self.gamma = float(gamma)
         self.m, self.n = self.c.shape
-        self.lipschitz_l = 0.25 * sq_sum + self.gamma
         self.strong_convexity_mu = self.gamma
         # self_concordance_m stays None: with no certified constant the correction is off.
 

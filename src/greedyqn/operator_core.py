@@ -182,13 +182,12 @@ class SpdState:
     concurrently on the same instance.
     """
 
-    __slots__ = ("n", "_g", "_g_inv", "update_count", "drift", "_since_audit")
+    __slots__ = ("n", "_g", "_g_inv", "update_count", "drift")
 
     def __init__(self, g: DenseSymmetric):
         self.n = g.n
         self._g = np.array(g.entries)
         self.update_count = 0
-        self._since_audit = 0
         self.refactorize()
 
     @classmethod
@@ -214,7 +213,6 @@ class SpdState:
         self._g = g
         self._g_inv = g_inv
         self.update_count = 0
-        self._since_audit = 0
         self.drift = 0.0
         return self
 
@@ -264,7 +262,8 @@ class SpdState:
         )
         k = np.eye(2) + cmat @ w
         det = k[0, 0] * k[1, 1] - k[0, 1] * k[1, 0]
-        scale = np.hypot(k[0, 0], k[0, 1]) * np.hypot(k[1, 0], k[1, 1])
+        # Python floats: an overflow reads as inf, without a numpy warning.
+        scale = float(np.hypot(k[0, 0], k[0, 1])) * float(np.hypot(k[1, 0], k[1, 1]))
         if abs(det) <= 1e-14 * scale:
             raise SingularCapacitance(
                 f"capacitance determinant {det:.3e} below 1e-14 * {scale:.3e}"
@@ -303,11 +302,8 @@ class SpdState:
 
     def _bump(self):
         self.update_count += 1
-        self._since_audit += 1
-        if self._since_audit >= AUDIT_EVERY:
-            self._since_audit = 0
-            if self.audit() > DRIFT_LIMIT:
-                self.refactorize()
+        if self.update_count % AUDIT_EVERY == 0 and self.audit() > DRIFT_LIMIT:
+            self.refactorize()
 
     def __repr__(self):
         return (

@@ -39,7 +39,7 @@ from .errors import (
     NotPositiveDefinite,
     SingularCapacitance,
 )
-from .objectives import DENSE_CAP, ObjectiveOracle
+from .objectives import ObjectiveOracle, _basis
 from .operator_core import SpdState, factorize
 
 
@@ -73,11 +73,10 @@ class DirectionStrategy:
 
 
 @dataclass(frozen=True)
-class FunctionResidual:
-    """Stop once f(x_k) - f_star <= epsilon * (f(x_0) - f_star)."""
+class _Tolerance:
+    """A termination test's positive tolerance ``epsilon``."""
 
     epsilon: float
-    f_star: float
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -85,14 +84,15 @@ class FunctionResidual:
 
 
 @dataclass(frozen=True)
-class GradientNorm:
+class FunctionResidual(_Tolerance):
+    """Stop once f(x_k) - f_star <= epsilon * (f(x_0) - f_star)."""
+
+    f_star: float
+
+
+@dataclass(frozen=True)
+class GradientNorm(_Tolerance):
     """Stop once the Euclidean gradient norm drops to epsilon."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -162,22 +162,6 @@ class RunTrace:
         return np.array([r.f_value for r in self.records])
 
 
-@dataclass(frozen=True)
-class IterationEvent:
-    """Mid-iteration snapshot passed to observer callbacks.
-
-    ``state`` is the live operator state after the correction rescale and
-    before the Broyden update; callbacks must treat it as read-only.
-    """
-
-    k: int
-    x: np.ndarray
-    x_next: np.ndarray
-    r_k: float
-    direction_index: int | None
-    state: SpdState
-
-
 def _terminated(termination, f, f0, grad_norm) -> bool:
     if isinstance(termination, FunctionResidual):
         return f - termination.f_star <= termination.epsilon * (f0 - termination.f_star)
@@ -188,9 +172,10 @@ def _diagnostics(oracle, x, grad, state, trace: TraceOptions):
     """(lambda_f, sigma, op_error) at the current iterate, or Nones.
 
     Shares one Cholesky factorization of the exact Hessian across the
-    requested quantities; skipped entirely above the dense cap.
+    requested quantities.  Above the dense cap ``full_hessian`` refuses them
+    with :class:`~greedyqn.errors.DimensionTooLarge`.
     """
-    if not (trace.lambda_f or trace.sigma or trace.op_error) or oracle.n > DENSE_CAP:
+    if not (trace.lambda_f or trace.sigma or trace.op_error):
         return None, None, None
     hess = oracle.full_hessian(x)
     chol = factorize(hess)
@@ -230,7 +215,7 @@ def _run(oracle, x0, termination, max_iter, step, state=None, options=TraceOptio
     the previous step already computed it), checks both are finite,
     computes the requested diagnostics of ``state``, and stops on the
     termination test or at the budget.  Otherwise
-    ``step(k, x, grad, row)`` returns the next iterate and the gradient
+    ``step(x, grad, row)`` returns the next iterate and the gradient
     there, or None when it did not compute it.  ``row`` holds the keyword
     arguments of iteration k's record; the step may add ``r_k`` and
     ``direction_index`` to it, also when it fails.  Any of
@@ -266,7 +251,7 @@ def _run(oracle, x0, termination, max_iter, step, state=None, options=TraceOptio
             )
             try:
                 if not converged and k < max_iter:
-                    x, grad = step(k, x, grad, row)
+                    x, grad = step(x, grad, row)
             finally:
                 trace.records.append(IterationRecord(**row))
             if converged:
@@ -285,10 +270,7 @@ def _apply_family_update(state, u, au, rule, gu=None):
 
 
 def solve_general(
-    oracle: ObjectiveOracle,
-    x0,
-    config: SolverConfig,
-    on_iteration=None,
+    oracle: ObjectiveOracle, x0, config: SolverConfig
 ) -> tuple[np.ndarray, RunTrace]:
     """Broyden-family scheme with exact Hessian actions on a smooth oracle.
 
@@ -300,34 +282,31 @@ def solve_general(
     point.  Along a greedy e_i that action is the oracle's Hessian column
     i, and G e_i is read off G as its column i.  A non-finite Hessian
     output ends the run as :class:`NonFiniteResult`, non-positive
-    curvature along u as :class:`NonPositiveCurvature`.
+    curvature along u as :class:`NonPositiveCurvature`.  The returned
+    trace is the run's only report.
     """
     n = oracle.n
     state = SpdState.scaled_identity(n, oracle.lipschitz_l)
     greedy = config.strategy.kind is DirectionKind.GREEDY_COORDINATE
     rng = None if greedy else RngStream(config.strategy.seed, "directions")
 
-    def step(k, x, grad, row):
+    def step(x, grad, row):
         d = -state.solve(grad)
         x_next = x + d
         hv = _finite(oracle.hessian_vec(x, d), "Hessian action along the step")
         r_k = row["r_k"] = float(np.sqrt(max(np.dot(hv, d), 0.0)))
         if config.correction and config.m_const * r_k > 0.0:
             state.rescale(1.0 + config.m_const * r_k)
-        idx = None
         if greedy:
             diag_a = _finite(oracle.hessian_diag(x_next), "Hessian diagonal")
             idx = row["direction_index"] = greedy_direction(state.diag, diag_a)
-            u = np.zeros(n)
-            u[idx] = 1.0
+            u = _basis(n, idx)
             au = _finite(oracle.hessian_col(x_next, idx), "Hessian action along u")
             gu = state.column(idx)
         else:
             u = unit_sphere_direction(rng, n)
             au = _finite(oracle.hessian_vec(x_next, u), "Hessian action along u")
             gu = None
-        if on_iteration is not None:
-            on_iteration(IterationEvent(k, x.copy(), x_next.copy(), r_k, idx, state))
         _apply_family_update(state, u, au, config.rule, gu)
         return x_next, None
 
@@ -348,7 +327,7 @@ def gradient_method(
     big_l = oracle.lipschitz_l
     options = TraceOptions(lambda_f=trace_options is not None and trace_options.lambda_f)
 
-    def step(k, x, grad, row):
+    def step(x, grad, row):
         return x - grad / big_l, None
 
     return _run(oracle, x0, termination, max_iter, step, None, options)
@@ -388,7 +367,7 @@ def classical_qn(
     """
     state = SpdState.scaled_identity(oracle.n, oracle.lipschitz_l)
 
-    def step(k, x, grad, row):
+    def step(x, grad, row):
         s = -state.solve(grad)
         x_next = x + s
         grad_next = _finite(oracle.gradient(x_next), "gradient")

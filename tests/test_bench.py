@@ -361,6 +361,21 @@ class TestLibsvmPlan:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_update_coefficients_end_greedy_runs_as_failures(self, capsys):
+        # gamma is <Au, u> along the data's zero column 6; its square underflows to 0
+        methods = ["GrDFP", "GrBFGS", "GrSR1", "DFP", "BFGS", "SR1", "RaSR1", "RaDFP", "GM"]
+        argv = ["--problem", "libsvm", "--dataset", str(GOLDEN / "tiny.libsvm"), "--gamma",
+                "1e-200", "--methods", ",".join(methods), "--epsilons", "1e-1,1e-3"]
+        assert main(argv) == 0  # with warnings as errors, as the test suite runs
+        captured = capsys.readouterr()
+        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+        assert [row[1:4] for row in rows] == [["!"] * 3] * 2
+        assert all(cell.isdigit() for row in rows for cell in row[4:])
+        # stderr holds the wall times alone: no warning, note or traceback
+        assert [line.split(":")[0] for line in captured.err.splitlines()] == [
+            f"# {m}" for m in methods
+        ]
+
     def test_failed_reference_solve_is_noted(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "tiny.libsvm"
         target.write_text((GOLDEN / "tiny.libsvm").read_text())
@@ -566,6 +581,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "dense cap" in captured.err
+
+    def test_trace_over_the_dense_cap_runs_no_method(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a method ran")
+
+        for name in ("gradient_method", "classical_qn", "solve_general"):
+            monkeypatch.setattr(bench, name, refuse)
+        argv = ["--n", str(DENSE_CAP + 1), "--m", "3", "--methods", "SR1", "--epsilons", "1e-1"]
+        assert main(argv + ["--trace", "lambda_f", "--out", str(tmp_path / "D")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "dense cap" in captured.err
+        assert not (tmp_path / "D").exists()
 
     def test_second_run_into_one_directory_is_refused(self, tmp_path, monkeypatch, capsys):
         argv = ["--m", "5", "--epsilons", "1e-1,1e-4", "--seed", "7", "--out", str(tmp_path)]

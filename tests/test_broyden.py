@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +18,7 @@ from greedyqn.broyden import (
 )
 from greedyqn.errors import (
     DimensionMismatch,
+    NonFiniteResult,
     NonPositiveCurvature,
     NonPositiveHessianDiagonal,
     NotPositiveDefinite,
@@ -66,6 +69,23 @@ class TestFamilyCoefficients:
         # SR1 never divides by alpha, DFP never by beta - alpha
         assert np.all(np.isfinite(family_coefficients(UpdateRule.sr1(), 0.0, x)))
         assert np.all(np.isfinite(family_coefficients(UpdateRule.dfp(), x, x)))
+
+    @pytest.mark.parametrize(
+        "rule,alpha,message",
+        [
+            (UpdateRule.dfp(), 1e-200, "alpha^2 underflows to 0"),
+            (UpdateRule.fixed(0.5), 1e-200, "alpha^2 underflows to 0"),
+            (UpdateRule.bfgs(), 1e-320, "not finite"),  # 1/alpha overflows
+        ],
+        ids=["dfp", "fixed-half", "bfgs"],
+    )
+    def test_overflowing_coefficients_are_refused(self, rule, alpha, message):
+        with pytest.raises(NonFiniteResult, match=re.escape(message)):
+            family_coefficients(rule, alpha, 1.0)
+        state = SpdState.scaled_identity(2, 1.0)
+        with pytest.raises(NonFiniteResult, match=re.escape(message)):
+            broyden_update(state, [1.0, 0.0], [alpha, 0.0], rule)
+        assert np.array_equal(state.g.entries, np.eye(2))
 
 
 class TestTauFor:

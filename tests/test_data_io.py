@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +72,15 @@ class TestRngStream:
         a = RngStream(7, "data").uniform(0.0, 1.0, 10)
         b = RngStream(7, "data").uniform(0.0, 1.0, 10)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+                             ids=["deepcopy", "pickle"])
+    def test_copy_keeps_key_and_position(self, duplicate):
+        rng = RngStream(7, "directions")
+        rng.standard_normal(3)
+        twin = duplicate(rng)
+        assert repr(twin) == "RngStream(seed=7, label='directions')"
+        assert np.array_equal(twin.standard_normal(4), rng.standard_normal(4))
 
 
 # finite values, with signed zeros and subnormals drawn often

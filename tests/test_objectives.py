@@ -268,15 +268,24 @@ class TestDataValidation:
             (np.ones((2, 2)), -1.0, ValueError, "gamma must be positive and finite, got -1.0"),
             (np.ones((2, 2)), np.nan, ValueError, "gamma must be positive and finite, got nan"),
             (np.ones((2, 2)), np.inf, ValueError, "gamma must be positive and finite, got inf"),
+            # the sum of squares (1e308) is finite, L = factor * 1e308 + 1.7e308 is not
+            (np.diag([1e154, 1.0]), 1.7e308, InvalidPlan, "sum(c*c) + gamma overflows"),
         ],
         ids=["square", "sum-of-squares", "nan", "inf", "gamma-0", "gamma-neg", "gamma-nan",
-             "gamma-inf"],
+             "gamma-inf", "lipschitz"],
     )
     @pytest.mark.parametrize("oracle", [LogSumExpProblem, LogisticProblem])
     def test_both_data_oracles_refuse_bad_data(self, oracle, c, gamma, error, message):
         # one label vector fits both: all +1 is a valid b and valid labels
         with pytest.raises(error, match=re.escape(message)):
             oracle(c, np.ones(c.shape[0]), gamma)
+
+    def test_lipschitz_overflow_follows_each_oracles_factor(self):
+        # L = 2 * 9.025e307 + 1 overflows for log-sum-exp; the logistic 0.25 keeps it finite
+        c = np.diag([9.5e153, 1.0])
+        with pytest.raises(InvalidPlan, match=re.escape("2 * sum(c*c) + gamma overflows")):
+            LogSumExpProblem(c, np.zeros(2), 1.0)
+        assert LogisticProblem(c, [1.0, -1.0], 1.0).lipschitz_l == 0.25 * (9.5e153**2 + 1.0) + 1.0
 
 
 # --- the per-point cache -------------------------------------------------

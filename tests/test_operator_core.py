@@ -421,6 +421,45 @@ class TestStateLifecycle:
 
 
 class TestMaintenanceStress:
+    def test_audit_cadence(self, rng, monkeypatch):
+        # ("audit", update count, drift) and ("refactorize", update count), in call order
+        events = []
+        audit, refactorize = SpdState.audit, SpdState.refactorize
+
+        def audit_spy(state):
+            drift = audit(state)
+            events.append(("audit", state.update_count, drift))
+            return drift
+
+        def refactorize_spy(state):
+            events.append(("refactorize", state.update_count))
+            refactorize(state)
+
+        n = 6
+        state = SpdState.scaled_identity(n, 2.0)
+        monkeypatch.setattr(SpdState, "audit", audit_spy)
+        monkeypatch.setattr(SpdState, "refactorize", refactorize_spy)
+        for i in range(3 * AUDIT_EVERY + 7):
+            if i == 2 * AUDIT_EVERY - 3:
+                state._g_inv[0, 0] += 1e-3  # drift past DRIFT_LIMIT before the second audit
+            if i % 4 == 3:
+                state.rescale(rng.uniform(0.5, 2.0))
+            else:
+                p, q = rng.standard_normal(n), rng.standard_normal(n)
+                c11, c22 = rng.uniform(0.01, 0.3, 2)
+                state.rank2_update(p, q, c11, rng.uniform(-0.9, 0.9) * np.sqrt(c11 * c22), c22)
+        # a refactorization audits its own result at the same update count
+        assert [e[:2] for e in events] == [
+            ("audit", AUDIT_EVERY),
+            ("audit", 2 * AUDIT_EVERY),
+            ("refactorize", 2 * AUDIT_EVERY),
+            ("audit", 2 * AUDIT_EVERY),
+            ("audit", 3 * AUDIT_EVERY),
+        ]
+        drifts = [e[2] for e in events if e[0] == "audit"]
+        assert drifts[1] > DRIFT_LIMIT
+        assert max(drifts[0], *drifts[2:]) <= DRIFT_LIMIT
+
     def test_thousand_mixed_updates(self, rng):
         n = 50
         state = SpdState.scaled_identity(n, 1.0)

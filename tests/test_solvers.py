@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import eigh
 
 from conftest import min_eig, random_spd
+from greedyqn import solvers
 from greedyqn.broyden import UpdateRule, broyden_update
 from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start, parse_libsvm
 from greedyqn.errors import DimensionTooLarge
@@ -38,6 +39,28 @@ def greedy_config(rule, termination, max_iter, **kw):
         max_iter=max_iter,
         **kw,
     )
+
+
+def watch_updates(monkeypatch, oracle, watch):
+    """Call ``watch(state, x_next)`` at each greedy update of G, before it is applied.
+
+    That is after the correction rescale.  x_next is the point of the last
+    ``hessian_diag`` call: the greedy step asks for the diagonal there.
+    """
+    points = []
+    hessian_diag = oracle.hessian_diag
+    apply_update = solvers._apply_family_update
+
+    def diag_spy(x):
+        points.append(np.array(x))
+        return hessian_diag(x)
+
+    def update_spy(state, *args):
+        watch(state, points[-1])
+        return apply_update(state, *args)
+
+    monkeypatch.setattr(oracle, "hessian_diag", diag_spy)
+    monkeypatch.setattr(solvers, "_apply_family_update", update_spy)
 
 
 class TestSolveQuadratic:
@@ -83,16 +106,14 @@ class TestSolveQuadratic:
             for k in range(len(sigs) - 1):
                 assert sigs[k + 1] <= (1 - mu / (n * big_l)) * sigs[k] + 1e-9
 
-    def test_eigenvalue_sandwich_along_run(self, rng):
+    def test_eigenvalue_sandwich_along_run(self, rng, monkeypatch):
         prob = quadratic(rng, 8)
         mu, big_l = prob.strong_convexity_mu, prob.lipschitz_l
         seen = []
-
-        def cb(ev):
-            seen.append(ev.state.g.entries)
-
+        watch_updates(monkeypatch, prob, lambda state, x_next: seen.append(state.g.entries))
         cfg = greedy_config(UpdateRule.bfgs(), GradientNorm(1e-12), 60)
-        solve_general(prob, rng.standard_normal(8), cfg, on_iteration=cb)
+        solve_general(prob, rng.standard_normal(8), cfg)
+        assert seen
         a = prob.a.entries
         for g in seen:
             vals = eigh(g, a, eigvals_only=True)
@@ -125,19 +146,20 @@ class TestSolveGeneral:
         assert trace.outcome == CONVERGED
         assert np.linalg.norm(prob.gradient(x)) <= 1e-10
 
-    def test_correction_keeps_new_hessian_dominated(self):
+    def test_correction_keeps_new_hessian_dominated(self, monkeypatch):
         spec = SyntheticSpec(n=15, m=20, gamma=1.0, seed=9)
         oracle = generate_logsumexp(spec)
         f_star = oracle.value(np.zeros(15))
         worst = np.inf
 
-        def cb(ev):
+        def watch(state, x_next):
             nonlocal worst
-            h = oracle.full_hessian(ev.x_next).entries
-            g = ev.state.g.entries
+            h = oracle.full_hessian(x_next).entries
+            g = state.g.entries
             gap = min_eig(g - h) / np.abs(g).max()
             worst = min(worst, gap)
 
+        watch_updates(monkeypatch, oracle, watch)
         cfg = greedy_config(
             UpdateRule.sr1(),
             FunctionResidual(1e-10, f_star),
@@ -145,8 +167,9 @@ class TestSolveGeneral:
             correction=True,
             m_const=2.0,
         )
-        _, trace = solve_general(oracle, generate_start(15, 9), cfg, on_iteration=cb)
+        _, trace = solve_general(oracle, generate_start(15, 9), cfg)
         assert trace.outcome == CONVERGED
+        assert worst < np.inf
         assert worst >= -1e-7
 
     def test_one_step_contraction_bound(self):
