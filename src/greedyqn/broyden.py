@@ -99,32 +99,37 @@ def family_coefficients(rule: UpdateRule, alpha, beta) -> tuple[float, float, fl
     return coeffs
 
 
-def broyden_update(state: SpdState, u, au, rule: UpdateRule, gu=None) -> SpdState:
+def broyden_update(state: SpdState, u, au, rule: UpdateRule, index=None) -> SpdState:
     """Apply the rule's member of the Broyden family to ``state`` in place.
 
     This is the one place that decides a family update along a direction u
-    with an exact target action ``au``; ``gu`` is G @ u when the caller
-    already has it.  The curvatures <Au, u> and <Gu, u> must be positive
-    (:class:`NonPositiveCurvature` otherwise).  When the direction carries
-    no approximation error, <(G - A)u, u> <= DEGENERACY_RTOL * <Au, u>, the
-    operator is left unchanged: the SR1 denominator would vanish, every
-    member degenerates to the identity update, and the BFGS parameter would
-    leave [0, 1] if G dipped below A along u.  Otherwise G gains the
-    :func:`family_coefficients` rank-two term on (Au, Gu).
+    with an exact target action ``au``.  The curvatures <Au, u> and <Gu, u>
+    must be positive (:class:`NonPositiveCurvature` otherwise).  When the
+    direction carries no approximation error, <(G - A)u, u> <=
+    DEGENERACY_RTOL * <Au, u>, the operator is left unchanged: the SR1
+    denominator would vanish, every member degenerates to the identity
+    update, and the BFGS parameter would leave [0, 1] if G dipped below A
+    along u.  Otherwise G gains the :func:`family_coefficients` rank-two
+    term on (Au, Gu).
+
+    ``index`` = i says that u is the basis vector e_i, as on a greedy step:
+    Gu is then read off G as its column i, and the update takes
+    :meth:`~greedyqn.operator_core.SpdState.rank2_update`'s coordinate path,
+    one Woodbury matvec, refusing an update that leaves G_ii not positive.
+    Without it Gu = G @ u and the update is the dense one.
     """
     u = np.asarray(u, dtype=float)
     au = np.asarray(au, dtype=float)
     if u.shape != (state.n,) or au.shape != (state.n,):
         raise DimensionMismatch("direction/action length mismatch")
-    if gu is None:
-        gu = state.apply(u)
+    gu = state.apply(u) if index is None else state.column(index)
     auu = float(np.dot(au, u))
     guu = float(np.dot(gu, u))
     if auu <= 0.0 or guu <= 0.0:
         raise NonPositiveCurvature(f"curvatures must be positive (auu={auu}, guu={guu})")
     if guu - auu <= DEGENERACY_RTOL * auu:
         return state
-    return state.rank2_update(au, gu, *family_coefficients(rule, auu, guu))
+    return state.rank2_update(au, gu, *family_coefficients(rule, auu, guu), index=index)
 
 
 def greedy_direction(diag_g, diag_a) -> int:

@@ -241,13 +241,27 @@ class SpdState:
         """G^{-1} @ rhs via the maintained inverse (O(n^2))."""
         return self._g_inv @ _as_vector(rhs, self.n)
 
-    def rank2_update(self, p, q, c11: float, c12: float, c22: float) -> "SpdState":
+    def rank2_update(
+        self, p, q, c11: float, c12: float, c22: float, index: int | None = None
+    ) -> "SpdState":
         """Apply G += c11*p p^T + c12*(p q^T + q p^T) + c22*q q^T in O(n^2).
 
         The inverse is maintained through the Woodbury identity with a 2x2
         capacitance block.  Raises :class:`SingularCapacitance` when the update would
         make G singular.  The caller must ensure the updated operator stays
         SPD.
+
+        With ``index`` = i, q must be G e_i, read off G by :meth:`column`: the
+        greedy step's pair.  Then G^{-1} q is e_i exactly, so the second
+        Woodbury matvec is skipped, the capacitance reads p_i and G_ii off p
+        and q, and the inverse's e_i terms touch only row and column i.  G
+        itself gets the same per-entry arithmetic as without ``index``.
+        Every family member sets the new G_ii to A_ii > 0, so an update whose
+        computed G_ii is not positive is refused as
+        :class:`NotPositiveDefinite`, with G and G^{-1} unchanged.  Secant
+        and random steps pass no index and keep the dense path, bit for
+        bit: classical SR1's update is a cancelling sum whose late results
+        move under any reordering of this arithmetic.
         """
         p = _as_vector(p, self.n)
         q = _as_vector(q, self.n)
@@ -256,10 +270,13 @@ class SpdState:
         # Capacitance K = I + C W with W = U^T G^{-1} U, U = [p q]; the
         # update is singular iff det K = det(G_new)/det(G) vanishes.
         y1 = self._g_inv @ p
-        y2 = self._g_inv @ q
-        w = np.array(
-            [[np.dot(p, y1), np.dot(p, y2)], [np.dot(q, y1), np.dot(q, y2)]]
-        )
+        if index is None:
+            y2 = self._g_inv @ q
+            w = np.array(
+                [[np.dot(p, y1), np.dot(p, y2)], [np.dot(q, y1), np.dot(q, y2)]]
+            )
+        else:
+            w = np.array([[np.dot(p, y1), p[index]], [p[index], q[index]]])
         k = np.eye(2) + cmat @ w
         det = k[0, 0] * k[1, 1] - k[0, 1] * k[1, 0]
         # Python floats: an overflow reads as inf, without a numpy warning.
@@ -268,6 +285,15 @@ class SpdState:
             raise SingularCapacitance(
                 f"capacitance determinant {det:.3e} below 1e-14 * {scale:.3e}"
             )
+        if index is not None:
+            # The new G_ii, by the arithmetic the update below gives it.
+            at = slice(index, index + 1)
+            g_ii = self._g[at, at].copy()
+            _add_sym_rank2(g_ii, np.add, p[at], q[at], c11, c12, c22)
+            if not g_ii[0, 0] > 0.0:
+                raise NotPositiveDefinite(
+                    f"update sets diagonal entry {index} to {g_ii[0, 0]:.3e}"
+                )
 
         # T = K^{-1} C is symmetric in exact arithmetic; symmetrize the
         # computed off-diagonal so the inverse stays exactly symmetric.
@@ -276,7 +302,15 @@ class SpdState:
         t12 = (t[0, 1] + t[1, 0]) / 2.0
 
         _add_sym_rank2(self._g, np.add, p, q, c11, c12, c22)
-        _add_sym_rank2(self._g_inv, np.subtract, y1, y2, t[0, 0], t12, t[1, 1])
+        if index is None:
+            _add_sym_rank2(self._g_inv, np.subtract, y1, y2, t[0, 0], t12, t[1, 1])
+        else:
+            # G^{-1} -= t11 y1 y1^T + t12 (y1 e_i^T + e_i y1^T) + t22 e_i e_i^T
+            _add_sym_rank2(self._g_inv, np.subtract, y1, y1, t[0, 0], 0.0, 0.0)
+            y1 *= t12
+            self._g_inv[index] -= y1
+            self._g_inv[:, index] -= y1
+            self._g_inv[index, index] -= t[1, 1]
         self._bump()
         return self
 

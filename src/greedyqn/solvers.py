@@ -264,9 +264,9 @@ def _run(oracle, x0, termination, max_iter, step, state=None, options=TraceOptio
     return x, trace
 
 
-def _apply_family_update(state, u, au, rule, gu=None):
+def _apply_family_update(state, u, au, rule, index=None):
     """The rule's family update of ``state`` along u, whose exact target action is ``au``."""
-    return broyden_update(state, u, au, rule, gu)
+    return broyden_update(state, u, au, rule, index)
 
 
 def solve_general(
@@ -280,7 +280,8 @@ def solve_general(
     selects the update direction (greedy coordinate or random sphere), and
     applies the tau-update against the exact Hessian action at the new
     point.  Along a greedy e_i that action is the oracle's Hessian column
-    i, and G e_i is read off G as its column i.  A non-finite Hessian
+    i, G e_i is read off G as its column i, and the update takes the
+    coordinate path of :meth:`SpdState.rank2_update`.  A non-finite Hessian
     output ends the run as :class:`NonFiniteResult`, non-positive
     curvature along u as :class:`NonPositiveCurvature`.  The returned
     trace is the run's only report.
@@ -302,12 +303,11 @@ def solve_general(
             idx = row["direction_index"] = greedy_direction(state.diag, diag_a)
             u = _basis(n, idx)
             au = _finite(oracle.hessian_col(x_next, idx), "Hessian action along u")
-            gu = state.column(idx)
         else:
+            idx = None
             u = unit_sphere_direction(rng, n)
             au = _finite(oracle.hessian_vec(x_next, u), "Hessian action along u")
-            gu = None
-        _apply_family_update(state, u, au, config.rule, gu)
+        _apply_family_update(state, u, au, config.rule, idx)
         return x_next, None
 
     return _run(oracle, x0, config.termination, config.max_iter, step, state, config.trace)

@@ -2,6 +2,8 @@ import contextlib
 import csv
 import io
 import json
+import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greedyqn import bench
+from greedyqn import bench, solvers
 from greedyqn.bench import (
     BUDGET_EXHAUSTED,
     ExperimentPlan,
@@ -361,11 +363,30 @@ class TestLibsvmPlan:
         )
         assert not (tmp_path / "out").exists()
 
-    def test_overflowing_update_coefficients_end_greedy_runs_as_failures(self, capsys):
+    def test_overflowing_update_coefficients_end_greedy_runs_as_failures(
+        self, capsys, monkeypatch
+    ):
         # gamma is <Au, u> along the data's zero column 6; its square underflows to 0
         methods = ["GrDFP", "GrBFGS", "GrSR1", "DFP", "BFGS", "SR1", "RaSR1", "RaDFP", "GM"]
         argv = ["--problem", "libsvm", "--dataset", str(GOLDEN / "tiny.libsvm"), "--gamma",
                 "1e-200", "--methods", ",".join(methods), "--epsilons", "1e-1,1e-3"]
+        ends, refusals = [], []
+        solve_general, apply_update = bench.solve_general, solvers._apply_family_update
+
+        def solve_spy(oracle, x0, config):
+            x, trace = solve_general(oracle, x0, config)
+            ends.append((trace.failure_reason, trace.records[-1].k))
+            return x, trace
+
+        def update_spy(*args):
+            try:
+                return apply_update(*args)
+            except Exception as exc:
+                refusals.append(str(exc))
+                raise
+
+        monkeypatch.setattr(bench, "solve_general", solve_spy)
+        monkeypatch.setattr(solvers, "_apply_family_update", update_spy)
         assert main(argv) == 0  # with warnings as errors, as the test suite runs
         captured = capsys.readouterr()
         rows = [line.split(",") for line in captured.out.splitlines()[1:]]
@@ -375,6 +396,18 @@ class TestLibsvmPlan:
         assert [line.split(":")[0] for line in captured.err.splitlines()] == [
             f"# {m}" for m in methods
         ]
+        # GrDFP, GrBFGS, GrSR1, RaSR1, RaDFP: why and where each greedy run ends
+        assert ends[:3] == [
+            ("NonFiniteResult", 0),
+            ("NotPositiveDefinite", 1),  # the update would round G_66 to 0
+            ("SingularCapacitance", 1),
+        ]
+        assert [reason for reason, _ in ends[3:]] == [None, None]
+        # SR1's update is exactly singular, with a finite capacitance scale
+        det, scale = re.fullmatch(
+            r"capacitance determinant (\S+) below 1e-14 \* (\S+)", refusals[-1]
+        ).groups()
+        assert float(det) == 0.0 and math.isfinite(float(scale))
 
     def test_failed_reference_solve_is_noted(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "tiny.libsvm"

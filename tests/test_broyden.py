@@ -266,13 +266,17 @@ class TestUpdateContract:
     def test_nonpositive_curvature_is_refused(self, case, which, size):
         a, g, u, rule = case
         state = make_state(g)
+        uu = u @ u
+        if which in ("guu", "both"):
+            # G' = G - c u u^T with c = (2 <G u, u> + size) / (u.u)^2 has
+            # <G' u, u> = -(<G u, u> + size) < 0; its capacitance
+            # 1 - c <G^-1 u, u> <= -1 (Cauchy-Schwarz) keeps it non-singular
+            state.rank2_update(u, u, -(2.0 * (g @ u @ u) + size) / uu**2, 0.0, 0.0)
         # an action along -u scaled so that its curvature is -size
-        bent = -size * u / (u @ u)
-        au = bent if which in ("auu", "both") else a @ u
-        gu = bent if which in ("guu", "both") else None
+        au = -size * u / uu if which in ("auu", "both") else a @ u
         g0 = state.g.entries
         with pytest.raises(NonPositiveCurvature):
-            broyden_update(state, u, au, rule, gu)
+            broyden_update(state, u, au, rule)
         assert np.array_equal(state.g.entries, g0)
 
 

@@ -329,6 +329,50 @@ class TestInPlaceRank2Kernel:
         assert peak < n * n * 8 / 4
 
 
+@st.composite
+def coordinate_cases(draw):
+    """A random SPD G with eigenvalues in [1, 50], an index i, a p and a coefficient triple.
+
+    Each coefficient's term has norm at most 1/6, so G + c11 p p^T + c12 (p
+    q^T + q p^T) + c22 q q^T with q = G e_i keeps eigenvalues >= 1/2.
+    """
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_spd(rng, n)
+    i = draw(st.integers(0, n - 1))
+    p = rng.standard_normal(n) * 10.0 ** draw(st.integers(-2, 2))
+    pn, qn = np.linalg.norm(p), np.linalg.norm(g[i])
+    f11, f12, f22 = (draw(st.floats(-1.0, 1.0)) for _ in range(3))
+    return g, i, p, (f11 / (6 * pn * pn), f12 / (12 * pn * qn), f22 / (6 * qn * qn))
+
+
+class TestCoordinateUpdate:
+    """``rank2_update(p, G e_i, ..., index=i)`` against the dense path on the same pair."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(coordinate_cases())
+    def test_matches_the_dense_path(self, case):
+        g, i, p, coeffs = case
+        dense, coord = SpdState(DenseSymmetric(g)), SpdState(DenseSymmetric(g))
+        dense.rank2_update(p, dense.column(i), *coeffs)
+        coord.rank2_update(p, coord.column(i), *coeffs, index=i)
+        assert coord.g.entries.tobytes() == dense.g.entries.tobytes()
+        inv, ref = coord.g_inv.entries, dense.g_inv.entries
+        assert np.max(np.abs(inv - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(inv, inv.T)
+        assert coord.update_count == dense.update_count
+
+    def test_nonpositive_diagonal_is_refused_unchanged(self):
+        # G - 2 e_0 e_0^T = diag(-1, 1): K is not singular, but G_00 turns negative
+        state = SpdState.from_diagonal([1.0, 1.0])
+        g0, inv0 = state.g.entries, state.g_inv.entries
+        with pytest.raises(NotPositiveDefinite, match="diagonal entry 0 to -1.000e"):
+            state.rank2_update(np.array([1.0, 0.0]), state.column(0), -2.0, 0.0, 0.0, index=0)
+        assert np.array_equal(state.g.entries, g0)
+        assert np.array_equal(state.g_inv.entries, inv0)
+        assert state.update_count == 0
+
+
 class TestRescaleSolve:
     def test_rescale_identity_factor(self, rng):
         state = SpdState(DenseSymmetric(random_like(rng, 3)))
