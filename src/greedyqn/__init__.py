@@ -45,7 +45,7 @@ from .objectives import (
     ObjectiveOracle,
     QuadraticProblem,
 )
-from .operator_core import CholeskyFactor, DenseSymmetric, SpdState, factorize
+from .operator_core import SpdState, factorize
 from .solvers import (
     CONVERGED,
     MAX_ITER_REACHED,
@@ -98,8 +98,6 @@ __all__ = [
     "LogSumExpProblem",
     "ObjectiveOracle",
     "QuadraticProblem",
-    "CholeskyFactor",
-    "DenseSymmetric",
     "SpdState",
     "factorize",
     "CONVERGED",

@@ -25,7 +25,6 @@ from .broyden import UpdateRule
 from .data_io import RngStream, SyntheticSpec, generate_logsumexp, generate_start, parse_libsvm
 from .errors import DatasetNotFound, GreedyQnError, InvalidPlan
 from .objectives import DENSE_CAP, ObjectiveOracle, QuadraticProblem
-from .operator_core import DenseSymmetric
 from .solvers import (
     CONVERGED,
     MAX_ITER_REACHED,
@@ -93,7 +92,7 @@ class QuadraticSpec:
         m = rng.uniform(-1.0, 1.0, (self.n, self.n))
         a = m @ m.T / self.n + np.eye(self.n)
         b = rng.uniform(-1.0, 1.0, self.n)
-        return QuadraticProblem(DenseSymmetric(a), b)
+        return QuadraticProblem(a, b)
 
 
 @dataclass(frozen=True)
@@ -224,8 +223,7 @@ def _run_tables(plan: ExperimentPlan, prepared: _Prepared, errors: bool):
     trace_opts = plan.trace_options
     if errors and not error_methods:
         raise InvalidPlan("no method with a Hessian approximation for the error table")
-    dense = errors or trace_opts.lambda_f or trace_opts.sigma or trace_opts.op_error
-    if dense and oracle.n > DENSE_CAP:
+    if (errors or trace_opts.dense) and oracle.n > DENSE_CAP:
         raise InvalidPlan(f"n={oracle.n} exceeds the dense cap {DENSE_CAP}")
     if errors:
         trace_opts = replace(trace_opts, op_error_at=tuple(plan.epsilons))
@@ -357,12 +355,14 @@ _OUTPUT_PATTERNS = ("iterations.*", "hessian_error.*", "trace_*.csv")
 
 
 def _refuse_used_output(out):
-    """:class:`InvalidPlan` if directory ``out`` holds a table or trace file already.
+    """:class:`InvalidPlan` if ``out`` is not a directory or holds a table or trace file already.
 
     The files of two runs in one directory would read as one result set.
     """
     if out is None:
         return
+    if Path(out).exists() and not Path(out).is_dir():
+        raise InvalidPlan(f"output path {out} is not a directory")
     used = sorted({p.name for pattern in _OUTPUT_PATTERNS for p in Path(out).glob(pattern)})
     if used:
         raise InvalidPlan(f"output directory {out} already holds {', '.join(used)}")

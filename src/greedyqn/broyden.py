@@ -23,7 +23,7 @@ from .errors import (
     NonPositiveCurvature,
     NonPositiveHessianDiagonal,
 )
-from .operator_core import DenseSymmetric, SpdState, factorize
+from .operator_core import SpdState, factorize, symmetric
 
 # Relative skip tolerance of every update screen: the family update's
 # degeneracy test and the secant skip tests in ``solvers``.
@@ -151,41 +151,43 @@ def greedy_direction(diag_g, diag_a) -> int:
     return int(np.argmax(diag_g / diag_a))
 
 
-def sigma(a_dense: DenseSymmetric, g_dense: DenseSymmetric) -> float:
-    """Approximation-error measure trace(A^{-1} G) - n.
+def sigma(a, g) -> float:
+    """Approximation-error measure trace(A^{-1} G) - n of square arrays A and G.
 
     Equals the sum of the eigenvalues of G - A relative to A; zero iff
-    G = A, nonnegative whenever A <= G.  O(n^3); diagnostics only.
+    G = A, nonnegative whenever A <= G.  Both arrays are read through
+    :func:`~greedyqn.operator_core.symmetric`.  O(n^3); diagnostics only.
     """
-    if a_dense.n != g_dense.n:
+    a, g = symmetric(a), symmetric(g)
+    if a.shape != g.shape:
         raise DimensionMismatch("operator dimensions differ")
-    chol = factorize(a_dense)
-    return _sigma_from_factor(chol, g_dense.entries)
+    return _sigma_from_factor(factorize(a), g)
 
 
-def _sigma_from_factor(chol, g_entries) -> float:
+def _sigma_from_factor(low, g) -> float:
     # trace(A^{-1} G) = trace(L^{-1} G L^{-T}) via two triangular solves
-    y = solve_triangular(chol.lower, g_entries, lower=True)
-    z = solve_triangular(chol.lower, y.T, lower=True)
-    return float(np.trace(z)) - chol.n
+    y = solve_triangular(low, g, lower=True)
+    z = solve_triangular(low, y.T, lower=True)
+    return float(np.trace(z)) - low.shape[0]
 
 
-def relative_op_error(g_dense: DenseSymmetric, hess: DenseSymmetric) -> float:
-    """Operator norm of G - H measured in the metric of H.
+def relative_op_error(g, hess) -> float:
+    """Operator norm of G - H measured in the metric of H, for square arrays G and H.
 
     With H = L L^T this is the largest |eigenvalue| of L^{-1}(G - H)L^{-T}.
+    Both arrays are read through :func:`~greedyqn.operator_core.symmetric`.
     O(n^3); diagnostics only.
     """
-    if g_dense.n != hess.n:
+    g, hess = symmetric(g), symmetric(hess)
+    if g.shape != hess.shape:
         raise DimensionMismatch("operator dimensions differ")
-    chol = factorize(hess)
-    return _op_error_from_factor(chol, g_dense.entries, hess.entries)
+    return _op_error_from_factor(factorize(hess), g, hess)
 
 
-def _op_error_from_factor(chol, g_entries, h_entries) -> float:
-    diff = g_entries - h_entries
-    y = solve_triangular(chol.lower, diff, lower=True)
-    e = solve_triangular(chol.lower, y.T, lower=True)
+def _op_error_from_factor(low, g, hess) -> float:
+    diff = g - hess
+    y = solve_triangular(low, diff, lower=True)
+    e = solve_triangular(low, y.T, lower=True)
     e = (e + e.T) / 2.0
     if e.shape[0] == 0:
         return 0.0

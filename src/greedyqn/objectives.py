@@ -26,8 +26,10 @@ from functools import cached_property
 import numpy as np
 from scipy.special import expit
 
-from .errors import DimensionMismatch, DimensionTooLarge, InvalidPlan, NonFiniteResult
-from .operator_core import DenseSymmetric, _as_vector
+from .errors import (
+    DimensionMismatch, DimensionTooLarge, InvalidPlan, NonFiniteResult, NotPositiveDefinite,
+)
+from .operator_core import _as_vector, symmetric
 
 # Largest dimension for dense n x n Hessian work: ``full_hessian`` refuses
 # larger problems, so the per-iteration O(n^3) diagnostics fail above it.
@@ -129,7 +131,8 @@ class ObjectiveOracle:
         """Column i of the Hessian: its action along the basis vector e_i."""
         return self.hessian_vec(x, _basis(self.n, i))
 
-    def full_hessian(self, x) -> DenseSymmetric:
+    def full_hessian(self, x) -> np.ndarray:
+        """The dense Hessian at x as a read-only, exactly symmetric array."""
         raise NotImplementedError
 
     def _at(self, x):
@@ -158,19 +161,24 @@ class _QuadraticPoint:
     def __init__(self, oracle, x, key):
         self.key = key
         self.x = x
-        self.ax = oracle.a.entries @ x
+        self.ax = oracle.a @ x
 
 
 class QuadraticProblem(ObjectiveOracle):
-    """f(x) = 0.5 <A x, x> - <b, x> for SPD A."""
+    """f(x) = 0.5 <A x, x> - <b, x> for SPD A, a square array read through ``symmetric``.
+
+    An A that is not positive definite is refused, so mu and L are certified.
+    """
 
     _point_type = _QuadraticPoint
 
-    def __init__(self, a: DenseSymmetric, b):
-        self.a = a if isinstance(a, DenseSymmetric) else DenseSymmetric(a)
-        self.n = self.a.n
+    def __init__(self, a, b):
+        self.a = symmetric(a)
+        self.n = self.a.shape[0]
         self.b = _as_vector(b, self.n)
-        eigs = np.linalg.eigvalsh(self.a.entries)
+        eigs = np.linalg.eigvalsh(self.a)
+        if not eigs[0] > 0:
+            raise NotPositiveDefinite(f"A has smallest eigenvalue {eigs[0]:.3e}, expected > 0")
         self.lipschitz_l = float(eigs[-1])
         self.strong_convexity_mu = float(eigs[0])
         self.self_concordance_m = 0.0  # constant Hessian
@@ -184,11 +192,11 @@ class QuadraticProblem(ObjectiveOracle):
 
     def hessian_diag(self, x):
         _as_vector(x, self.n)
-        return self.a.diagonal()
+        return self.a.diagonal().copy()
 
     def hessian_vec(self, x, h):
         _as_vector(x, self.n)
-        return self.a.entries @ _as_vector(h, self.n)
+        return self.a @ _as_vector(h, self.n)
 
     def full_hessian(self, x):
         self._check_cap()
@@ -196,7 +204,7 @@ class QuadraticProblem(ObjectiveOracle):
         return self.a
 
     def minimizer(self) -> np.ndarray:
-        return np.linalg.solve(self.a.entries, self.b)
+        return np.linalg.solve(self.a, self.b)
 
 
 class _SoftmaxPoint:
@@ -271,7 +279,7 @@ class LogSumExpProblem(ObjectiveOracle):
         p = self._at(x)
         h = (self.c.T * (p.pi + 1.0)) @ self.c - np.outer(p.soft_grad, p.soft_grad)
         h[np.diag_indices(self.n)] += self.gamma
-        return DenseSymmetric(h)
+        return symmetric(h)
 
 
 class _SigmoidPoint:
@@ -337,4 +345,4 @@ class LogisticProblem(ObjectiveOracle):
         self._check_cap()
         h = (self.c.T * self._at(x).weights) @ self.c
         h[np.diag_indices(self.n)] += self.gamma
-        return DenseSymmetric(h)
+        return symmetric(h)

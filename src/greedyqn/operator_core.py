@@ -10,10 +10,7 @@ inverse is audited periodically and repaired by dense refactorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import (
@@ -51,6 +48,11 @@ def _check_scale(c):
         raise NonFiniteResult(f"scale must be finite, got {c}")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _add_sym_rank2(a, op, p, q, c11, c12, c22):
     """In place, a <- op(a, c11*p p^T + c12*(p q^T + q p^T) + c22*q q^T).
 
@@ -83,96 +85,44 @@ def _add_sym_rank2(a, op, p, q, c11, c12, c22):
         op(block, out, out=block)
 
 
-class DenseSymmetric:
-    """Immutable dense symmetric matrix.
+def symmetric(a) -> np.ndarray:
+    """A read-only float copy of ``a`` with its lower triangle mirrored: exactly symmetric.
 
-    Storage enforces symmetry: the lower triangle of the input is mirrored,
-    so ``entries[i, j] == entries[j, i]`` holds bit-for-bit.
+    Raises :class:`DimensionMismatch` if ``a`` is not square, ``ValueError`` if not finite.
     """
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, entries):
-        a = np.array(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        lower = np.tril(a)
-        a = lower + np.tril(a, -1).T
-        a.setflags(write=False)
-        object.__setattr__(self, "n", a.shape[0])
-        object.__setattr__(self, "entries", a)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DenseSymmetric is immutable")
-
-    @classmethod
-    def _wrap(cls, a):
-        # Trusted constructor for arrays that are already exactly symmetric.
-        self = object.__new__(cls)
-        a.setflags(write=False)
-        object.__setattr__(self, "n", a.shape[0])
-        object.__setattr__(self, "entries", a)
-        return self
-
-    @classmethod
-    def identity(cls, n, scale=1.0):
-        return cls._wrap(np.eye(n) * scale)
-
-    @classmethod
-    def from_diagonal(cls, d):
-        return cls._wrap(np.diag(np.asarray(d, dtype=float)))
-
-    def diagonal(self):
-        return self.entries.diagonal().copy()
-
-    def __repr__(self):
-        return f"DenseSymmetric(n={self.n})"
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    return _read_only(np.tril(a) + np.tril(a, -1).T)
 
 
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor L with L L^T reconstructing the source."""
-
-    n: int
-    lower: np.ndarray
-
-    def solve(self, rhs):
-        """Solve (L L^T) x = rhs."""
-        return cho_solve((self.lower, True), rhs)
-
-    def inverse(self) -> np.ndarray:
-        """Dense inverse of the factored matrix (LAPACK ``potri``), mirrored exactly."""
-        if self.n == 0:
-            return np.zeros((0, 0))
-        inv, _ = dpotri(self.lower, lower=1)
-        return np.tril(inv) + np.tril(inv, -1).T
-
-
-def factorize(m: DenseSymmetric) -> CholeskyFactor:
-    """Cholesky-factorize an SPD matrix with LAPACK ``potrf``.
+def factorize(a) -> np.ndarray:
+    """Lower Cholesky factor array L of ``symmetric(a)``, by LAPACK ``potrf``.
 
     Raises :class:`NotPositiveDefinite` when a pivot, the square of a
     diagonal entry of the factor, falls at or below
     ``PIVOT_RTOL * max(diagonal)``, which signals loss of definiteness.
     """
-    a = m.entries
-    tiny = PIVOT_RTOL * max(float(a.diagonal().max()), 0.0) if m.n else 0.0
+    a = symmetric(a)
+    n = len(a)
+    tiny = PIVOT_RTOL * max(float(a.diagonal().max()), 0.0) if n else 0.0
     low, info = dpotrf(a, lower=1, clean=1)
     # potrf stops at column info - 1 (pivot <= 0); columns before it are valid.
-    valid = m.n if info == 0 else info - 1
+    valid = n if info == 0 else info - 1
     small = np.flatnonzero(low.diagonal()[:valid] ** 2 <= tiny)
     if info or small.size:
         j = int(small[0]) if small.size else valid
         pivot = a[j, j] - np.dot(low[j, :j], low[j, :j])
         raise NotPositiveDefinite(f"pivot {pivot:.3e} at column {j} (threshold {tiny:.3e})")
-    return CholeskyFactor(n=m.n, lower=low)
+    return low
 
 
 class SpdState:
     """An SPD operator G with its maintained inverse.
 
+    ``SpdState(g)`` copies G, a square array read through :func:`symmetric`.
     All mutating operations keep ``g`` and ``g_inv`` consistent.
     Every :data:`AUDIT_EVERY` maintained updates the product G * G^{-1} is
     checked against the identity; drift beyond :data:`DRIFT_LIMIT` triggers a
@@ -184,9 +134,9 @@ class SpdState:
 
     __slots__ = ("n", "_g", "_g_inv", "update_count", "drift")
 
-    def __init__(self, g: DenseSymmetric):
-        self.n = g.n
-        self._g = np.array(g.entries)
+    def __init__(self, g):
+        self._g = np.array(symmetric(g))
+        self.n = self._g.shape[0]
         self.update_count = 0
         self.refactorize()
 
@@ -217,12 +167,14 @@ class SpdState:
         return self
 
     @property
-    def g(self) -> DenseSymmetric:
-        return DenseSymmetric._wrap(self._g.copy())
+    def g(self) -> np.ndarray:
+        """Read-only copy of G; later updates do not change it."""
+        return _read_only(self._g.copy())
 
     @property
-    def g_inv(self) -> DenseSymmetric:
-        return DenseSymmetric._wrap(self._g_inv.copy())
+    def g_inv(self) -> np.ndarray:
+        """Read-only copy of G^{-1}; later updates do not change it."""
+        return _read_only(self._g_inv.copy())
 
     @property
     def diag(self) -> np.ndarray:
@@ -331,7 +283,8 @@ class SpdState:
 
     def refactorize(self):
         """Rebuild the inverse from a fresh dense factorization of G."""
-        self._g_inv = factorize(self.g).inverse()
+        inv = dpotri(factorize(self._g), lower=1)[0] if self.n else np.zeros((0, 0))
+        self._g_inv = np.array(symmetric(inv))
         self.audit()
 
     def _bump(self):

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .broyden import (
     DEGENERACY_RTOL,
@@ -105,6 +106,11 @@ class TraceOptions:
     op_error: bool = False
     op_error_at: tuple = ()
 
+    @property
+    def dense(self) -> bool:
+        """Whether any per-iteration quantity is on; each needs the dense Hessian."""
+        return self.lambda_f or self.sigma or self.op_error
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -175,19 +181,19 @@ def _diagnostics(oracle, x, grad, state, trace: TraceOptions):
     requested quantities.  Above the dense cap ``full_hessian`` refuses them
     with :class:`~greedyqn.errors.DimensionTooLarge`.
     """
-    if not (trace.lambda_f or trace.sigma or trace.op_error):
+    if not trace.dense:
         return None, None, None
     hess = oracle.full_hessian(x)
-    chol = factorize(hess)
+    low = factorize(hess)
     lam = sig = operr = None
     if trace.lambda_f:
-        lam = float(np.sqrt(max(np.dot(grad, chol.solve(grad)), 0.0)))
+        lam = float(np.sqrt(max(np.dot(grad, cho_solve((low, True), grad)), 0.0)))
     if state is not None:
-        g_entries = state.g.entries
+        g = state.g
         if trace.sigma:
-            sig = _sigma_from_factor(chol, g_entries)
+            sig = _sigma_from_factor(low, g)
         if trace.op_error:
-            operr = _op_error_from_factor(chol, g_entries, hess.entries)
+            operr = _op_error_from_factor(low, g, hess)
     return lam, sig, operr
 
 
@@ -396,8 +402,4 @@ def lambda_f(problem: ObjectiveOracle, x) -> float:
     f(x) - f_min = lambda_f(x)^2 / 2.  O(n^3); diagnostics only, and
     refused above the dense cap by ``full_hessian``.
     """
-    x = np.asarray(x, dtype=float)
-    hess = problem.full_hessian(x)
-    chol = factorize(hess)
-    grad = problem.gradient(x)
-    return float(np.sqrt(max(np.dot(grad, chol.solve(grad)), 0.0)))
+    return _diagnostics(problem, x, problem.gradient(x), None, TraceOptions(lambda_f=True))[0]

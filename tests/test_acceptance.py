@@ -16,7 +16,7 @@ from greedyqn.bench import ExperimentPlan, emit_table, run_hessian_error_plan, r
 from greedyqn.broyden import UpdateRule, broyden_update
 from greedyqn.data_io import SyntheticSpec, generate_logsumexp, parse_libsvm, serialize_libsvm
 from greedyqn.objectives import LogisticProblem, LogSumExpProblem, QuadraticProblem
-from greedyqn.operator_core import DenseSymmetric, SpdState
+from greedyqn.operator_core import SpdState
 from greedyqn.solvers import (
     DirectionStrategy,
     GradientNorm,
@@ -52,7 +52,7 @@ def seeded_quadratics():
         n = sizes[i % 3]
         cond = float(rng.uniform(10.0, 80.0))
         a = random_spd(rng, n, cond)
-        out.append(QuadraticProblem(DenseSymmetric(a), rng.standard_normal(n)))
+        out.append(QuadraticProblem(a, rng.standard_normal(n)))
     return out
 
 
@@ -107,9 +107,9 @@ def test_criterion_3_update_ordering_and_sandwich():
             eta = float(np.max(eigh(g, a, eigvals_only=True)))
 
             def updated(rule):
-                state = SpdState(DenseSymmetric(g))
+                state = SpdState(g)
                 broyden_update(state, u, a @ u, rule)
-                return state.g.entries
+                return state.g
 
             results = {
                 name: updated(rule)
@@ -160,7 +160,7 @@ def test_criterion_5_oracle_derivative_checks():
         rng = np.random.default_rng(55)
         n, m = 10, 15
         problems = [
-            QuadraticProblem(DenseSymmetric(random_spd(rng, n)), rng.standard_normal(n)),
+            QuadraticProblem(random_spd(rng, n), rng.standard_normal(n)),
             LogSumExpProblem(rng.uniform(-1, 1, (m, n)), rng.uniform(-1, 1, m), 1.0),
             LogisticProblem(rng.uniform(-1, 1, (m, n)), rng.choice([-1.0, 1.0], m), 1.0),
         ]
@@ -171,12 +171,12 @@ def test_criterion_5_oracle_derivative_checks():
                 fd = central_diff_gradient(prob.value, x)
                 assert np.linalg.norm(fd - grad) <= 1e-5 * max(np.linalg.norm(grad), 1e-8)
             x = rng.uniform(-1.0, 1.0, n)
-            hess = prob.full_hessian(x).entries
+            hess = prob.full_hessian(x)
             fd_hess = central_diff_hessian(prob.gradient, x)
             assert np.max(np.abs(fd_hess - hess)) <= 1e-4
             for _ in range(5):
                 x = rng.uniform(-1.0, 1.0, n)
-                full = prob.full_hessian(x).entries
+                full = prob.full_hessian(x)
                 assert np.max(np.abs(prob.hessian_diag(x) - full.diagonal())) <= 1e-11
                 h = rng.standard_normal(n)
                 err = np.linalg.norm(prob.hessian_vec(x, h) - full @ h)
@@ -192,10 +192,10 @@ def test_criterion_6_hessian_regularity_spot_checks():
             m_const = prob.self_concordance_m
             for _ in range(25):
                 x, y, z, w = (rng.uniform(-1.0, 1.0, 8) for _ in range(4))
-                hx = prob.full_hessian(x).entries
-                hy = prob.full_hessian(y).entries
-                hz = prob.full_hessian(z).entries
-                hw = prob.full_hessian(w).entries
+                hx = prob.full_hessian(x)
+                hy = prob.full_hessian(y)
+                hz = prob.full_hessian(z)
+                hw = prob.full_hessian(w)
                 r_z = float(np.sqrt((y - x) @ hz @ (y - x)))
                 lhs = m_const * r_z * hw - (hy - hx)
                 scale = max(m_const * r_z * np.abs(hw).max(), np.abs(hx).max())
@@ -284,8 +284,8 @@ def test_criterion_10_inverse_maintenance_audit():
                 c12 = rng.uniform(-0.9, 0.9) * np.sqrt(c11 * c22)
                 state.rank2_update(p, q, c11, c12, c22)
         assert state.audit() <= 1e-6
-        fresh = np.linalg.inv(state.g.entries)
-        rel = np.max(np.abs(state.g_inv.entries - fresh)) / np.max(np.abs(fresh))
+        fresh = np.linalg.inv(state.g)
+        rel = np.max(np.abs(state.g_inv - fresh)) / np.max(np.abs(fresh))
         assert rel <= 1e-8
 
 

@@ -32,7 +32,6 @@ from greedyqn.bench import (
 from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start
 from greedyqn.errors import InvalidPlan
 from greedyqn.objectives import DENSE_CAP, QuadraticProblem
-from greedyqn.operator_core import DenseSymmetric
 from greedyqn.solvers import NUMERICAL_FAILURE, GradientNorm, lambda_f
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -108,7 +107,7 @@ class TestPlanValidation:
 
     def test_rejects_bare_oracle(self):
         # a bare oracle carries no known optimum; problems come as specs
-        prob = QuadraticProblem(DenseSymmetric.identity(4), np.full(4, 0.25))
+        prob = QuadraticProblem(np.eye(4), np.full(4, 0.25))
         with pytest.raises(InvalidPlan):
             run_plan(micro_plan(problem=prob, methods=["GM"]))
 
@@ -642,6 +641,18 @@ class TestCli:
         assert captured.err.startswith("error: ") and "already holds" in captured.err
         assert prepared == []  # refused before the problem is built or any method runs
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+
+    def test_output_path_that_is_a_file_is_refused(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "results"
+        target.write_text("kept\n")
+        prepared = []
+        monkeypatch.setattr(bench, "_prepare", lambda plan: prepared.append(plan))
+        assert main(["--methods", "GM,DFP", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "is not a directory" in captured.err
+        assert prepared == []
+        assert target.read_text() == "kept\n"
 
     @pytest.mark.parametrize(
         "stale,refused",

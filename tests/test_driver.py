@@ -20,7 +20,7 @@ from greedyqn.bench import ExperimentPlan, _trace_csv, run_plan
 from greedyqn.broyden import UpdateRule
 from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start
 from greedyqn.objectives import QuadraticProblem
-from greedyqn.operator_core import DenseSymmetric, SpdState
+from greedyqn.operator_core import SpdState
 from greedyqn.solvers import (
     CONVERGED,
     MAX_ITER_REACHED,
@@ -277,7 +277,7 @@ def quadratic_runs(draw):
     n = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cond = draw(st.floats(1.0, 1e4))
-    prob = QuadraticProblem(DenseSymmetric(random_spd(rng, n, cond)), rng.standard_normal(n))
+    prob = QuadraticProblem(random_spd(rng, n, cond), rng.standard_normal(n))
     x0 = rng.standard_normal(n)
     eps = draw(st.floats(1e-14, 1e-1))
     if draw(st.booleans()):

@@ -12,9 +12,14 @@ from conftest import central_diff_gradient, central_diff_hessian, min_eig, rando
 from greedyqn import objectives
 from greedyqn.broyden import UpdateRule
 from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start
-from greedyqn.errors import DimensionMismatch, DimensionTooLarge, InvalidPlan, NonFiniteResult
+from greedyqn.errors import (
+    DimensionMismatch,
+    DimensionTooLarge,
+    InvalidPlan,
+    NonFiniteResult,
+    NotPositiveDefinite,
+)
 from greedyqn.objectives import DENSE_CAP, LogisticProblem, LogSumExpProblem, QuadraticProblem
-from greedyqn.operator_core import DenseSymmetric
 from greedyqn.solvers import DirectionStrategy, GradientNorm, SolverConfig, solve_general
 
 
@@ -30,7 +35,7 @@ def make_logistic(rng, n, m, gamma=1.0):
 
 
 def make_quadratic(rng, n):
-    return QuadraticProblem(DenseSymmetric(random_spd(rng, n)), rng.standard_normal(n))
+    return QuadraticProblem(random_spd(rng, n), rng.standard_normal(n))
 
 
 def all_problems(rng, n=6, m=9):
@@ -39,7 +44,7 @@ def all_problems(rng, n=6, m=9):
 
 class TestValue:
     def test_quadratic_identity(self):
-        prob = QuadraticProblem(DenseSymmetric.identity(2), np.zeros(2))
+        prob = QuadraticProblem(np.eye(2), np.zeros(2))
         assert prob.value([3.0, 4.0]) == 12.5
 
     def test_logistic_single_row_at_origin(self):
@@ -65,7 +70,7 @@ class TestValue:
 
 class TestGradient:
     def test_quadratic_zero_at_minimizer(self):
-        prob = QuadraticProblem(DenseSymmetric.identity(2), np.array([1.0, 1.0]))
+        prob = QuadraticProblem(np.eye(2), np.array([1.0, 1.0]))
         assert np.array_equal(prob.gradient([1.0, 1.0]), np.zeros(2))
 
     def test_finite_difference_all_objectives(self, rng):
@@ -120,7 +125,7 @@ class TestHessianVec:
     def test_quadratic_action(self, rng):
         prob = make_quadratic(rng, 4)
         h = rng.standard_normal(4)
-        assert np.array_equal(prob.hessian_vec(np.zeros(4), h), prob.a.entries @ h)
+        assert np.array_equal(prob.hessian_vec(np.zeros(4), h), prob.a @ h)
 
     def test_zero_direction(self, rng):
         for prob in all_problems(rng):
@@ -132,7 +137,7 @@ class TestHessianVec:
             for _ in range(5):
                 x = rng.uniform(-1.0, 1.0, prob.n)
                 h = rng.standard_normal(prob.n)
-                expected = prob.full_hessian(x).entries @ h
+                expected = prob.full_hessian(x) @ h
                 err = np.linalg.norm(prob.hessian_vec(x, h) - expected)
                 assert err <= 1e-11 * max(np.linalg.norm(expected), 1e-12)
 
@@ -146,18 +151,18 @@ class TestHessianVec:
 class TestFullHessian:
     def test_quadratic_returns_matrix(self, rng):
         prob = make_quadratic(rng, 4)
-        assert np.array_equal(prob.full_hessian(np.zeros(4)).entries, prob.a.entries)
+        assert np.array_equal(prob.full_hessian(np.zeros(4)), prob.a)
 
     def test_logsumexp_exactly_symmetric(self, rng):
         prob = make_lse(rng, 5, 8)
-        h = prob.full_hessian(rng.uniform(-1.0, 1.0, 5)).entries
+        h = prob.full_hessian(rng.uniform(-1.0, 1.0, 5))
         assert np.array_equal(h, h.T)
 
     def test_finite_difference_hessian(self, rng):
         for prob in all_problems(rng, n=6, m=8):
             x = rng.uniform(-0.5, 0.5, 6)
             fd = central_diff_hessian(prob.gradient, x)
-            assert np.max(np.abs(fd - prob.full_hessian(x).entries)) <= 1e-4
+            assert np.max(np.abs(fd - prob.full_hessian(x))) <= 1e-4
 
     def test_dimension_cap(self, rng):
         prob = make_lse(rng, DENSE_CAP + 1, 5)
@@ -169,7 +174,7 @@ class TestFullHessian:
             prob = make(rng, 12, 20, gamma=0.7)
             for _ in range(5):
                 x = rng.uniform(-1.0, 1.0, 12)
-                eigs = np.linalg.eigvalsh(prob.full_hessian(x).entries)
+                eigs = np.linalg.eigvalsh(prob.full_hessian(x))
                 assert eigs[0] >= prob.gamma - 1e-9
                 assert eigs[-1] <= prob.lipschitz_l + 1e-9
 
@@ -184,9 +189,22 @@ class TestConstants:
         assert prob.lipschitz_l == 2.0
 
     def test_quadratic_lipschitz_is_max_eigenvalue(self):
-        prob = QuadraticProblem(DenseSymmetric.from_diagonal([1.0, 7.0]), np.zeros(2))
+        prob = QuadraticProblem(np.diag([1.0, 7.0]), np.zeros(2))
         assert prob.lipschitz_l == pytest.approx(7.0, rel=1e-12)
         assert prob.strong_convexity_mu == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "a, smallest",
+        [
+            (np.diag([1.0, -1.0]), "-1.000e+00"),
+            (np.diag([-1.0, -2.0]), "-2.000e+00"),
+            (np.zeros((2, 2)), "0.000e+00"),
+        ],
+    )
+    def test_quadratic_refuses_a_matrix_that_is_not_positive_definite(self, a, smallest):
+        # mu and L would read the indefinite A's extreme eigenvalues as certified constants
+        with pytest.raises(NotPositiveDefinite, match=re.escape(f"smallest eigenvalue {smallest},")):
+            QuadraticProblem(a, np.ones(2))
 
     def test_self_concordance_constants(self, rng):
         assert make_lse(rng, 3, 4).self_concordance_m == 2.0
@@ -205,10 +223,10 @@ class TestSelfConcordanceBounds:
         m_const = prob.self_concordance_m
         for _ in range(20):
             x, y, z, w = (rng.uniform(-1.0, 1.0, 6) for _ in range(4))
-            hz = prob.full_hessian(z).entries
+            hz = prob.full_hessian(z)
             r = float(np.sqrt((y - x) @ hz @ (y - x)))
-            lhs = m_const * r * prob.full_hessian(w).entries - (
-                prob.full_hessian(y).entries - prob.full_hessian(x).entries
+            lhs = m_const * r * prob.full_hessian(w) - (
+                prob.full_hessian(y) - prob.full_hessian(x)
             )
             scale = max(np.abs(lhs).max(), m_const * r * np.abs(hz).max(), 1e-12)
             assert min_eig(lhs) >= -1e-7 * scale
@@ -220,8 +238,8 @@ class TestSelfConcordanceBounds:
         for _ in range(20):
             x = rng.uniform(-1.0, 1.0, 5)
             y = rng.uniform(-1.0, 1.0, 5)
-            hx = prob.full_hessian(x).entries
-            hy = prob.full_hessian(y).entries
+            hx = prob.full_hessian(x)
+            hy = prob.full_hessian(y)
             r = float(np.sqrt((y - x) @ hx @ (y - x)))
             factor = 1.0 + m_const * r
             scale = max(np.abs(hx).max(), np.abs(hy).max())
@@ -303,7 +321,7 @@ def _oracle_factory(kind, seed, n, m):
     rng = np.random.default_rng(seed)
     if kind == "quadratic":
         a, b = random_spd(rng, n), rng.standard_normal(n)
-        return lambda: QuadraticProblem(DenseSymmetric(a), b)
+        return lambda: QuadraticProblem(a, b)
     c = _sparse_data(rng, m, n)
     if kind == "logsumexp":
         b = rng.uniform(-1.0, 1.0, m)
@@ -324,8 +342,6 @@ def _points(rng, n):
 
 
 def _bits(out):
-    if isinstance(out, DenseSymmetric):
-        return out.entries.tobytes()
     return np.asarray(out, dtype=float).tobytes()
 
 

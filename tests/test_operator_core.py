@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.linalg import cho_solve
 
 from conftest import random_dominating_pair, random_spd, reference_cholesky
 from greedyqn.errors import (
@@ -17,39 +19,113 @@ from greedyqn.errors import (
     SingularCapacitance,
 )
 from greedyqn.broyden import UpdateRule, broyden_update
+from greedyqn.objectives import LogisticProblem, LogSumExpProblem, QuadraticProblem
 from greedyqn.operator_core import (
     AUDIT_EVERY,
     BLOCK_ENTRIES,
     DRIFT_LIMIT,
     PIVOT_RTOL,
-    DenseSymmetric,
     SpdState,
     factorize,
+    symmetric,
 )
 
 
-class TestDenseSymmetric:
+class TestSymmetric:
     def test_enforces_exact_symmetry(self, rng):
         a = rng.standard_normal((4, 4))
-        m = DenseSymmetric(a)
-        assert np.array_equal(m.entries, m.entries.T)
+        m = symmetric(a)
+        assert np.array_equal(m, m.T)
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
-            DenseSymmetric(np.zeros((2, 3)))
+            symmetric(np.zeros((2, 3)))
 
     def test_rejects_non_finite(self):
         a = np.eye(2)
         a[0, 1] = np.inf
         with pytest.raises(ValueError):
-            DenseSymmetric(a)
+            symmetric(a)
 
     def test_immutable(self):
-        m = DenseSymmetric(np.eye(2))
-        with pytest.raises(AttributeError):
-            m.n = 3
+        m = symmetric(np.eye(2))
         with pytest.raises(ValueError):
-            m.entries[0, 0] = 2.0
+            m[0, 0] = 2.0
+
+
+@st.composite
+def square_arrays(draw, spd=False):
+    """Square arrays whose strict upper triangle is drawn apart from the lower one.
+
+    Entries include -0.0 and subnormals.  With ``spd`` the diagonal exceeds
+    the absolute row sum of the mirrored lower triangle by at least one, so
+    ``symmetric`` of the array is SPD.
+    """
+    n = draw(st.integers(1, 6))
+    tiny = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310])
+    entries = st.one_of(tiny, st.floats(-10.0, 10.0))
+    a = draw(hnp.arrays(np.float64, (n, n), elements=entries))
+    if spd:
+        low = np.abs(np.tril(a, -1))
+        a[np.diag_indices(n)] = low.sum(axis=0) + low.sum(axis=1) + draw(st.floats(1.0, 10.0))
+    return a
+
+
+def _check_symmetric_copy(m, a):
+    """``m`` is read-only, bit-for-bit symmetric, and holds the lower triangle of ``a``."""
+    assert not m.flags.writeable
+    assert m.tobytes() == m.T.copy().tobytes()
+    assert np.array_equal(np.tril(m), np.tril(a))
+
+
+class TestArrayContract:
+    """Matrices go in and come out as plain arrays, mirrored from the lower triangle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_arrays())
+    def test_symmetric(self, a):
+        m = symmetric(a)
+        _check_symmetric_copy(m, a)
+        before = m.copy()
+        a[...] = 7.0
+        assert np.array_equal(m, before)
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_arrays(spd=True))
+    def test_spd_state(self, a):
+        state = SpdState(a)
+        g, g_inv = state.g, state.g_inv
+        _check_symmetric_copy(g, a)
+        _check_symmetric_copy(g_inv, g_inv)
+        bits = g.tobytes(), g_inv.tobytes()
+        a[...] = 7.0
+        assert (state.g.tobytes(), state.g_inv.tobytes()) == bits
+        # copies: a later update leaves the arrays already handed out unchanged
+        state.rescale(2.0)
+        assert (g.tobytes(), g_inv.tobytes()) == bits
+        assert not np.array_equal(state.g, g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_arrays(spd=True))
+    def test_quadratic_full_hessian(self, a):
+        prob = QuadraticProblem(a, np.ones(len(a)))
+        h = prob.full_hessian(np.zeros(len(a)))
+        _check_symmetric_copy(h, a)
+        before = h.copy()
+        a[...] = 7.0
+        assert np.array_equal(prob.full_hessian(np.zeros(len(a))), before)
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_arrays(), st.sampled_from([LogSumExpProblem, LogisticProblem]))
+    def test_data_oracle_full_hessian(self, c, kind):
+        rows = len(c)
+        prob = kind(c, np.ones(rows), 0.5)
+        x = np.linspace(-1.0, 1.0, rows)
+        h = prob.full_hessian(x)
+        _check_symmetric_copy(h, h)
+        before = h.tobytes()
+        c[...] = 7.0
+        assert prob.full_hessian(x).tobytes() == before
 
 
 def random_like(rng, n):
@@ -72,49 +148,46 @@ def indefinite_matrices(draw):
     eigs = rng.uniform(0.5, 3.0, n)
     eigs[draw(st.integers(0, n - 1))] = -(10.0 ** draw(st.floats(-8.0, 0.0)))
     a = (q * eigs) @ q.T
-    return DenseSymmetric(a * 10.0 ** draw(st.integers(-3, 3))).entries
+    return symmetric(a * 10.0 ** draw(st.integers(-3, 3)))
 
 
 class TestFactorize:
     def test_identity(self):
-        f = factorize(DenseSymmetric.identity(3))
-        assert np.array_equal(f.lower, np.eye(3))
+        assert np.array_equal(factorize(np.eye(3)), np.eye(3))
 
     def test_diagonal_square_roots(self):
-        f = factorize(DenseSymmetric.from_diagonal([4.0, 9.0]))
-        assert np.array_equal(f.lower, np.diag([2.0, 3.0]))
+        assert np.array_equal(factorize(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
 
     def test_random_spd_reconstructs(self, rng):
         m = rng.standard_normal((5, 5))
-        a = DenseSymmetric(m.T @ m + np.eye(5))
-        f = factorize(a)
-        recon = f.lower @ f.lower.T
-        rel = np.linalg.norm(recon - a.entries) / np.linalg.norm(a.entries)
+        a = m.T @ m + np.eye(5)
+        low = factorize(a)
+        recon = low @ low.T
+        rel = np.linalg.norm(recon - a) / np.linalg.norm(a)
         assert rel <= 1e-10
 
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite) as info:
-            factorize(DenseSymmetric(np.array([[1.0, 2.0], [2.0, 1.0]])))
+            factorize(np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert str(info.value) == "pivot -3.000e+00 at column 1 (threshold 1.000e-14)"
 
     def test_tiny_pivot_relative_to_scale(self):
         # second pivot eliminates to zero: below 1e-14 * max-diagonal
         a = np.array([[1e10, 1e5], [1e5, 1.0]])
         with pytest.raises(NotPositiveDefinite):
-            factorize(DenseSymmetric(a))
+            factorize(a)
 
     def test_solve_matches_dense(self, rng):
-        a = DenseSymmetric(random_like(rng, 6))
-        f = factorize(a)
+        a = random_like(rng, 6)
         rhs = rng.standard_normal(6)
-        x = f.solve(rhs)
-        assert np.linalg.norm(a.entries @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
+        x = cho_solve((factorize(a), True), rhs)
+        assert np.linalg.norm(a @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_empty_matrix_is_silent(self, capfd):
-        f = factorize(DenseSymmetric(np.zeros((0, 0))))
-        assert f.lower.shape == (0, 0)
-        assert f.inverse().shape == (0, 0)
-        assert SpdState(DenseSymmetric(np.zeros((0, 0)))).drift == 0.0
+        assert factorize(np.zeros((0, 0))).shape == (0, 0)
+        state = SpdState(np.zeros((0, 0)))
+        assert state.g_inv.shape == (0, 0)
+        assert state.drift == 0.0
         assert capfd.readouterr() == ("", "")
 
     @settings(max_examples=100, deadline=None)
@@ -122,7 +195,7 @@ class TestFactorize:
            st.integers(-3, 3))
     def test_generated_spd_reconstructs(self, n, seed, cond, exponent):
         a = random_spd(np.random.default_rng(seed), n, cond) * 10.0**exponent
-        low = factorize(DenseSymmetric(a)).lower
+        low = factorize(a)
         assert np.array_equal(low, np.tril(low))
         assert np.linalg.norm(low @ low.T - a) <= 1e-12 * np.linalg.norm(a)
 
@@ -134,7 +207,7 @@ class TestFactorize:
         # only matrices whose pivots are clearly on one side of the threshold
         assume(pivots[-1] <= tiny / 10 and all(p > 10 * tiny for p in pivots[:-1]))
         with pytest.raises(NotPositiveDefinite) as info:
-            factorize(DenseSymmetric(a))
+            factorize(a)
         found = re.fullmatch(r"pivot (\S+) at column (\d+) \(threshold \S+\)", str(info.value))
         assert int(found[2]) == len(pivots) - 1
         assert math.isfinite(float(found[1]))
@@ -160,8 +233,8 @@ class TestApplyQuadForm:
         assert np.array_equal(out, [3.0, 8.0])
 
     def test_apply_matches_double_loop(self, rng):
-        state = SpdState(DenseSymmetric(random_like(rng, 4)))
-        g = state.g.entries
+        state = SpdState(random_like(rng, 4))
+        g = state.g
         u = rng.standard_normal(4)
         naive = np.array([sum(g[i, j] * u[j] for j in range(4)) for i in range(4)])
         assert np.max(np.abs(state.apply(u) - naive)) <= 1e-14
@@ -182,7 +255,7 @@ class TestApplyQuadForm:
         assert _guu(state, [1.0, 1.0]) == 3.0
 
     def test_quad_form_matches_apply_then_dot(self, rng):
-        state = SpdState(DenseSymmetric(random_like(rng, 5)))
+        state = SpdState(random_like(rng, 5))
         u = rng.standard_normal(5)
         expected = float(np.dot(state.apply(u), u))
         guu = _guu(state, u)
@@ -193,15 +266,15 @@ class TestRank2Update:
     def test_single_coordinate_update(self):
         state = SpdState.scaled_identity(2, 1.0)
         state.rank2_update(np.array([1.0, 0.0]), np.zeros(2), 1.0, 0.0, 0.0)
-        assert np.array_equal(state.g.entries, np.diag([2.0, 1.0]))
-        assert np.array_equal(state.g_inv.entries, np.diag([0.5, 1.0]))
+        assert np.array_equal(state.g, np.diag([2.0, 1.0]))
+        assert np.array_equal(state.g_inv, np.diag([0.5, 1.0]))
 
     def test_zero_coefficients_leave_state_unchanged(self, rng):
-        state = SpdState(DenseSymmetric(random_like(rng, 4)))
-        g0, inv0 = state.g.entries.copy(), state.g_inv.entries.copy()
+        state = SpdState(random_like(rng, 4))
+        g0, inv0 = state.g.copy(), state.g_inv.copy()
         state.rank2_update(rng.standard_normal(4), rng.standard_normal(4), 0.0, 0.0, 0.0)
-        assert np.array_equal(state.g.entries, g0)
-        assert np.array_equal(state.g_inv.entries, inv0)
+        assert np.array_equal(state.g, g0)
+        assert np.array_equal(state.g_inv, inv0)
 
     def test_maintained_inverse_matches_dense(self, rng):
         n = 20
@@ -212,8 +285,8 @@ class TestRank2Update:
             c11, c22 = rng.uniform(0.01, 0.3, 2)
             c12 = rng.uniform(-0.9, 0.9) * np.sqrt(c11 * c22)
             state.rank2_update(p, q, c11, c12, c22)
-        fresh = np.linalg.inv(state.g.entries)
-        err = np.max(np.abs(state.g_inv.entries - fresh)) / np.max(np.abs(fresh))
+        fresh = np.linalg.inv(state.g)
+        err = np.max(np.abs(state.g_inv - fresh)) / np.max(np.abs(fresh))
         assert err <= 1e-8
 
     def test_singular_update_rejected(self):
@@ -223,25 +296,25 @@ class TestRank2Update:
 
     def test_negated_coefficients_undo(self, rng):
         n = 6
-        state = SpdState(DenseSymmetric(random_like(rng, n)))
-        g0 = state.g.entries.copy()
+        state = SpdState(random_like(rng, n))
+        g0 = state.g.copy()
         p, q = rng.standard_normal(n), rng.standard_normal(n)
         c11, c12, c22 = 0.2, 0.05, 0.1
         state.rank2_update(p, q, c11, c12, c22)
         state.rank2_update(p, q, -c11, -c12, -c22)
-        err = np.max(np.abs(state.g.entries - g0)) / np.max(np.abs(g0))
+        err = np.max(np.abs(state.g - g0)) / np.max(np.abs(g0))
         assert err <= 1e-8
 
     def test_diag_cache_is_exact(self, rng):
         n = 7
-        state = SpdState(DenseSymmetric(random_like(rng, n)))
+        state = SpdState(random_like(rng, n))
         for _ in range(20):
             state.rank2_update(
                 rng.standard_normal(n), rng.standard_normal(n), 0.1, 0.02, 0.05
             )
-            assert np.array_equal(state.diag, state.g.entries.diagonal())
+            assert np.array_equal(state.diag, state.g.diagonal())
         state.rescale(1.7)
-        assert np.array_equal(state.diag, state.g.entries.diagonal())
+        assert np.array_equal(state.diag, state.g.diagonal())
 
 
 def outer_rank2(p, q, c11, c12, c22):
@@ -305,15 +378,15 @@ class TestInPlaceRank2Kernel:
     @given(rank2_cases())
     def test_bit_identical_to_outer_products(self, case):
         g, updates = case
-        state = SpdState(DenseSymmetric(g))
-        ref_g, ref_inv = state.g.entries, state.g_inv.entries
+        state = SpdState(g)
+        ref_g, ref_inv = state.g, state.g_inv
         for p, q, c11, c12, c22 in updates:
             ref_g, ref_inv = reference_rank2_update(ref_g, ref_inv, p, q, c11, c12, c22)
             state.rank2_update(p, q, c11, c12, c22)
-            assert np.array_equal(state.g.entries, ref_g)
-            assert np.array_equal(state.g_inv.entries, ref_inv)
-            assert np.array_equal(state.g.entries, state.g.entries.T)
-            assert np.array_equal(state.g_inv.entries, state.g_inv.entries.T)
+            assert np.array_equal(state.g, ref_g)
+            assert np.array_equal(state.g_inv, ref_inv)
+            assert np.array_equal(state.g, state.g.T)
+            assert np.array_equal(state.g_inv, state.g_inv.T)
 
     def test_no_dense_temporary(self):
         n = 1000
@@ -353,11 +426,11 @@ class TestCoordinateUpdate:
     @given(coordinate_cases())
     def test_matches_the_dense_path(self, case):
         g, i, p, coeffs = case
-        dense, coord = SpdState(DenseSymmetric(g)), SpdState(DenseSymmetric(g))
+        dense, coord = SpdState(g), SpdState(g)
         dense.rank2_update(p, dense.column(i), *coeffs)
         coord.rank2_update(p, coord.column(i), *coeffs, index=i)
-        assert coord.g.entries.tobytes() == dense.g.entries.tobytes()
-        inv, ref = coord.g_inv.entries, dense.g_inv.entries
+        assert coord.g.tobytes() == dense.g.tobytes()
+        inv, ref = coord.g_inv, dense.g_inv
         assert np.max(np.abs(inv - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.array_equal(inv, inv.T)
         assert coord.update_count == dense.update_count
@@ -365,39 +438,39 @@ class TestCoordinateUpdate:
     def test_nonpositive_diagonal_is_refused_unchanged(self):
         # G - 2 e_0 e_0^T = diag(-1, 1): K is not singular, but G_00 turns negative
         state = SpdState.from_diagonal([1.0, 1.0])
-        g0, inv0 = state.g.entries, state.g_inv.entries
+        g0, inv0 = state.g, state.g_inv
         with pytest.raises(NotPositiveDefinite, match="diagonal entry 0 to -1.000e"):
             state.rank2_update(np.array([1.0, 0.0]), state.column(0), -2.0, 0.0, 0.0, index=0)
-        assert np.array_equal(state.g.entries, g0)
-        assert np.array_equal(state.g_inv.entries, inv0)
+        assert np.array_equal(state.g, g0)
+        assert np.array_equal(state.g_inv, inv0)
         assert state.update_count == 0
 
 
 class TestRescaleSolve:
     def test_rescale_identity_factor(self, rng):
-        state = SpdState(DenseSymmetric(random_like(rng, 3)))
-        g0 = state.g.entries.copy()
+        state = SpdState(random_like(rng, 3))
+        g0 = state.g.copy()
         state.rescale(1.0)
-        assert np.array_equal(state.g.entries, g0)
+        assert np.array_equal(state.g, g0)
 
     def test_rescale_diagonal(self):
         state = SpdState.from_diagonal([1.0, 2.0])
         state.rescale(2.0)
-        assert np.array_equal(state.g.entries, np.diag([2.0, 4.0]))
-        assert np.array_equal(state.g_inv.entries, np.diag([0.5, 0.25]))
+        assert np.array_equal(state.g, np.diag([2.0, 4.0]))
+        assert np.array_equal(state.g_inv, np.diag([0.5, 0.25]))
 
     def test_rescale_keeps_drift_small(self, rng):
-        state = SpdState(DenseSymmetric(random_like(rng, 8)))
+        state = SpdState(random_like(rng, 8))
         state.rescale(1.37)
         assert state.audit() <= 1e-10
 
     def test_rescale_round_trip(self, rng):
-        state = SpdState(DenseSymmetric(random_like(rng, 5)))
-        g0 = state.g.entries.copy()
+        state = SpdState(random_like(rng, 5))
+        g0 = state.g.copy()
         c = 1.9
         state.rescale(c)
         state.rescale(1.0 / c)
-        err = np.max(np.abs(state.g.entries - g0)) / np.max(np.abs(g0))
+        err = np.max(np.abs(state.g - g0)) / np.max(np.abs(g0))
         assert err <= 1e-12
 
     def test_rescale_rejects_nonpositive(self):
@@ -411,7 +484,7 @@ class TestRescaleSolve:
         state = SpdState.scaled_identity(2, 1.0)
         with pytest.raises(NonFiniteResult):
             state.rescale(np.inf)
-        assert np.array_equal(state.g.entries, np.eye(2))
+        assert np.array_equal(state.g, np.eye(2))
         assert np.array_equal(state.solve([3.0, 4.0]), [3.0, 4.0])
 
     def test_solve_identity(self):
@@ -424,7 +497,7 @@ class TestRescaleSolve:
 
     def test_solve_residual(self, rng):
         a = random_like(rng, 10)
-        state = SpdState(DenseSymmetric(a))
+        state = SpdState(a)
         rhs = rng.standard_normal(10)
         x = state.solve(rhs)
         assert np.linalg.norm(a @ x - rhs) / np.linalg.norm(rhs) <= 1e-10
@@ -432,7 +505,7 @@ class TestRescaleSolve:
 
 class TestStateLifecycle:
     def test_refactorize_repairs_corrupted_inverse(self, rng):
-        state = SpdState(DenseSymmetric(random_like(rng, 5)))
+        state = SpdState(random_like(rng, 5))
         state._g_inv += 0.1  # simulate accumulated drift
         assert state.audit() > 1e-6
         state.refactorize()
@@ -459,9 +532,9 @@ class TestStateLifecycle:
             SpdState.scaled_identity(3, 1.0).rescale(scale)
 
     def test_exposed_matrices_are_read_only(self, rng):
-        state = SpdState(DenseSymmetric(random_like(rng, 3)))
+        state = SpdState(random_like(rng, 3))
         with pytest.raises(ValueError):
-            state.g.entries[0, 0] = 99.0
+            state.g[0, 0] = 99.0
 
 
 class TestMaintenanceStress:
@@ -517,8 +590,8 @@ class TestMaintenanceStress:
                 c12 = rng.uniform(-0.9, 0.9) * np.sqrt(c11 * c22)
                 state.rank2_update(p, q, c11, c12, c22)
         assert state.audit() <= 1e-6
-        fresh = np.linalg.inv(state.g.entries)
-        rel = np.max(np.abs(state.g_inv.entries - fresh)) / np.max(np.abs(fresh))
+        fresh = np.linalg.inv(state.g)
+        rel = np.max(np.abs(state.g_inv - fresh)) / np.max(np.abs(fresh))
         assert rel <= 1e-8
         assert state.update_count == 1000
 
@@ -549,9 +622,9 @@ class TestWoodburyConsistency:
         n, seed, steps = case
         rng = np.random.default_rng(seed)
         a, g = random_dominating_pair(rng, n)
-        state = SpdState(DenseSymmetric(g))
+        state = SpdState(g)
         fresh = np.linalg.inv(g)
-        rel = np.max(np.abs(state.g_inv.entries - fresh)) / np.max(np.abs(fresh))
+        rel = np.max(np.abs(state.g_inv - fresh)) / np.max(np.abs(fresh))
         assert rel <= 1e-12
         for kind, arg in steps:
             if kind == "rescale":
@@ -559,9 +632,9 @@ class TestWoodburyConsistency:
             else:
                 u = rng.standard_normal(n)
                 broyden_update(state, u, a @ u, arg)
-            g_inv = state.g_inv.entries
+            g_inv = state.g_inv
             assert np.array_equal(g_inv, g_inv.T)
-            assert np.max(np.abs(state.g.entries @ g_inv - np.eye(n))) <= DRIFT_LIMIT
+            assert np.max(np.abs(state.g @ g_inv - np.eye(n))) <= DRIFT_LIMIT
         assert state.update_count > AUDIT_EVERY
 
 
@@ -592,8 +665,8 @@ class TestColumn:
             assert state.column(i).tobytes() == state.apply(e).tobytes()
 
     def test_column_is_a_copy(self, rng):
-        state = SpdState(DenseSymmetric(random_like(rng, 4)))
+        state = SpdState(random_like(rng, 4))
         col = state.column(1)
         col[:] = 0.0
-        assert np.array_equal(state.column(1), state.g.entries[:, 1])
+        assert np.array_equal(state.column(1), state.g[:, 1])
         assert state.column(1)[1] > 0.0

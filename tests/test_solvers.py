@@ -10,7 +10,7 @@ from greedyqn.broyden import UpdateRule, broyden_update
 from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start, parse_libsvm
 from greedyqn.errors import DimensionTooLarge
 from greedyqn.objectives import DENSE_CAP, LogisticProblem, QuadraticProblem
-from greedyqn.operator_core import DenseSymmetric, SpdState
+from greedyqn.operator_core import SpdState
 from greedyqn.solvers import (
     CONVERGED,
     MAX_ITER_REACHED,
@@ -28,7 +28,7 @@ from greedyqn.solvers import (
 
 
 def quadratic(rng, n, cond=50.0):
-    return QuadraticProblem(DenseSymmetric(random_spd(rng, n, cond)), rng.standard_normal(n))
+    return QuadraticProblem(random_spd(rng, n, cond), rng.standard_normal(n))
 
 
 def greedy_config(rule, termination, max_iter, **kw):
@@ -66,7 +66,7 @@ def watch_updates(monkeypatch, oracle, watch):
 class TestSolveQuadratic:
     def test_scaled_identity_solves_in_one_step(self, rng):
         # G0 = L*I equals the quadratic matrix, so the first step is exact
-        prob = QuadraticProblem(DenseSymmetric.identity(4, 3.0), rng.standard_normal(4))
+        prob = QuadraticProblem(3.0 * np.eye(4), rng.standard_normal(4))
         cfg = greedy_config(UpdateRule.sr1(), GradientNorm(1e-12), 10)
         x, trace = solve_general(prob, rng.standard_normal(4), cfg)
         assert trace.outcome == CONVERGED
@@ -74,7 +74,7 @@ class TestSolveQuadratic:
         assert lambda_f(prob, x) <= 1e-10
 
     def test_greedy_sr1_identifies_diagonal_in_n_steps(self):
-        prob = QuadraticProblem(DenseSymmetric.from_diagonal([1.0, 2.0, 3.0]), np.ones(3))
+        prob = QuadraticProblem(np.diag([1.0, 2.0, 3.0]), np.ones(3))
         cfg = greedy_config(
             UpdateRule.sr1(),
             GradientNorm(1e-13),
@@ -110,11 +110,11 @@ class TestSolveQuadratic:
         prob = quadratic(rng, 8)
         mu, big_l = prob.strong_convexity_mu, prob.lipschitz_l
         seen = []
-        watch_updates(monkeypatch, prob, lambda state, x_next: seen.append(state.g.entries))
+        watch_updates(monkeypatch, prob, lambda state, x_next: seen.append(state.g))
         cfg = greedy_config(UpdateRule.bfgs(), GradientNorm(1e-12), 60)
         solve_general(prob, rng.standard_normal(8), cfg)
         assert seen
-        a = prob.a.entries
+        a = prob.a
         for g in seen:
             vals = eigh(g, a, eigvals_only=True)
             assert vals[0] >= 1.0 - 1e-9
@@ -154,8 +154,8 @@ class TestSolveGeneral:
 
         def watch(state, x_next):
             nonlocal worst
-            h = oracle.full_hessian(x_next).entries
-            g = state.g.entries
+            h = oracle.full_hessian(x_next)
+            g = state.g
             gap = min_eig(g - h) / np.abs(g).max()
             worst = min(worst, gap)
 
@@ -244,14 +244,14 @@ class TestSolveGeneral:
 
 class TestGradientMethod:
     def test_identity_quadratic_one_step(self, rng):
-        prob = QuadraticProblem(DenseSymmetric.identity(3), rng.standard_normal(3))
+        prob = QuadraticProblem(np.eye(3), rng.standard_normal(3))
         _, trace = gradient_method(prob, rng.standard_normal(3), GradientNorm(1e-12), 10)
         assert trace.outcome == CONVERGED
         assert trace.converged_at == 1
 
     def test_contraction_on_diagonal_quadratic(self, rng):
         mu, big_l = 0.5, 4.0
-        prob = QuadraticProblem(DenseSymmetric.from_diagonal([mu, big_l]), np.zeros(2))
+        prob = QuadraticProblem(np.diag([mu, big_l]), np.zeros(2))
         x = np.array([1.0, 1.0])
         for _ in range(20):
             x_next = x - prob.gradient(x) / big_l
@@ -287,7 +287,7 @@ class TestClassicalQn:
         # along the step s, y = A s up to rounding, so the operator built by
         # classical_qn's first step equals the exact-action update along s
         prob = quadratic(rng, 6, cond=10.0)
-        a = prob.a.entries
+        a = prob.a
         x0 = rng.standard_normal(6)
         scaled_identity = SpdState.scaled_identity
         built = []
@@ -305,8 +305,8 @@ class TestClassicalQn:
             exact = scaled_identity(6, prob.lipschitz_l)
             s = -exact.solve(prob.gradient(x0))
             broyden_update(exact, s, a @ s, rule)
-            scale = np.abs(exact.g.entries).max()
-            assert np.max(np.abs(classical.g.entries - exact.g.entries)) <= 1e-9 * scale
+            scale = np.abs(exact.g).max()
+            assert np.max(np.abs(classical.g - exact.g)) <= 1e-9 * scale
 
     def test_converges_on_synthetic(self):
         spec = SyntheticSpec(n=30, m=30, gamma=1.0, seed=6)
@@ -368,7 +368,7 @@ class TestFamilyUpdateGuard:
         from greedyqn.solvers import _apply_family_update
 
         a = random_spd(rng, 5)
-        state = SpdState(DenseSymmetric(0.5 * a))
+        state = SpdState(0.5 * a)
         u = rng.standard_normal(5)
         for rule in (
             UpdateRule.sr1(),
@@ -376,20 +376,20 @@ class TestFamilyUpdateGuard:
             UpdateRule.dfp(),
             UpdateRule.fixed(0.3),
         ):
-            g0 = state.g.entries.copy()
-            assert u @ state.g.entries @ u < u @ a @ u
+            g0 = state.g.copy()
+            assert u @ state.g @ u < u @ a @ u
             _apply_family_update(state, u, a @ u, rule)
-            assert np.array_equal(state.g.entries, g0)
+            assert np.array_equal(state.g, g0)
 
     def test_dominating_pair_still_updates(self, rng):
         from greedyqn.solvers import _apply_family_update
 
         a = random_spd(rng, 5)
-        state = SpdState(DenseSymmetric(2.0 * a))
+        state = SpdState(2.0 * a)
         u = rng.standard_normal(5)
-        g0 = state.g.entries.copy()
+        g0 = state.g.copy()
         _apply_family_update(state, u, a @ u, UpdateRule.bfgs())
-        assert not np.array_equal(state.g.entries, g0)
+        assert not np.array_equal(state.g, g0)
 
     def test_lost_definiteness_ends_run(self):
         # RaSR1 without the correction on the logistic fixture meets
@@ -461,7 +461,7 @@ class TestRuleAndStrategyValidation:
 class TestLambdaF:
     def test_identity_quadratic_is_distance(self, rng):
         b = rng.standard_normal(4)
-        prob = QuadraticProblem(DenseSymmetric.identity(4), b)
+        prob = QuadraticProblem(np.eye(4), b)
         x = rng.standard_normal(4)
         assert lambda_f(prob, x) == pytest.approx(np.linalg.norm(x - b), rel=1e-12)
 
@@ -480,6 +480,6 @@ class TestLambdaF:
 
     def test_dimension_cap(self):
         n = DENSE_CAP + 1
-        prob = QuadraticProblem(DenseSymmetric.identity(n), np.zeros(n))
+        prob = QuadraticProblem(np.eye(n), np.zeros(n))
         with pytest.raises(DimensionTooLarge):
             lambda_f(prob, np.zeros(n))
