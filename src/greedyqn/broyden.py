@@ -68,6 +68,11 @@ class UpdateRule:
         return cls(UpdateKind.FIXED_TAU, tau)
 
 
+def _blend_tau(rule: UpdateRule) -> float:
+    """The DFP weight tau of a rule other than BFGS: 0 for SR1, 1 for DFP."""
+    return {UpdateKind.SR1: 0.0, UpdateKind.DFP: 1.0}.get(rule.kind, rule.tau)
+
+
 def family_coefficients(rule: UpdateRule, alpha, beta) -> tuple[float, float, float]:
     """The rule's (c11, c12, c22): G gains c11 p p^T + c12 (p q^T + q p^T) + c22 q q^T.
 
@@ -83,7 +88,7 @@ def family_coefficients(rule: UpdateRule, alpha, beta) -> tuple[float, float, fl
     if rule.kind is UpdateKind.BFGS:
         coeffs = 1.0 / alpha, 0.0, -1.0 / beta
     else:
-        tau = {UpdateKind.SR1: 0.0, UpdateKind.DFP: 1.0}.get(rule.kind, rule.tau)
+        tau = _blend_tau(rule)
         c11 = c12 = c22 = 0.0
         if tau != 0.0:
             if alpha * alpha == 0.0:
@@ -116,7 +121,11 @@ def broyden_update(state: SpdState, u, au, rule: UpdateRule, index=None) -> SpdS
     Gu is then read off G as its column i, and the update takes
     :meth:`~greedyqn.operator_core.SpdState.rank2_update`'s coordinate path,
     one Woodbury matvec, refusing an update that leaves G_ii not positive.
-    Without it Gu = G @ u and the update is the dense one.
+    Without it Gu = G @ u and the update is the dense one, taken on (Au, d)
+    with d = Gu - Au whenever the rule has an SR1 part, -w d d^T with w =
+    (1 - tau)/(<Gu, u> - <Au, u>): that part is then one term, where on
+    (Au, Gu) it is a cancelling sum of three terms of size w |Au|^2 whose
+    rounding, about eps * w |Au|^2, swamps G as <Gu, u> nears <Au, u>.
     """
     u = np.asarray(u, dtype=float)
     au = np.asarray(au, dtype=float)
@@ -129,7 +138,14 @@ def broyden_update(state: SpdState, u, au, rule: UpdateRule, index=None) -> SpdS
         raise NonPositiveCurvature(f"curvatures must be positive (auu={auu}, guu={guu})")
     if guu - auu <= DEGENERACY_RTOL * auu:
         return state
-    return state.rank2_update(au, gu, *family_coefficients(rule, auu, guu), index=index)
+    c11, c12, c22 = family_coefficients(rule, auu, guu)
+    if index is None and c22 != 0.0 and rule.kind is not UpdateKind.BFGS:
+        # The same update on (Au, d): c11 + 2 c12 + c22 on Au Au^T, c12 + c22
+        # on Au d^T + d Au^T and c22 = -w on d d^T, built without w.
+        tau = _blend_tau(rule)
+        c11, c12 = (tau * (guu - auu) / (auu * auu), -tau / auu) if tau else (0.0, 0.0)
+        return state.rank2_update(au, gu - au, c11, c12, c22)
+    return state.rank2_update(au, gu, c11, c12, c22, index=index)
 
 
 def greedy_direction(diag_g, diag_a) -> int:

@@ -1,16 +1,22 @@
 """Dense symmetric/SPD operator arithmetic with O(n^2) rank-two inverse maintenance.
 
 The central object is :class:`SpdState`: a symmetric positive-definite
-operator G kept together with its inverse.  Rank-two symmetric
-modifications of G are pushed through to the inverse with a Woodbury
-update whose capacitance block is 2x2, so a full solve never costs more
-than a matrix-vector product.  Floating-point drift of the maintained
-inverse is audited periodically and repaired by dense refactorization.
+operator G kept together with its inverse, each stored as a dense array
+times a scalar multiplier, so a rescale of G costs O(1).  Rank-two
+symmetric modifications of G are pushed through to the inverse with a
+Woodbury update whose capacitance block is 2x2, so a full solve never
+costs more than a matrix-vector product.  A greedy coordinate update adds
+its terms with BLAS ``dger`` rank-one calls, which keep both arrays
+exactly symmetric.  Floating-point drift of the maintained inverse is
+audited periodically and repaired by dense refactorization.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import (
@@ -85,6 +91,44 @@ def _add_sym_rank2(a, op, p, q, c11, c12, c22):
         op(block, out, out=block)
 
 
+def _signed_terms(p, q, c11, c12, c22) -> list:
+    """At most two (sign, x) with sum sign*x x^T = c11 p p^T + c12 (p q^T + q p^T) + c22 q q^T.
+
+    sign is +-1.0 and x = sqrt|lam| v for a term lam v v^T.  With c12 = 0
+    the terms are on p and q as they are; SR1's (c11, c12, c22) = (-w, w,
+    -w) is one term on q - p.  Otherwise the 2x2 coefficient matrix in the
+    basis (p/max|p|, q/max|q|) is diagonalized by one Jacobi rotation, so
+    neither vector's scale dominates the other's and no term outgrows the
+    coefficient matrix.  Zero terms are dropped.
+    """
+    if c12 == 0.0:
+        terms = [(c11, p), (c22, q)]
+    elif c11 == c22 == -c12:
+        terms = [(c22, q - p)]
+    else:
+        mp = float(np.max(np.abs(p))) or 1.0
+        mq = float(np.max(np.abs(q))) or 1.0
+        a, b, d = c11 * mp * mp, c12 * mp * mq, c22 * mq * mq
+        tau = (d - a) / (2.0 * b)
+        t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+        cs = 1.0 / math.hypot(1.0, t)
+        sn = t * cs
+        terms = [
+            (a - t * b, (cs / mp) * p - (sn / mq) * q),
+            (d + t * b, (sn / mp) * p + (cs / mq) * q),
+        ]
+    return [(math.copysign(1.0, lam), math.sqrt(abs(lam)) * v) for lam, v in terms if lam != 0.0]
+
+
+def _ger(a, sign, x):
+    """In place, a += sign * x x^T by BLAS ``dger``; a is C-ordered, passed as its transpose.
+
+    With alpha = +-1 and one vector as both x and y, entries (i, j) and
+    (j, i) get the same increment, so a symmetric ``a`` stays exactly so.
+    """
+    dger(sign, x, x, a=a.T, overwrite_a=1)
+
+
 def symmetric(a) -> np.ndarray:
     """A read-only float copy of ``a`` with its lower triangle mirrored: exactly symmetric.
 
@@ -103,11 +147,12 @@ def factorize(a) -> np.ndarray:
 
     Raises :class:`NotPositiveDefinite` when a pivot, the square of a
     diagonal entry of the factor, falls at or below
-    ``PIVOT_RTOL * max(diagonal)``, which signals loss of definiteness.
+    ``PIVOT_RTOL * max(diagonal)``, which signals loss of definiteness, or
+    below the smallest normal float, whose inverse would overflow.
     """
     a = symmetric(a)
     n = len(a)
-    tiny = PIVOT_RTOL * max(float(a.diagonal().max()), 0.0) if n else 0.0
+    tiny = max(PIVOT_RTOL * float(a.diagonal().max()), np.finfo(float).tiny) if n else 0.0
     low, info = dpotrf(a, lower=1, clean=1)
     # potrf stops at column info - 1 (pivot <= 0); columns before it are valid.
     valid = n if info == 0 else info - 1
@@ -123,20 +168,27 @@ class SpdState:
     """An SPD operator G with its maintained inverse.
 
     ``SpdState(g)`` copies G, a square array read through :func:`symmetric`.
-    All mutating operations keep ``g`` and ``g_inv`` consistent.
-    Every :data:`AUDIT_EVERY` maintained updates the product G * G^{-1} is
-    checked against the identity; drift beyond :data:`DRIFT_LIMIT` triggers a
+    G is stored as s * G_s and G^{-1} as G_s^{-1} / s, with the arrays
+    G_s, G_s^{-1} exactly symmetric and s a float multiplier that
+    :meth:`rescale` alone changes.  The readers ``g``, ``g_inv``, ``diag``,
+    :meth:`apply`, :meth:`column` and :meth:`solve` apply s on read, and
+    :meth:`rank2_update` folds it into its coefficients.  s starts at 1.0,
+    where every such multiplication is exact.  All mutating operations
+    keep ``g`` and ``g_inv`` consistent.  Every :data:`AUDIT_EVERY`
+    maintained updates the product G * G^{-1} = G_s G_s^{-1} is checked
+    against the identity; drift beyond :data:`DRIFT_LIMIT` triggers a
     dense refactorization.  The value of the last audit is kept in ``drift``.
 
     A state is owned by a single solver; operations are not safe to call
     concurrently on the same instance.
     """
 
-    __slots__ = ("n", "_g", "_g_inv", "update_count", "drift")
+    __slots__ = ("n", "_g", "_g_inv", "_scale", "update_count", "drift")
 
     def __init__(self, g):
         self._g = np.array(symmetric(g))
         self.n = self._g.shape[0]
+        self._scale = 1.0
         self.update_count = 0
         self.refactorize()
 
@@ -144,24 +196,11 @@ class SpdState:
     def scaled_identity(cls, n: int, c: float) -> "SpdState":
         """c * I (0 < c < inf)."""
         _check_scale(c)
-        return cls._from_arrays(np.eye(n) * c, np.eye(n) / c)
-
-    @classmethod
-    def from_diagonal(cls, d) -> "SpdState":
-        """Diagonal SPD state with exact reciprocal inverse entries."""
-        d = np.asarray(d, dtype=float)
-        if not np.all(np.isfinite(d)):
-            raise NonFiniteResult("diagonal entries must be finite")
-        if d.ndim != 1 or np.any(d <= 0):
-            raise NotPositiveDefinite("diagonal entries must be positive")
-        return cls._from_arrays(np.diag(d), np.diag(1.0 / d))
-
-    @classmethod
-    def _from_arrays(cls, g, g_inv) -> "SpdState":
         self = object.__new__(cls)
-        self.n = g.shape[0]
-        self._g = g
-        self._g_inv = g_inv
+        self.n = n
+        self._g = np.eye(n) * c
+        self._g_inv = np.eye(n) / c
+        self._scale = 1.0
         self.update_count = 0
         self.drift = 0.0
         return self
@@ -169,29 +208,29 @@ class SpdState:
     @property
     def g(self) -> np.ndarray:
         """Read-only copy of G; later updates do not change it."""
-        return _read_only(self._g.copy())
+        return _read_only(self._g * self._scale)
 
     @property
     def g_inv(self) -> np.ndarray:
         """Read-only copy of G^{-1}; later updates do not change it."""
-        return _read_only(self._g_inv.copy())
+        return _read_only(self._g_inv / self._scale)
 
     @property
     def diag(self) -> np.ndarray:
-        """Read-only view of G's diagonal; it follows later updates."""
-        return self._g.diagonal()
+        """G's diagonal, computed on read; later updates do not change it."""
+        return self._g.diagonal() * self._scale
 
     def apply(self, u) -> np.ndarray:
         """G @ u."""
-        return self._g @ _as_vector(u, self.n)
+        return (self._g @ _as_vector(u, self.n)) * self._scale
 
     def column(self, i: int) -> np.ndarray:
-        """G @ e_i, copied from row i of G (G is stored exactly symmetric)."""
-        return self._g[i].copy()
+        """G @ e_i, from row i of G (G is stored exactly symmetric)."""
+        return self._g[i] * self._scale
 
     def solve(self, rhs) -> np.ndarray:
         """G^{-1} @ rhs via the maintained inverse (O(n^2))."""
-        return self._g_inv @ _as_vector(rhs, self.n)
+        return (self._g_inv @ _as_vector(rhs, self.n)) / self._scale
 
     def rank2_update(
         self, p, q, c11: float, c12: float, c22: float, index: int | None = None
@@ -201,25 +240,39 @@ class SpdState:
         The inverse is maintained through the Woodbury identity with a 2x2
         capacitance block.  Raises :class:`SingularCapacitance` when the update would
         make G singular.  The caller must ensure the updated operator stays
-        SPD.
+        SPD.  The stored G_s = G / s takes the update with every
+        coefficient divided by s.
 
-        With ``index`` = i, q must be G e_i, read off G by :meth:`column`: the
-        greedy step's pair.  Then G^{-1} q is e_i exactly, so the second
-        Woodbury matvec is skipped, the capacitance reads p_i and G_ii off p
-        and q, and the inverse's e_i terms touch only row and column i.  G
-        itself gets the same per-entry arithmetic as without ``index``.
-        Every family member sets the new G_ii to A_ii > 0, so an update whose
-        computed G_ii is not positive is refused as
-        :class:`NotPositiveDefinite`, with G and G^{-1} unchanged.  Secant
-        and random steps pass no index and keep the dense path, bit for
-        bit: classical SR1's update is a cancelling sum whose late results
-        move under any reordering of this arithmetic.
+        With ``index`` = i, q must be G e_i, as :meth:`column` reads it: the
+        greedy step's pair.  The update then reads q off the stored row i,
+        G_s e_i = q / s, and takes (c11/s, c12, c22*s) on (p, G_s e_i).
+        G_s^{-1} G_s e_i is e_i exactly, so the second Woodbury matvec is
+        skipped, the capacitance reads p_i and G_ii off p and the stored
+        row, and the inverse's e_i terms touch only row and column i.  G_s
+        gains the update as at most two signed rank-one terms
+        (:func:`_signed_terms`), G_s^{-1} its t11 term as one, each by one
+        BLAS ``dger``, which keeps both exactly symmetric.  Every family
+        member sets the new G_ii to A_ii > 0, so an update whose G_ii, by
+        the same ``dger`` terms on the 1x1 entry, is not positive is
+        refused as :class:`NotPositiveDefinite`, with G and G^{-1}
+        unchanged.  Secant and random steps pass no index and keep the
+        dense path, bit for bit at s = 1: classical SR1's update is a
+        cancelling sum whose late results move under any reordering of
+        this arithmetic.
         """
         p = _as_vector(p, self.n)
         q = _as_vector(q, self.n)
+        # Fold s into the coefficients in Python floats: an overflow reads as
+        # inf, without a numpy warning.
+        c11, c12, c22, s = float(c11), float(c12), float(c22), self._scale
+        if index is None:
+            c11, c12, c22 = c11 / s, c12 / s, c22 / s
+        else:
+            q = self._g[index]
+            c11, c22 = c11 / s, c22 * s
         cmat = np.array([[c11, c12], [c12, c22]], dtype=float)
 
-        # Capacitance K = I + C W with W = U^T G^{-1} U, U = [p q]; the
+        # Capacitance K = I + C W with W = U^T G_s^{-1} U, U = [p q]; the
         # update is singular iff det K = det(G_new)/det(G) vanishes.
         y1 = self._g_inv @ p
         if index is None:
@@ -238,13 +291,15 @@ class SpdState:
                 f"capacitance determinant {det:.3e} below 1e-14 * {scale:.3e}"
             )
         if index is not None:
+            terms = _signed_terms(p, q, c11, c12, c22)
             # The new G_ii, by the arithmetic the update below gives it.
             at = slice(index, index + 1)
             g_ii = self._g[at, at].copy()
-            _add_sym_rank2(g_ii, np.add, p[at], q[at], c11, c12, c22)
+            for sign, x in terms:
+                _ger(g_ii, sign, x[at])
             if not g_ii[0, 0] > 0.0:
                 raise NotPositiveDefinite(
-                    f"update sets diagonal entry {index} to {g_ii[0, 0]:.3e}"
+                    f"update sets diagonal entry {index} to {g_ii[0, 0] * s:.3e}"
                 )
 
         # T = K^{-1} C is symmetric in exact arithmetic; symmetrize the
@@ -253,12 +308,15 @@ class SpdState:
         t = kinv @ cmat
         t12 = (t[0, 1] + t[1, 0]) / 2.0
 
-        _add_sym_rank2(self._g, np.add, p, q, c11, c12, c22)
         if index is None:
+            _add_sym_rank2(self._g, np.add, p, q, c11, c12, c22)
             _add_sym_rank2(self._g_inv, np.subtract, y1, y2, t[0, 0], t12, t[1, 1])
         else:
-            # G^{-1} -= t11 y1 y1^T + t12 (y1 e_i^T + e_i y1^T) + t22 e_i e_i^T
-            _add_sym_rank2(self._g_inv, np.subtract, y1, y1, t[0, 0], 0.0, 0.0)
+            for sign, x in terms:
+                _ger(self._g, sign, x)
+            # G_s^{-1} -= t11 y1 y1^T + t12 (y1 e_i^T + e_i y1^T) + t22 e_i e_i^T
+            for sign, x in _signed_terms(y1, y1, -t[0, 0], 0.0, 0.0):
+                _ger(self._g_inv, sign, x)
             y1 *= t12
             self._g_inv[index] -= y1
             self._g_inv[:, index] -= y1
@@ -267,22 +325,27 @@ class SpdState:
         return self
 
     def rescale(self, c: float) -> "SpdState":
-        """G <- c*G, G^{-1} <- G^{-1}/c (0 < c < inf)."""
+        """G <- c*G, G^{-1} <- G^{-1}/c (0 < c < inf), in O(1): only s changes.
+
+        Refused like ``c`` itself when the new s = s*c is not positive and
+        finite.  It counts as an update for the audit cadence.
+        """
         _check_scale(c)
-        self._g *= c
-        self._g_inv /= c
+        scale = self._scale * float(c)
+        _check_scale(scale)
+        self._scale = scale
         self._bump()
         return self
 
     def audit(self) -> float:
-        """Recompute and store the max-abs residual of G @ G^{-1} - I."""
+        """Recompute and store the max-abs residual of G @ G^{-1} - I (= G_s @ G_s^{-1} - I)."""
         resid = self._g @ self._g_inv
         resid[np.diag_indices(self.n)] -= 1.0
         self.drift = float(np.max(np.abs(resid))) if self.n else 0.0
         return self.drift
 
     def refactorize(self):
-        """Rebuild the inverse from a fresh dense factorization of G."""
+        """Rebuild the stored inverse from a fresh dense factorization of the stored G."""
         inv = dpotri(factorize(self._g), lower=1)[0] if self.n else np.zeros((0, 0))
         self._g_inv = np.array(symmetric(inv))
         self.audit()

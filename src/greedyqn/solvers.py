@@ -40,7 +40,7 @@ from .errors import (
     NotPositiveDefinite,
     SingularCapacitance,
 )
-from .objectives import ObjectiveOracle, _basis
+from .objectives import ObjectiveOracle, _basis, _sq_norm
 from .operator_core import SpdState, factorize
 
 
@@ -236,12 +236,15 @@ def _run(oracle, x0, termination, max_iter, step, state=None, options=TraceOptio
             f = _finite(oracle.value(x), "objective")
             if grad is None:
                 grad = oracle.gradient(x)
-            # np.linalg.norm's own expression for a 1-D float vector.  A NaN or
-            # inf entry makes it non-finite, so only then are the entries checked:
-            # a finite gradient whose norm overflowed passes.
-            grad_norm = math.sqrt(grad.dot(grad))
+            # np.linalg.norm's own expression for a 1-D float vector, by the same
+            # BLAS ddot without its overflow warning.  A NaN or inf entry makes it
+            # non-finite, so only then are the entries checked; a finite gradient
+            # whose sum of squares overflowed passes, and its norm is recomputed
+            # scaled by its largest entry.
+            grad_norm = math.sqrt(_sq_norm(grad))
             if not math.isfinite(grad_norm):
-                _finite(grad, "gradient")
+                big = float(np.max(np.abs(_finite(grad, "gradient"))))
+                grad_norm = big * math.sqrt(_sq_norm(grad / big))
             if k == 0:
                 f0 = f
             converged = _terminated(termination, f, f0, grad_norm)

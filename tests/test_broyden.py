@@ -92,7 +92,7 @@ class TestTauFor:
     """The BFGS mixing parameter tau = <Au, u>/<Gu, u> needs positive curvatures."""
 
     def test_nonpositive_curvature(self):
-        state = SpdState.from_diagonal([5.0])  # <Au, u> = -1, <Gu, u> = 5
+        state = SpdState(np.diag([5.0]))  # <Au, u> = -1, <Gu, u> = 5
         with pytest.raises(NonPositiveCurvature):
             broyden_update(state, np.ones(1), -np.ones(1), UpdateRule.bfgs())
         assert np.array_equal(state.g, np.diag([5.0]))
@@ -129,14 +129,40 @@ class TestBroydenUpdate:
         assert np.array_equal(state.g, g0)
 
     def test_sr1_shared_eigenvector_example(self):
-        state = SpdState.from_diagonal([3.0, 3.0])
+        state = SpdState(np.diag([3.0, 3.0]))
         a = np.diag([1.0, 2.0])
         u = np.array([1.0, 0.0])
         broyden_update(state, u, a @ u, UpdateRule.sr1())
         assert np.allclose(state.g, np.diag([1.0, 3.0]), atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "rule", [UpdateRule.sr1(), UpdateRule.fixed(0.3), UpdateRule.fixed(1e-9)],
+        ids=["sr1", "fixed-0.3", "fixed-1e-9"],
+    )
+    def test_near_degenerate_sr1_part_keeps_the_secant_condition(self, rule):
+        """<Gu, u> within 1e-8 of <Au, u> relative: the SR1 part's w is huge.
+
+        In one dimension every member sets G to A.  On (Au, Gu) the update
+        was a cancelling sum of terms of size w |Au|^2 and left G at 20 +
+        1.3e-7; in n = 4, at a relative gap of 6e-11, it broke G u = A u
+        by about 1e-6 relative.
+        """
+        state = SpdState(np.array([[20.00000013]]))
+        broyden_update(state, np.array([1.1]), np.array([22.0]), rule)
+        assert state.g[0, 0] == pytest.approx(20.0, rel=1e-14, abs=0.0)
+
+        rng = np.random.default_rng(5)
+        a = random_spd(rng, 4, cond=20.0)
+        v, u = rng.standard_normal((2, 4))
+        g = a + 1e-8 * np.outer(v, v)
+        state = SpdState(g)
+        broyden_update(state, u, a @ u, rule)
+        gp = state.g
+        assert np.max(np.abs(gp @ u - a @ u)) <= 1e-12 * np.max(np.abs(a @ u))
+        assert min_eig(gp - a) >= -1e-12 * np.max(np.abs(gp))
+
     def test_dfp_coincides_on_shared_eigenvector(self):
-        state = SpdState.from_diagonal([3.0, 3.0])
+        state = SpdState(np.diag([3.0, 3.0]))
         a = np.diag([1.0, 2.0])
         u = np.array([1.0, 0.0])
         broyden_update(state, u, a @ u, UpdateRule.dfp())

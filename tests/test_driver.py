@@ -8,6 +8,7 @@ byte equality pins down that the driver changes no iterate, record or
 outcome.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -230,24 +231,40 @@ class TestGradientFiniteness:
 
     @pytest.mark.parametrize("call", [1, 2, 5])
     def test_overflowing_norm_of_a_finite_gradient_is_no_failure(self, call):
-        """Finite entries near 1e200 overflow the norm to inf; the run goes on with them.
+        """Finite entries of 1e200 overflow the plain norm; the run goes on with them.
 
-        Gradient descent steps by -grad / L, and the objective at that far
-        point overflows one iteration later.
+        The recorded norm is recomputed scaled by the largest entry, with
+        no warning.  Gradient descent steps by -grad / L, and the objective
+        at that far point overflows one iteration later, as a named refusal.
         """
         inner = generate_logsumexp(_LSE8)
         big = np.full(8, 1e200)
-        with np.errstate(over="ignore"):
-            x, trace = _lse_run("gm", FaultyOracle(inner, "gradient", call, lambda g: big))
+        x, trace = _lse_run("gm", FaultyOracle(inner, "gradient", call, lambda g: big))
         _, clean = _lse_run("gm", generate_logsumexp(_LSE8))
         assert trace.records[: call - 1] == clean.records[: call - 1]
         last = trace.records[call - 1]
-        assert (last.k, last.grad_norm) == (call - 1, np.inf)
+        assert (last.k, last.grad_norm) == (call - 1, 1e200 * math.sqrt(8.0))
         assert last.f_value == clean.records[call - 1].f_value
         assert len(trace.records) == call
         assert trace.outcome == NUMERICAL_FAILURE
         assert trace.failure_reason == "NonFiniteResult"  # the objective at x_call
         assert x.tobytes() == (_iterate("gm", call - 1) - big / inner.lipschitz_l).tobytes()
+
+    @pytest.mark.parametrize("entry", ["gm", "greedy"])
+    def test_overflowing_norm_warns_nothing(self, entry):
+        """A gradient like [1e300, 2e300, 3, ...] gives its scaled norm, with no warning.
+
+        The faulted gradient is the driver's read at k = 1, the last
+        iteration of the budget, so nothing steps to the far point it leads to.
+        """
+        grad = np.array([1e300, 2e300, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        inner = generate_logsumexp(_LSE8)
+        oracle = FaultyOracle(inner, "gradient", 2, lambda g: grad.copy())
+        _, trace = _lse_run(entry, oracle, max_iter=1)
+        assert (trace.outcome, len(trace.records)) == (MAX_ITER_REACHED, 2)
+        expected = 2e300 * math.sqrt((grad / 2e300).dot(grad / 2e300))
+        assert trace.records[1].grad_norm == expected
+        assert expected == pytest.approx(math.sqrt(5.0) * 1e300, rel=1e-15)
 
 
 @settings(max_examples=25, deadline=None)

@@ -26,6 +26,8 @@ from greedyqn.operator_core import (
     DRIFT_LIMIT,
     PIVOT_RTOL,
     SpdState,
+    _ger,
+    _signed_terms,
     factorize,
     symmetric,
 )
@@ -229,7 +231,7 @@ class TestApplyQuadForm:
         assert np.array_equal(out, [1.0, 2.0, 3.0])
 
     def test_apply_diagonal(self):
-        out = SpdState.from_diagonal([1.0, 2.0]).apply([3.0, 4.0])
+        out = SpdState(np.diag([1.0, 2.0])).apply([3.0, 4.0])
         assert np.array_equal(out, [3.0, 8.0])
 
     def test_apply_matches_double_loop(self, rng):
@@ -251,7 +253,7 @@ class TestApplyQuadForm:
         assert _guu(state, [3.0, 4.0]) == 25.0
 
     def test_quad_form_diagonal(self):
-        state = SpdState.from_diagonal([1.0, 2.0])
+        state = SpdState(np.diag([1.0, 2.0]))
         assert _guu(state, [1.0, 1.0]) == 3.0
 
     def test_quad_form_matches_apply_then_dot(self, rng):
@@ -409,7 +411,7 @@ def coordinate_cases(draw):
     Each coefficient's term has norm at most 1/6, so G + c11 p p^T + c12 (p
     q^T + q p^T) + c22 q q^T with q = G e_i keeps eigenvalues >= 1/2.
     """
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = random_spd(rng, n)
     i = draw(st.integers(0, n - 1))
@@ -417,6 +419,22 @@ def coordinate_cases(draw):
     pn, qn = np.linalg.norm(p), np.linalg.norm(g[i])
     f11, f12, f22 = (draw(st.floats(-1.0, 1.0)) for _ in range(3))
     return g, i, p, (f11 / (6 * pn * pn), f12 / (12 * pn * qn), f22 / (6 * qn * qn))
+
+
+@st.composite
+def near_zero_diagonal_cases(draw):
+    """A random SPD G, an index i and a p whose BFGS update along e_i sets G_ii to p_i.
+
+    p_i is G_ii times 1e-13 to 1e-18, of either sign, so rounding decides
+    the sign of the computed entry.
+    """
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_spd(rng, n)
+    i = draw(st.integers(0, n - 1))
+    p = rng.standard_normal(n)
+    p[i] = g[i, i] * draw(st.sampled_from([1.0, -1.0])) * 10.0 ** -draw(st.floats(13.0, 18.0))
+    return g, i, p
 
 
 class TestCoordinateUpdate:
@@ -429,21 +447,147 @@ class TestCoordinateUpdate:
         dense, coord = SpdState(g), SpdState(g)
         dense.rank2_update(p, dense.column(i), *coeffs)
         coord.rank2_update(p, coord.column(i), *coeffs, index=i)
-        assert coord.g.tobytes() == dense.g.tobytes()
-        inv, ref = coord.g_inv, dense.g_inv
-        assert np.max(np.abs(inv - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.array_equal(inv, inv.T)
+        for got, ref in ((coord.g, dense.g), (coord.g_inv, dense.g_inv)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.array_equal(got, got.T)
         assert coord.update_count == dense.update_count
+
+    @settings(max_examples=60, deadline=None)
+    @given(coordinate_cases(), st.integers(1, 6))
+    def test_repeated_updates_stay_exactly_symmetric(self, case, steps):
+        g, i, p, coeffs = case
+        state = SpdState(g)
+        for _ in range(steps):
+            try:
+                state.rank2_update(p, state.column(i), *coeffs, index=i)
+            except (NotPositiveDefinite, SingularCapacitance):
+                break  # only the first update is sure to keep G positive definite
+            for m in (state.g, state.g_inv):
+                assert m.tobytes() == m.T.copy().tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(near_zero_diagonal_cases())
+    def test_refusal_reads_the_diagonal_the_update_stores(self, case):
+        g, i, p = case
+        state = SpdState(g)
+        coeffs = 1.0 / p[i], 0.0, -1.0 / g[i, i]  # BFGS: the new G_ii is p_i
+        # G_ii by the n x n kernel on a copy of G
+        full = np.array(state.g)
+        for sign, x in _signed_terms(p, state.column(i), *coeffs):
+            _ger(full, sign, x)
+        g0, inv0 = state.g, state.g_inv
+        try:
+            state.rank2_update(p, state.column(i), *coeffs, index=i)
+        except NotPositiveDefinite:
+            assert full[i, i] <= 0.0
+            assert np.array_equal(state.g, g0) and np.array_equal(state.g_inv, inv0)
+        except SingularCapacitance:
+            pass
+        else:
+            assert full[i, i] > 0.0
+            assert state.g[i, i].tobytes() == full[i, i].tobytes()
+
+    @pytest.mark.parametrize("index", [None, 0])
+    def test_exactly_singular_sr1_update_is_refused_unchanged(self, index):
+        # SR1 along e_0 with A e_0 = 0: G - e_0 e_0^T is singular, and det K is exactly 0
+        state = SpdState.scaled_identity(2, 1.0)
+        g0, inv0 = state.g, state.g_inv
+        with pytest.raises(SingularCapacitance) as refusal:
+            state.rank2_update(np.zeros(2), state.column(0), -1.0, 1.0, -1.0, index=index)
+        det, scale = re.fullmatch(
+            r"capacitance determinant (\S+) below 1e-14 \* (\S+)", str(refusal.value)
+        ).groups()
+        assert float(det) == 0.0 and math.isfinite(float(scale))
+        assert np.array_equal(state.g, g0)
+        assert np.array_equal(state.g_inv, inv0)
 
     def test_nonpositive_diagonal_is_refused_unchanged(self):
         # G - 2 e_0 e_0^T = diag(-1, 1): K is not singular, but G_00 turns negative
-        state = SpdState.from_diagonal([1.0, 1.0])
+        state = SpdState(np.diag([1.0, 1.0]))
         g0, inv0 = state.g, state.g_inv
         with pytest.raises(NotPositiveDefinite, match="diagonal entry 0 to -1.000e"):
             state.rank2_update(np.array([1.0, 0.0]), state.column(0), -2.0, 0.0, 0.0, index=0)
         assert np.array_equal(state.g, g0)
         assert np.array_equal(state.g_inv, inv0)
         assert state.update_count == 0
+
+
+@st.composite
+def scaled_update_sequences(draw):
+    """(G, steps): a random SPD G and up to 8 rescales and updates in any order.
+
+    An update is ("coordinate", i, f) or ("dense", f), with f three factors
+    in [-1, 1] that :func:`_bounded_coefficients` turns into coefficients.
+    """
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    step = st.one_of(
+        st.tuples(st.just("rescale"), st.floats(0.5, 2.0)),
+        st.tuples(st.just("coordinate"), st.integers(0, n - 1), factors),
+        st.tuples(st.just("dense"), factors),
+    )
+    return random_spd(rng, n), draw(st.lists(step, min_size=1, max_size=8)), rng
+
+
+def _bounded_coefficients(g, p, q, factors):
+    """(c11, c12, c22) whose term has norm at most half of G's least eigenvalue."""
+    lam = np.linalg.eigvalsh(g)[0]
+    pn, qn = max(np.linalg.norm(p), 1e-300), max(np.linalg.norm(q), 1e-300)
+    f11, f12, f22 = factors
+    return f11 * lam / (6 * pn * pn), f12 * lam / (12 * pn * qn), f22 * lam / (6 * qn * qn)
+
+
+class TestScaleMultiplier:
+    """``rescale`` changes only the multiplier s; readers and updates apply it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(scaled_update_sequences())
+    def test_matches_an_explicitly_scaled_dense_reference(self, case):
+        g, steps, rng = case
+        state = SpdState(g)
+        ref_g, ref_inv = state.g.copy(), state.g_inv.copy()
+        n = len(g)
+        for step in steps:
+            if step[0] == "rescale":
+                state.rescale(step[1])
+                ref_g, ref_inv = ref_g * step[1], ref_inv / step[1]
+            else:
+                p = rng.standard_normal(n)
+                if step[0] == "coordinate":
+                    i = step[1]
+                    q, ref_q = state.column(i), ref_g[:, i]
+                    coeffs = _bounded_coefficients(ref_g, p, ref_q, step[2])
+                    state.rank2_update(p, q, *coeffs, index=i)
+                else:
+                    q = ref_q = rng.standard_normal(n)
+                    coeffs = _bounded_coefficients(ref_g, p, q, step[1])
+                    state.rank2_update(p, q, *coeffs)
+                ref_g, ref_inv = reference_rank2_update(ref_g, ref_inv, p, ref_q, *coeffs)
+            for got, ref in ((state.g, ref_g), (state.g_inv, ref_inv)):
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+                assert np.array_equal(got, got.T)
+            assert np.array_equal(state.diag, state.g.diagonal())
+            v = rng.standard_normal(n)
+            for got, ref in ((state.apply(v), ref_g), (state.solve(v), ref_inv)):
+                bound = 1e-12 * np.max(np.abs(ref)) * np.sum(np.abs(v))
+                assert np.max(np.abs(got - ref @ v)) <= bound
+        assert state.update_count == len(steps)
+
+    def test_rescale_is_exact_in_the_readers(self, rng):
+        state = SpdState(random_like(rng, 5))
+        g0, inv0 = state.g, state.g_inv
+        state.rescale(4.0)
+        assert np.array_equal(state.g, g0 * 4.0)
+        assert np.array_equal(state.g_inv, inv0 / 4.0)
+        assert np.array_equal(state.column(2), g0[2] * 4.0)
+
+    def test_an_overflowing_multiplier_is_refused_unchanged(self):
+        state = SpdState.scaled_identity(2, 1.0).rescale(1e300)
+        with pytest.raises(NonFiniteResult):
+            state.rescale(1e10)
+        assert np.array_equal(state.g, np.eye(2) * 1e300)
+        assert state.update_count == 1
 
 
 class TestRescaleSolve:
@@ -454,10 +598,11 @@ class TestRescaleSolve:
         assert np.array_equal(state.g, g0)
 
     def test_rescale_diagonal(self):
-        state = SpdState.from_diagonal([1.0, 2.0])
+        # square entries: the Cholesky-built inverse of diag(1, 4) is exact
+        state = SpdState(np.diag([1.0, 4.0]))
         state.rescale(2.0)
-        assert np.array_equal(state.g, np.diag([2.0, 4.0]))
-        assert np.array_equal(state.g_inv, np.diag([0.5, 0.25]))
+        assert np.array_equal(state.g, np.diag([2.0, 8.0]))
+        assert np.array_equal(state.g_inv, np.diag([0.5, 0.125]))
 
     def test_rescale_keeps_drift_small(self, rng):
         state = SpdState(random_like(rng, 8))
@@ -492,8 +637,8 @@ class TestRescaleSolve:
         assert np.array_equal(state.solve([5.0, 6.0]), [5.0, 6.0])
 
     def test_solve_diagonal(self):
-        state = SpdState.from_diagonal([2.0, 4.0])
-        assert np.array_equal(state.solve([2.0, 4.0]), [1.0, 1.0])
+        state = SpdState(np.diag([4.0, 16.0]))
+        assert np.array_equal(state.solve([4.0, 16.0]), [1.0, 1.0])
 
     def test_solve_residual(self, rng):
         a = random_like(rng, 10)
@@ -511,14 +656,19 @@ class TestStateLifecycle:
         state.refactorize()
         assert state.drift <= 1e-10
 
-    def test_from_diagonal_rejects_nonpositive(self):
+    def test_diagonal_with_a_zero_entry_is_refused(self):
         with pytest.raises(NotPositiveDefinite):
-            SpdState.from_diagonal([1.0, 0.0])
+            SpdState(np.diag([1.0, 0.0]))
+
+    def test_subnormal_pivots_are_refused(self):
+        # PIVOT_RTOL * 1e-310 underflows to 0; the inverse's 1e310 would overflow
+        with pytest.raises(NotPositiveDefinite):
+            SpdState(np.diag([1e-310, 1e-310]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_from_diagonal_refuses_non_finite(self, bad):
-        with pytest.raises(NonFiniteResult):
-            SpdState.from_diagonal([bad, 1.0])
+    def test_diagonal_with_a_non_finite_entry_is_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SpdState(np.diag([bad, 1.0]))
 
     @pytest.mark.parametrize(
         "scale,error",
