@@ -382,21 +382,6 @@ def _write_outputs(plan: ExperimentPlan, tables: dict, traces):
 # Command-line interface
 
 
-def _parse_kv_config(path: str) -> dict:
-    """Flat config file: one ``key = value`` per line, ``#`` comments."""
-    values = {}
-    text = Path(path).read_text()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InvalidPlan(f"{path}:{line_no}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
-
-
 def _parse_label_map(text: str) -> dict:
     out = {}
     for pair in text.split(","):
@@ -415,21 +400,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="greedyqn-bench",
         description="Run a (method x accuracy) quasi-Newton benchmark matrix.",
+        exit_on_error=False,
     )
     p.add_argument("--config", help="flat key-value config file; flags override it")
-    p.add_argument("--problem", choices=["logsumexp", "libsvm", "quadratic"])
-    p.add_argument("--n", type=int, help="dimension (logsumexp/quadratic)")
-    p.add_argument("--m", type=int, help="number of data rows (logsumexp)")
-    p.add_argument("--gamma", type=float, help="l2 regularization coefficient")
+    p.add_argument("--problem", default="logsumexp", choices=["logsumexp", "libsvm", "quadratic"])
+    p.add_argument("--n", type=int, default=50, help="dimension (logsumexp/quadratic)")
+    p.add_argument("--m", type=int, default=50, help="number of data rows (logsumexp)")
+    p.add_argument("--gamma", type=float, default=1.0, help="l2 regularization coefficient")
     p.add_argument("--dataset", help="LIBSVM file path (libsvm problem)")
     p.add_argument("--label-remap", help="comma list of from:to label pairs")
     p.add_argument("--n-features", type=int, help="override inferred feature count")
-    p.add_argument("--methods", help="comma list, e.g. GM,SR1,GrSR1,RaBFGS")
-    p.add_argument("--epsilons", help="comma list, strictly decreasing")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--budget-factor", type=int, help="iteration budget = factor * n")
+    p.add_argument("--methods", default="GM,DFP,BFGS,SR1,GrDFP,GrBFGS,GrSR1",
+                   help="comma list, e.g. GM,SR1,GrSR1,RaBFGS")
+    p.add_argument("--epsilons", default="1e-1,1e-3,1e-5,1e-7,1e-9",
+                   help="comma list, strictly decreasing")
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--budget-factor", type=int, default=1000, help="iteration budget = factor * n")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--format", help="comma subset of csv,md")
+    p.add_argument("--format", default="csv", help="comma subset of csv,md")
     p.add_argument(
         "--trace",
         help="comma subset of lambda_f,sigma,op_error to record per iteration",
@@ -437,78 +425,90 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--hessian-error",
         action="store_true",
-        default=None,
         help="also emit the final Hessian-approximation-error table",
     )
     return p
 
 
-_DEFAULTS = {
-    "problem": "logsumexp",
-    "n": 50,
-    "m": 50,
-    "gamma": 1.0,
-    "methods": "GM,DFP,BFGS,SR1,GrDFP,GrBFGS,GrSR1",
-    "epsilons": "1e-1,1e-3,1e-5,1e-7,1e-9",
-    "seed": 1,
-    "budget-factor": 1000,
-    "format": "csv",
-}
+def _config_argv(path: str, parser: argparse.ArgumentParser) -> list:
+    """A config file's ``key = value`` lines (``#`` comments) as ``--key=value`` flags.
+
+    A key names a flag other than ``--config``, and its last line wins.  The
+    switch ``hessian-error`` takes a yes/no word and becomes the bare flag or nothing.
+    """
+    actions = [a for a in parser._actions if a.dest not in ("help", "config")]
+    nargs = {a.option_strings[0]: a.nargs for a in actions}
+    settings = {}
+    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidPlan(f"{path}:{line_no}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        settings[key.strip()] = value.strip()
+    unknown = sorted(k for k in settings if f"--{k}" not in nargs)
+    if unknown:
+        raise InvalidPlan(f"{path}: unknown config keys {unknown}")
+    switches = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+    argv = []
+    for key, value in settings.items():
+        if nargs[f"--{key}"] != 0:
+            argv.append(f"--{key}={value}")
+        elif value.lower() not in switches:
+            raise InvalidPlan(f"{key} must be one of {sorted(switches)}, not {value.lower()!r}")
+        elif switches[value.lower()]:
+            argv.append(f"--{key}")
+    return argv
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Command-line flags over the ``--config`` file's settings over the defaults.
+
+    The file's flags go first and argparse keeps a flag's last value.  A bad
+    value, given either way, is refused as :class:`InvalidPlan`.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+        if args.config:
+            args = parser.parse_args(_config_argv(args.config, parser) + argv)
+    except argparse.ArgumentError as exc:
+        raise InvalidPlan(str(exc)) from None
+    return args
 
 
 def _plan_from_args(args) -> tuple[ExperimentPlan, bool]:
-    flags = {k.replace("_", "-"): v for k, v in vars(args).items() if k != "config"}
-    settings = dict(_DEFAULTS)
-    if args.config:
-        from_file = _parse_kv_config(args.config)
-        unknown = sorted(set(from_file) - set(flags))
-        if unknown:
-            raise InvalidPlan(f"{args.config}: unknown config keys {unknown}")
-        settings.update(from_file)
-    settings.update({k: v for k, v in flags.items() if v is not None})
-
     try:
-        n = int(settings["n"])
-        m = int(settings["m"])
-        gamma = float(settings["gamma"])
-        seed = int(settings["seed"])
-        budget = int(settings["budget-factor"])
-        epsilons = [float(e) for e in str(settings["epsilons"]).split(",") if e]
-        n_features = settings.get("n-features")
-        n_features = int(n_features) if n_features is not None else None
-    except (TypeError, ValueError) as exc:
+        epsilons = [float(e) for e in args.epsilons.split(",") if e]
+    except ValueError as exc:
         raise InvalidPlan(f"bad numeric setting: {exc}") from None
-    if seed < 0:
-        raise InvalidPlan(f"seed must be non-negative, got {seed}")
+    if args.seed < 0:
+        raise InvalidPlan(f"seed must be non-negative, got {args.seed}")
 
-    kind = settings["problem"]
-    if kind in ("logsumexp", "libsvm") and not 0.0 < gamma < np.inf:
-        raise InvalidPlan(f"gamma must be positive and finite, got {gamma}")
-    if kind == "logsumexp":
+    if args.problem in ("logsumexp", "libsvm") and not 0.0 < args.gamma < np.inf:
+        raise InvalidPlan(f"gamma must be positive and finite, got {args.gamma}")
+    if args.problem == "logsumexp":
         try:
-            problem = SyntheticSpec(n=n, m=m, gamma=gamma, seed=seed)
+            problem = SyntheticSpec(n=args.n, m=args.m, gamma=args.gamma, seed=args.seed)
         except ValueError as exc:
             raise InvalidPlan(f"bad problem setting: {exc}") from None
-    elif kind == "quadratic":
-        problem = QuadraticSpec(n=n, seed=seed)
-    elif kind == "libsvm":
-        if not settings.get("dataset"):
-            raise InvalidPlan("libsvm problem needs --dataset")
-        label_map = None
-        if settings.get("label-remap"):
-            label_map = _parse_label_map(settings["label-remap"])
-        problem = LibsvmSpec(
-            path=settings["dataset"],
-            gamma=gamma,
-            label_map=label_map,
-            n_features=n_features,
-        )
+    elif args.problem == "quadratic":
+        problem = QuadraticSpec(n=args.n, seed=args.seed)
     else:
-        raise InvalidPlan(f"unknown problem kind {kind!r}")
+        if not args.dataset:
+            raise InvalidPlan("libsvm problem needs --dataset")
+        problem = LibsvmSpec(
+            path=args.dataset,
+            gamma=args.gamma,
+            label_map=_parse_label_map(args.label_remap) if args.label_remap else None,
+            n_features=args.n_features,
+        )
 
     trace_fields = {"lambda_f": False, "sigma": False, "op_error": False}
-    if settings.get("trace"):
-        for name in str(settings["trace"]).split(","):
+    if args.trace:
+        for name in args.trace.split(","):
             name = name.strip()
             if name not in trace_fields:
                 raise InvalidPlan(f"unknown trace column {name!r}")
@@ -516,25 +516,20 @@ def _plan_from_args(args) -> tuple[ExperimentPlan, bool]:
 
     plan = ExperimentPlan(
         problem=problem,
-        methods=[s for s in str(settings["methods"]).split(",") if s],
+        methods=[s for s in args.methods.split(",") if s],
         epsilons=epsilons,
-        seed=seed,
-        iteration_budget_factor=budget,
-        output=settings.get("out"),
-        formats=tuple(f for f in str(settings["format"]).split(",") if f),
+        seed=args.seed,
+        iteration_budget_factor=args.budget_factor,
+        output=args.out,
+        formats=tuple(f for f in args.format.split(",") if f),
         trace_options=TraceOptions(**trace_fields),
     )
-    switches = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-    switch = str(settings.get("hessian-error", False)).lower()
-    if switch not in switches:
-        raise InvalidPlan(f"hessian-error must be one of {sorted(switches)}, not {switch!r}")
-    return plan, switches[switch]
+    return plan, args.hessian_error
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        plan, want_error_table = _plan_from_args(args)
+        plan, want_error_table = _plan_from_args(_parse_args(argv))
         _refuse_used_output(plan.output)
         tables = _run_tables(plan, _prepare(plan), want_error_table)
         print("\n".join(emit_table(t, "csv") for t in tables.values()), end="")

@@ -4,7 +4,8 @@ The family is parameterized by tau in [0, 1]: tau = 0 is the symmetric
 rank-one update (SR1), tau = 1 is DFP, and tau = <Au, u>/<Gu, u> recovers
 BFGS.  Every member is a symmetric rank-two modification of G lying in
 span{Au, Gu}, or span{y, Gs} for a secant step.  :func:`family_coefficients`
-is the one rule for its coefficients in both cases, so each update is a
+gives its coefficients on either pair; :func:`broyden_update` re-expresses a
+random-direction update with an SR1 part on (Au, Gu - Au).  Each update is a
 single :meth:`~greedyqn.operator_core.SpdState.rank2_update` call.
 """
 

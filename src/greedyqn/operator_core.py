@@ -30,8 +30,8 @@ from .errors import (
 # Pivot threshold for Cholesky, relative to the largest diagonal entry.
 PIVOT_RTOL = 1e-14
 
-# Maintained-inverse audit policy: recompute drift every AUDIT_EVERY updates,
-# refactorize densely once it exceeds DRIFT_LIMIT.
+# Maintained-inverse audit policy: recompute drift every AUDIT_EVERY rank-two
+# updates, refactorize densely once it exceeds DRIFT_LIMIT.
 AUDIT_EVERY = 50
 DRIFT_LIMIT = 1e-6
 
@@ -59,11 +59,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _add_sym_rank2(a, op, p, q, c11, c12, c22):
-    """In place, a <- op(a, c11*p p^T + c12*(p q^T + q p^T) + c22*q q^T).
+def _add_sym_rank2(a, p, q, c11, c12, c22):
+    """In place, a += c11*p p^T + c12*(p q^T + q p^T) + c22*q q^T.
 
-    ``op`` is ``np.add`` or ``np.subtract``.  ``a`` is walked in row blocks of
-    about :data:`BLOCK_ENTRIES` entries, so no n x n temporary is built.  Each
+    ``a`` is walked in row blocks of about :data:`BLOCK_ENTRIES` entries, so
+    no n x n temporary is built.  Negated coefficients subtract the term bit
+    for bit: negation is exact and rounding symmetric.  Each
     entry is formed as c11*(p_i p_j), plus c12*((p_i q_j) + (q_i p_j)), plus
     c22*(q_i q_j), the last two only for non-zero coefficients: the
     per-entry arithmetic of the outer-product formula, so entries (i, j) and
@@ -88,7 +89,7 @@ def _add_sym_rank2(a, op, p, q, c11, c12, c22):
             np.multiply(c22, t, out=t)
             np.add(out, t, out=out)
         block = a[r0:r1]
-        op(block, out, out=block)
+        np.add(block, out, out=block)
 
 
 def _signed_terms(p, q, c11, c12, c22) -> list:
@@ -175,9 +176,11 @@ class SpdState:
     :meth:`rank2_update` folds it into its coefficients.  s starts at 1.0,
     where every such multiplication is exact.  All mutating operations
     keep ``g`` and ``g_inv`` consistent.  Every :data:`AUDIT_EVERY`
-    maintained updates the product G * G^{-1} = G_s G_s^{-1} is checked
-    against the identity; drift beyond :data:`DRIFT_LIMIT` triggers a
-    dense refactorization.  The value of the last audit is kept in ``drift``.
+    :meth:`rank2_update` calls, counted in ``update_count`` (a rescale
+    changes no stored array and is not counted), the product G * G^{-1} =
+    G_s G_s^{-1} is checked against the identity; drift beyond
+    :data:`DRIFT_LIMIT` triggers a dense refactorization.  The value of the
+    last audit is kept in ``drift``.
 
     A state is owned by a single solver; operations are not safe to call
     concurrently on the same instance.
@@ -309,8 +312,8 @@ class SpdState:
         t12 = (t[0, 1] + t[1, 0]) / 2.0
 
         if index is None:
-            _add_sym_rank2(self._g, np.add, p, q, c11, c12, c22)
-            _add_sym_rank2(self._g_inv, np.subtract, y1, y2, t[0, 0], t12, t[1, 1])
+            _add_sym_rank2(self._g, p, q, c11, c12, c22)
+            _add_sym_rank2(self._g_inv, y1, y2, -t[0, 0], -t12, -t[1, 1])
         else:
             for sign, x in terms:
                 _ger(self._g, sign, x)
@@ -321,20 +324,22 @@ class SpdState:
             self._g_inv[index] -= y1
             self._g_inv[:, index] -= y1
             self._g_inv[index, index] -= t[1, 1]
-        self._bump()
+        self.update_count += 1
+        if self.update_count % AUDIT_EVERY == 0 and self.audit() > DRIFT_LIMIT:
+            self.refactorize()
         return self
 
     def rescale(self, c: float) -> "SpdState":
         """G <- c*G, G^{-1} <- G^{-1}/c (0 < c < inf), in O(1): only s changes.
 
         Refused like ``c`` itself when the new s = s*c is not positive and
-        finite.  It counts as an update for the audit cadence.
+        finite.  The stored arrays and their drift stay as they are, so a
+        rescale is not counted in ``update_count`` and never audits.
         """
         _check_scale(c)
         scale = self._scale * float(c)
         _check_scale(scale)
         self._scale = scale
-        self._bump()
         return self
 
     def audit(self) -> float:
@@ -349,11 +354,6 @@ class SpdState:
         inv = dpotri(factorize(self._g), lower=1)[0] if self.n else np.zeros((0, 0))
         self._g_inv = np.array(symmetric(inv))
         self.audit()
-
-    def _bump(self):
-        self.update_count += 1
-        if self.update_count % AUDIT_EVERY == 0 and self.audit() > DRIFT_LIMIT:
-            self.refactorize()
 
     def __repr__(self):
         return (

@@ -304,7 +304,8 @@ def solve_general(
         d = -state.solve(grad)
         x_next = x + d
         hv = _finite(oracle.hessian_vec(x, d), "Hessian action along the step")
-        r_k = row["r_k"] = float(np.sqrt(max(np.dot(hv, d), 0.0)))
+        # np.vdot, unlike np.dot, returns an overflow as inf with no warning
+        r_k = row["r_k"] = float(np.sqrt(max(np.vdot(hv, d), 0.0)))
         if config.correction and config.m_const * r_k > 0.0:
             state.rescale(1.0 + config.m_const * r_k)
         if greedy:

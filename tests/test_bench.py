@@ -25,6 +25,7 @@ from greedyqn.bench import (
     run_hessian_error_plan,
     run_plan,
     _build_parser,
+    _parse_args,
     _plan_from_args,
     _prepare,
 )
@@ -753,7 +754,7 @@ def test_config_key_matches_flag(action, tmp_path):
     flag = [f"--{key}"] if action.nargs == 0 else [f"--{key}", value]
 
     def plan(*argv):
-        return _plan_from_args(_build_parser().parse_args(list(argv)))
+        return _plan_from_args(_parse_args(argv))
 
     from_config = plan("--config", str(tmp_path / "key.cfg"))
     assert from_config == plan("--config", str(tmp_path / "base.cfg"), *flag)

@@ -10,7 +10,7 @@ from greedyqn.broyden import UpdateRule, broyden_update
 from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start, parse_libsvm
 from greedyqn.errors import DimensionTooLarge
 from greedyqn.objectives import DENSE_CAP, LogisticProblem, QuadraticProblem
-from greedyqn.operator_core import SpdState
+from greedyqn.operator_core import AUDIT_EVERY, SpdState
 from greedyqn.solvers import (
     CONVERGED,
     MAX_ITER_REACHED,
@@ -137,6 +137,43 @@ class TestSolveGeneral:
         _, trace = solve_general(oracle, generate_start(50, 1), cfg)
         assert trace.outcome == CONVERGED
         assert 30 <= trace.converged_at <= 140
+
+    def test_correction_rescales_are_not_audited(self, monkeypatch):
+        # the paper's greedy SR1 run: as many rescales as rank-two updates,
+        # and one audit per AUDIT_EVERY updates alone
+        states, calls = [], {"audit": 0, "rescale": 0}
+        scaled_identity = SpdState.scaled_identity
+
+        def capture(n, c):
+            states.append(scaled_identity(n, c))
+            return states[-1]
+
+        def counted(name):
+            method = getattr(SpdState, name)
+
+            def spy(state, *args):
+                calls[name] += 1
+                return method(state, *args)
+
+            monkeypatch.setattr(SpdState, name, spy)
+
+        monkeypatch.setattr(SpdState, "scaled_identity", capture)
+        counted("audit")
+        counted("rescale")
+        oracle = generate_logsumexp(SyntheticSpec(n=50, m=50, gamma=1.0, seed=1))
+        cfg = greedy_config(
+            UpdateRule.sr1(),
+            FunctionResidual(1e-9, oracle.value(np.zeros(50))),
+            50_000,
+            correction=True,
+            m_const=2.0,
+        )
+        _, trace = solve_general(oracle, generate_start(50, 1), cfg)
+        (state,) = states
+        assert trace.outcome == CONVERGED
+        assert state.update_count >= AUDIT_EVERY
+        assert calls["rescale"] >= state.update_count
+        assert calls["audit"] == state.update_count // AUDIT_EVERY
 
     def test_logistic_runs_without_correction(self, rng):
         labels = rng.choice([-1.0, 1.0], 30)
