@@ -30,6 +30,8 @@ from .operator_core import SpdState, factorize, symmetric
 # degeneracy test and the secant skip tests in ``solvers``.
 DEGENERACY_RTOL = 1e-12
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 class UpdateKind(enum.Enum):
     SR1 = "sr1"
@@ -154,7 +156,15 @@ def greedy_direction(diag_g, diag_a) -> int:
 
     Ties break to the lowest index.  The choice is invariant under positive
     scaling of ``diag_g``, so it does not matter whether the diagonal is
-    taken before or after a correction rescale.
+    taken before or after a correction rescale.  A non-positive entry of
+    ``diag_a`` is refused as :class:`NonPositiveHessianDiagonal`.  A ratio
+    within a factor 2 of overflow, as a subnormal A_ii gives with any
+    G_ii of ordinary size, is refused before the division as
+    :class:`NonFiniteResult`, naming the entry.  The test is A_ii <=
+    2 (G_ii / FLOAT_MAX): the ratio overflows only where A_ii < G_ii /
+    FLOAT_MAX, and doubling the quotient covers its rounding, even when it
+    is subnormal.  It is made entrywise only when min A_ii fails it against
+    max G_ii; otherwise every entry passes.
     """
     diag_g = np.asarray(diag_g, dtype=float)
     diag_a = np.asarray(diag_a, dtype=float)
@@ -163,8 +173,18 @@ def greedy_direction(diag_g, diag_a) -> int:
     if np.any(diag_a <= 0.0):
         bad = int(np.argmax(diag_a <= 0.0))
         raise NonPositiveHessianDiagonal(
-            f"diagonal entry {bad} is {diag_a[bad]!r}, expected > 0"
+            f"diagonal entry {bad} is {float(diag_a[bad])!r}, expected > 0"
         )
+    # Two reductions clear every entry at once unless max G_ii / min A_ii
+    # nears overflow; the entrywise test costs three more array passes.
+    if not float(diag_a.min()) > 2.0 * (float(diag_g.max()) / _FLOAT_MAX):
+        over = diag_a <= 2.0 * (diag_g / _FLOAT_MAX)
+        if np.any(over):
+            bad = int(np.argmax(over))
+            raise NonFiniteResult(
+                f"ratio of diagonal entries {bad}, {float(diag_g[bad])!r} / "
+                f"{float(diag_a[bad])!r}, is within a factor 2 of overflow"
+            )
     return int(np.argmax(diag_g / diag_a))
 
 

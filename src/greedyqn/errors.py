@@ -40,7 +40,7 @@ class NonPositiveHessianDiagonal(GreedyQnError):
 
 
 class NonFiniteResult(GreedyQnError):
-    """An oracle output, a scale or an operator's diagonal entry is NaN or inf."""
+    """An oracle output, a scale or an operator entry is NaN or inf, or a ratio would overflow."""
 
 
 class MalformedLine(GreedyQnError):

@@ -1,10 +1,10 @@
 """Objective oracles: quadratic, regularized log-sum-exp, l2-regularized logistic.
 
 Each oracle exposes value, gradient, Hessian diagonal, Hessian-vector
-product and (for diagnostics) the full dense Hessian, together with the
-problem constants: the gradient Lipschitz constant L and strong-convexity
-constant mu in the Euclidean metric, and the strong self-concordance
-constant M where one is known.
+product, the Hessian quadratic form <H h, h> and (for diagnostics) the
+full dense Hessian, together with the problem constants: the gradient
+Lipschitz constant L and strong-convexity constant mu in the Euclidean
+metric, and the strong self-concordance constant M where one is known.
 
 Each oracle keeps a one-entry cache: the quantities derived from the last
 point it evaluated (``c @ x`` with the softmax, the logistic margins, or
@@ -130,6 +130,16 @@ class ObjectiveOracle:
     def hessian_col(self, x, i: int) -> np.ndarray:
         """Column i of the Hessian: its action along the basis vector e_i."""
         return self.hessian_vec(x, _basis(self.n, i))
+
+    def hessian_quad(self, x, h) -> float:
+        """<H(x) h, h>, the Hessian's quadratic form along h, as a float.
+
+        By default the inner product of :meth:`hessian_vec` with h; the data
+        oracles override it with a form that reads the data once, through
+        c @ h.  Its sums go through ``np.vdot``, which returns an overflow
+        as inf (or NaN) without a warning.
+        """
+        return float(np.vdot(self.hessian_vec(x, h), h))
 
     def full_hessian(self, x) -> np.ndarray:
         """The dense Hessian at x as a read-only, exactly symmetric array."""
@@ -266,6 +276,22 @@ class LogSumExpProblem(ObjectiveOracle):
     def hessian_col(self, x, i):
         return self._action(self._at(x), _basis(self.n, i), self.c[:, i])
 
+    def hessian_quad(self, x, h):
+        """sum((pi + 1) (c h)^2) - <c^T pi, h>^2 + gamma |h|^2, with c^T pi cached at x.
+
+        The first sum is taken as 2 <(pi + 1)/2 * (c h), c h>: halving is
+        exact, so these are the bits of <(pi + 1) * (c h), c h>, but the
+        elementwise product cannot overflow.  Sums go through ``np.vdot``
+        and the rest through Python floats, so an overflow reads as inf or
+        NaN without a warning.
+        """
+        p = self._at(x)
+        h = _as_vector(h, self.n)
+        ch = self.c @ h
+        v = float(np.vdot(p.soft_grad, h))
+        half = float(np.vdot((0.5 * p.pi + 0.5) * ch, ch))
+        return 2.0 * half - v * v + self.gamma * _sq_norm(h)
+
     def _action(self, p, h, ch):
         """Hessian action along h at the point of ``p``, with ``ch`` = c @ h."""
         return (
@@ -336,6 +362,13 @@ class LogisticProblem(ObjectiveOracle):
 
     def hessian_col(self, x, i):
         return self._action(self._at(x), _basis(self.n, i), self.c[:, i])
+
+    def hessian_quad(self, x, h):
+        """sum(w (c h)^2) + gamma |h|^2 with the Hessian weights w <= 1/4 at x."""
+        p = self._at(x)
+        h = _as_vector(h, self.n)
+        ch = self.c @ h
+        return float(np.vdot(p.weights * ch, ch)) + self.gamma * _sq_norm(h)
 
     def _action(self, p, h, ch):
         """Hessian action along h at the point of ``p``, with ``ch`` = c @ h."""

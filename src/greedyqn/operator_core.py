@@ -8,12 +8,15 @@ Woodbury update whose capacitance block is 2x2, so a full solve never
 costs more than a matrix-vector product.  A greedy coordinate update adds
 its terms with BLAS ``dger`` rank-one calls, which keep both arrays
 exactly symmetric.  Floating-point drift of the maintained inverse is
-audited periodically and repaired by dense refactorization.
+audited periodically, by an O(n^2) probe on a fixed block of two sign
+vectors that defers to the exact n^3 residual only when it reads above a
+trigger far below the drift limit, and repaired by dense refactorization.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.blas import dger
@@ -34,6 +37,9 @@ PIVOT_RTOL = 1e-14
 # updates, refactorize densely once it exceeds DRIFT_LIMIT.
 AUDIT_EVERY = 50
 DRIFT_LIMIT = 1e-6
+# The audit's O(n^2) probe stands for the drift only at or below this reading;
+# above it the exact residual is computed.
+PROBE_TRIGGER = 1e-3 * DRIFT_LIMIT
 
 # Row blocks of the in-place rank-two update hold about this many entries
 # (256 KiB of float64), so the update's buffers stay in cache.
@@ -57,6 +63,28 @@ def _check_scale(c):
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _scaled(a: np.ndarray, s: float) -> np.ndarray:
+    """``a``, an array the caller owns, times s in place; ``a`` as it is at s = 1.0.
+
+    Refused as :class:`NonFiniteResult`, with ``a`` unchanged, when an entry
+    would overflow or already is not finite: the largest magnitude times s
+    is taken in Python floats, where an overflow reads as inf without a
+    numpy warning.
+    """
+    if s != 1.0 and a.size:
+        if not math.isfinite(float(np.abs(a).max()) * s):
+            raise NonFiniteResult(f"operator entries times the scale {s:.3e} are not finite")
+        a *= s
+    return a
+
+
+@lru_cache(maxsize=16)
+def _probe_block(n: int) -> np.ndarray:
+    """The audit's fixed, read-only n x 2 block of +-1 entries, shared by all states of size n."""
+    signs = np.random.default_rng(n).integers(0, 2, size=(n, 2))
+    return _read_only(np.where(signs == 1, 1.0, -1.0))
 
 
 def _add_sym_rank2(a, p, q, c11, c12, c22):
@@ -174,13 +202,17 @@ class SpdState:
     :meth:`rescale` alone changes.  The readers ``g``, ``g_inv``, ``diag``,
     :meth:`apply`, :meth:`column` and :meth:`solve` apply s on read, and
     :meth:`rank2_update` folds it into its coefficients.  s starts at 1.0,
-    where every such multiplication is exact.  All mutating operations
-    keep ``g`` and ``g_inv`` consistent.  Every :data:`AUDIT_EVERY`
-    :meth:`rank2_update` calls, counted in ``update_count`` (a rescale
-    changes no stored array and is not counted), the product G * G^{-1} =
-    G_s G_s^{-1} is checked against the identity; drift beyond
-    :data:`DRIFT_LIMIT` triggers a dense refactorization.  The value of the
-    last audit is kept in ``drift``.
+    where the readers skip the multiplication; at any other s a reader
+    that multiplies by it refuses an overflowing entry as
+    :class:`NonFiniteResult`.  All mutating operations keep ``g`` and
+    ``g_inv`` consistent.  Every :data:`AUDIT_EVERY` :meth:`rank2_update`
+    calls, counted in ``update_count`` (a rescale changes no stored array
+    and is not counted), :meth:`audit` measures how far G_s^{-1} has
+    drifted from the inverse of G_s: an O(n^2) probe, confirmed by the
+    exact residual max|G_s G_s^{-1} - I| when it reads above
+    :data:`PROBE_TRIGGER`.  Drift beyond :data:`DRIFT_LIMIT` triggers a
+    dense refactorization.  The value of the last audit, a probe reading
+    or an exact residual, is kept in ``drift``.
 
     A state is owned by a single solver; operations are not safe to call
     concurrently on the same instance.
@@ -211,7 +243,7 @@ class SpdState:
     @property
     def g(self) -> np.ndarray:
         """Read-only copy of G; later updates do not change it."""
-        return _read_only(self._g * self._scale)
+        return _read_only(_scaled(self._g.copy(), self._scale))
 
     @property
     def g_inv(self) -> np.ndarray:
@@ -221,15 +253,15 @@ class SpdState:
     @property
     def diag(self) -> np.ndarray:
         """G's diagonal, computed on read; later updates do not change it."""
-        return self._g.diagonal() * self._scale
+        return _scaled(self._g.diagonal().copy(), self._scale)
 
     def apply(self, u) -> np.ndarray:
         """G @ u."""
-        return (self._g @ _as_vector(u, self.n)) * self._scale
+        return _scaled(self._g @ _as_vector(u, self.n), self._scale)
 
     def column(self, i: int) -> np.ndarray:
         """G @ e_i, from row i of G (G is stored exactly symmetric)."""
-        return self._g[i] * self._scale
+        return _scaled(self._g[i].copy(), self._scale)
 
     def solve(self, rhs) -> np.ndarray:
         """G^{-1} @ rhs via the maintained inverse (O(n^2))."""
@@ -343,11 +375,30 @@ class SpdState:
         return self
 
     def audit(self) -> float:
-        """Recompute and store the max-abs residual of G @ G^{-1} - I (= G_s @ G_s^{-1} - I)."""
-        resid = self._g @ self._g_inv
-        resid[np.diag_indices(self.n)] -= 1.0
-        self.drift = float(np.max(np.abs(resid))) if self.n else 0.0
-        return self.drift
+        """Measure, store in ``drift`` and return the drift of G_s^{-1} from the inverse of G_s.
+
+        G G^{-1} = G_s G_s^{-1}, so s plays no part.  The probe R = G_s
+        (G_s^{-1} V) - V on the fixed n x 2 sign block V of
+        :func:`_probe_block` costs two thin products, O(n^2), and builds no
+        n x n array.  Its reading max|R| stands for the drift when it is at
+        most :data:`PROBE_TRIGGER`, far below :data:`DRIFT_LIMIT`.
+        Otherwise, or when the probe overflows, the exact residual
+        max|G_s G_s^{-1} - I|, an n^3 product, is computed and stored.  An
+        overflow in the probe is thus not a failure: it only defers to the
+        exact residual, so it is not reported as a warning.
+        """
+        drift = 0.0
+        if self.n:
+            v = _probe_block(self.n)
+            with np.errstate(over="ignore", invalid="ignore"):
+                probe = self._g @ (self._g_inv @ v) - v
+            drift = float(np.max(np.abs(probe)))
+            if not drift <= PROBE_TRIGGER:
+                resid = self._g @ self._g_inv
+                resid[np.diag_indices(self.n)] -= 1.0
+                drift = float(np.max(np.abs(resid)))
+        self.drift = drift
+        return drift
 
     def refactorize(self):
         """Rebuild the stored inverse from a fresh dense factorization of the stored G."""

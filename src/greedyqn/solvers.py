@@ -283,17 +283,20 @@ def solve_general(
 ) -> tuple[np.ndarray, RunTrace]:
     """Broyden-family scheme with exact Hessian actions on a smooth oracle.
 
-    Each iteration takes the unit quasi-Newton step, measures its length
-    r_k in the local Hessian metric, optionally inflates G by
-    (1 + m_const * r_k) so the Hessian at the new point stays dominated,
-    selects the update direction (greedy coordinate or random sphere), and
-    applies the tau-update against the exact Hessian action at the new
-    point.  Along a greedy e_i that action is the oracle's Hessian column
-    i, G e_i is read off G as its column i, and the update takes the
-    coordinate path of :meth:`SpdState.rank2_update`.  A non-finite Hessian
-    output ends the run as :class:`NonFiniteResult`, non-positive
-    curvature along u as :class:`NonPositiveCurvature`.  The returned
-    trace is the run's only report.
+    Each iteration takes the unit quasi-Newton step d, measures its length
+    r_k in the local Hessian metric as the square root of the oracle's
+    :meth:`~greedyqn.objectives.ObjectiveOracle.hessian_quad` along d,
+    optionally inflates G by (1 + m_const * r_k) so the Hessian at the new
+    point stays dominated, selects the update direction (greedy coordinate
+    or random sphere), and applies the tau-update against the exact
+    Hessian action at the new point.  Along a greedy e_i that action is
+    the oracle's Hessian column i, G e_i is read off G as its column i,
+    and the update takes the coordinate path of
+    :meth:`SpdState.rank2_update`.  A non-finite Hessian output or
+    quadratic form ends the run as :class:`NonFiniteResult` (the quadratic
+    form before the rescale), non-positive curvature along u as
+    :class:`NonPositiveCurvature`.  The returned trace is the run's only
+    report.
     """
     n = oracle.n
     state = SpdState.scaled_identity(n, oracle.lipschitz_l)
@@ -303,9 +306,8 @@ def solve_general(
     def step(x, grad, row):
         d = -state.solve(grad)
         x_next = x + d
-        hv = _finite(oracle.hessian_vec(x, d), "Hessian action along the step")
-        # np.vdot, unlike np.dot, returns an overflow as inf with no warning
-        r_k = row["r_k"] = float(np.sqrt(max(np.vdot(hv, d), 0.0)))
+        quad = _finite(oracle.hessian_quad(x, d), "Hessian quadratic form along the step")
+        r_k = row["r_k"] = math.sqrt(max(quad, 0.0))
         if config.correction and config.m_const * r_k > 0.0:
             state.rescale(1.0 + config.m_const * r_k)
         if greedy:

@@ -407,6 +407,36 @@ class TestLibsvmPlan:
         assert refusals[1:] == [refusals[1]] * 2
         assert re.fullmatch(r"update sets diagonal entry 5 to -\S+", refusals[1])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a subnormal Hessian diagonal entry along the data's zero column 6
+            ["--problem", "libsvm", "--dataset", str(GOLDEN / "tiny.libsvm"), "--gamma", "5e-324",
+             "--methods", "GrDFP,GrBFGS,GrSR1"],
+            ["--problem", "libsvm", "--dataset", str(GOLDEN / "tiny.libsvm"), "--gamma", "1e-310",
+             "--methods", "GrDFP,GrBFGS,GrSR1"],
+            # G = gamma I, times the first correction factor 1 + 2 r_k, overflows
+            ["--problem", "logsumexp", "--n", "3", "--m", "2", "--gamma", "1e300",
+             "--methods", "GrDFP,GrBFGS,GrSR1,RaSR1,RaBFGS"],
+        ],
+    )
+    def test_overflowing_greedy_readings_end_runs_as_failures(self, argv, capsys, monkeypatch):
+        ends = []
+        solve_general = bench.solve_general
+
+        def solve_spy(oracle, x0, config):
+            x, trace = solve_general(oracle, x0, config)
+            last = trace.records[-1]
+            ends.append((trace.failure_reason, len(trace.records), last.direction_index))
+            return x, trace
+
+        monkeypatch.setattr(bench, "solve_general", solve_spy)
+        assert main(argv + ["--epsilons", "1e-1,1e-3"]) == 0  # warnings are errors here
+        out = capsys.readouterr().out
+        assert [row.split(",")[1:] for row in out.splitlines()[1:]] == [["!"] * len(ends)] * 2
+        # each ends at k = 0, after the step's r_k and before a direction is chosen
+        assert ends == [("NonFiniteResult", 1, None)] * len(ends)
+
     def test_failed_reference_solve_is_noted(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "tiny.libsvm"
         target.write_text((GOLDEN / "tiny.libsvm").read_text())

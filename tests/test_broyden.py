@@ -331,8 +331,45 @@ class TestGreedyDirection:
             assert greedy_direction(c * diag_g, diag_a) == base
 
     def test_rejects_nonpositive_diagonal(self):
-        with pytest.raises(NonPositiveHessianDiagonal):
-            greedy_direction([1.0, 1.0], [1.0, 0.0])
+        with pytest.raises(NonPositiveHessianDiagonal, match=r"entry 1 is -0\.0, expected > 0$"):
+            greedy_direction([1.0, 1.0], [1.0, -0.0])
+
+    @pytest.mark.parametrize("a_ii", [5e-324, 1e-310, 3e-308])
+    def test_overflowing_ratio_is_refused_by_entry(self, a_ii):
+        # 10 / a_ii overflows; the refusal names entry 1 before any division warns
+        with pytest.raises(NonFiniteResult, match=r"ratio of diagonal entries 1, 10\.0 / "):
+            greedy_direction([1.0, 10.0, 1.0], [1.0, a_ii, 1.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(5e-324, 1.7e308), st.floats(5e-324, 1.7e308))
+    def test_refuses_the_ratios_at_the_top_of_the_range(self, g, a):
+        ratio = g / a  # Python floats: inf on overflow, without a warning
+        big = float(np.finfo(float).max)
+        try:
+            idx = greedy_direction([g], [a])  # warnings are errors: the division must not warn
+        except NonFiniteResult:
+            assert ratio >= big / 4.0
+        else:
+            assert idx == 0
+            assert ratio < big
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(5e-324, 1.7e308), st.floats(5e-324, 1.7e308)),
+                    min_size=1, max_size=4))
+    def test_refuses_the_first_entry_near_overflow(self, pairs):
+        # The scalar test on max G_ii and min A_ii only skips entrywise work:
+        # the outcome is the entrywise test's, whichever entries the extremes sit at.
+        g, a = (np.array(col) for col in zip(*pairs))
+        over = a <= 2.0 * (g / float(np.finfo(float).max))
+        if over.any():
+            with pytest.raises(NonFiniteResult, match=rf"ratio of diagonal entries {np.argmax(over)}, "):
+                greedy_direction(g, a)
+        else:
+            assert greedy_direction(g, a) == int(np.argmax(g / a))
+
+    def test_scalar_bound_failing_alone_refuses_nothing(self):
+        # max G_ii / min A_ii overflows, but no entry's own ratio does
+        assert greedy_direction([1e300, 1.0], [1.0, 1e-300]) == 0
 
 
 class TestSigma:

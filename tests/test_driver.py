@@ -137,7 +137,7 @@ class TestNonFiniteHessian:
     @pytest.mark.parametrize(
         "method,call,r_k_set,dir_index",
         [
-            ("hessian_vec", 3, False, None),  # step action at k = 2
+            ("hessian_quad", 3, False, None),  # quadratic form along the step at k = 2
             ("hessian_diag", 3, True, None),  # diagonal at x_3
             ("hessian_col", 3, True, 7),  # action along the chosen e_7
         ],
@@ -152,9 +152,11 @@ class TestNonFiniteHessian:
         assert (last.r_k is not None) == r_k_set
         assert last.direction_index == dir_index
 
-    def test_random_directions(self):
+    # the step's quadratic form, and the action along the random u, at k = 1
+    @pytest.mark.parametrize("method", ["hessian_quad", "hessian_vec"])
+    def test_random_directions(self, method):
         inner = generate_logsumexp(_LSE8)
-        oracle = FaultyOracle(inner, "hessian_vec", 4, lambda out: out * np.nan)
+        oracle = FaultyOracle(inner, method, 2, lambda out: out * np.nan)
         f_star = inner.value(np.zeros(8))
         cfg = SolverConfig(
             rule=UpdateRule.bfgs(),
@@ -179,11 +181,11 @@ def test_singular_capacitance_ends_the_run_as_a_named_outcome():
 
 
 @pytest.mark.parametrize("call", [1, 2, 3, 5, 8, 13])
-def test_overflowing_correction_fails_at_the_rescale(call, monkeypatch):
-    """A gradient scaled by 1e300 overflows r_k, so the correction factor is inf.
+def test_overflowing_step_fails_at_the_r_k_check(call, monkeypatch):
+    """A gradient scaled by 1e300 overflows the quadratic form along the step.
 
-    The run ends at the rescale, before G and G^-1 become inf/NaN and
-    before a direction is chosen from them.
+    The run ends at the r_k check, with r_k unset, before any rescale
+    makes G and G^-1 inf/NaN and before a direction is chosen from them.
     """
     applied = []
     rescale = SpdState.rescale
@@ -199,7 +201,7 @@ def test_overflowing_correction_fails_at_the_rescale(call, monkeypatch):
     assert trace.outcome == NUMERICAL_FAILURE
     assert trace.failure_reason == "NonFiniteResult"
     assert len(trace.records) == call
-    assert trace.records[-1].r_k == np.inf
+    assert trace.records[-1].r_k is None
     assert trace.records[-1].direction_index is None
 
 

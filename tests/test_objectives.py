@@ -350,7 +350,7 @@ def _call(oracle, call, x):
     name, arg = call
     try:
         with np.errstate(all="ignore"):
-            if name in ("hessian_vec", "hessian_col"):
+            if name in ("hessian_vec", "hessian_col", "hessian_quad"):
                 out = getattr(oracle, name)(x, arg)
             else:
                 out = getattr(oracle, name)(x)
@@ -368,12 +368,49 @@ def call_sequences(draw):
     points = _points(np.random.default_rng(seed + 1), n)
     h = np.random.default_rng(seed + 2).standard_normal(n)
     method = st.sampled_from(["value", "gradient", "hessian_diag", "hessian_vec",
-                              "hessian_col", "full_hessian"])
+                              "hessian_col", "hessian_quad", "full_hessian"])
     calls = draw(st.lists(
         st.tuples(st.integers(0, len(points) - 1), method, st.integers(0, n - 1)),
         min_size=1, max_size=25,
     ))
     return _oracle_factory(kind, seed, n, m), points, h, calls
+
+
+class TestHessianQuad:
+    """``hessian_quad`` is <hessian_vec(x, h), h>, read from c @ h alone by the data oracles."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(_KINDS), st.integers(1, 12), st.integers(1, 15),
+           st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0), st.floats(1e-6, 1e6))
+    def test_matches_the_action_inner_product(self, kind, n, m, seed, x_scale, h_scale):
+        oracle = _oracle_factory(kind, seed, n, m)()
+        rng = np.random.default_rng(seed + 4)
+        x = x_scale * rng.uniform(-1.0, 1.0, n)
+        h = h_scale * rng.standard_normal(n)
+        expected = float(np.vdot(oracle.hessian_vec(x, h), h))
+        got = oracle.hessian_quad(x, h)
+        assert isinstance(got, float)
+        assert abs(got - expected) <= 1e-12 * expected
+
+    def test_quadratic_keeps_the_action_bits(self, rng):
+        prob = make_quadratic(rng, 5)
+        x, h = rng.standard_normal(5), rng.standard_normal(5)
+        assert prob.hessian_quad(x, h) == float(np.vdot(prob.hessian_vec(x, h), h))
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_overflow_reads_as_non_finite_without_a_warning(self, kind):
+        oracle = _oracle_factory(kind, 3, 4, 5)()
+        assert not np.isfinite(oracle.hessian_quad(np.zeros(4), np.full(4, 1e300)))
+
+    def test_logsumexp_weights_at_the_top_of_the_range(self):
+        # (pi + 1) * (c h) would overflow here; the halved weights do not
+        prob = LogSumExpProblem(np.array([[1.0]]), np.zeros(1), 1.0)
+        assert not np.isfinite(prob.hessian_quad(np.zeros(1), np.array([1.5e308])))
+
+    def test_wrong_length_is_refused(self, rng):
+        for prob in all_problems(rng):
+            with pytest.raises(DimensionMismatch):
+                prob.hessian_quad(np.zeros(prob.n), np.zeros(prob.n + 1))
 
 
 class TestPointCache:
@@ -387,7 +424,7 @@ class TestPointCache:
         x = np.empty_like(points[0])  # one buffer, rewritten in place before each call
         for j, name, i in calls:
             x[...] = points[j]
-            call = (name, h if name == "hessian_vec" else i)
+            call = (name, h if name in ("hessian_vec", "hessian_quad") else i)
             assert _call(cached, call, x) == _call(make(), call, points[j].copy())
 
     @pytest.mark.parametrize("kind", _KINDS)
@@ -434,7 +471,7 @@ class TestPointCache:
         rng = np.random.default_rng(10)
         points = [rng.uniform(-1.0, 1.0, 5) for _ in range(6)]
         calls = [("value", None), ("gradient", None), ("hessian_diag", None),
-                 ("hessian_vec", np.ones(5)), ("hessian_col", 3)]
+                 ("hessian_vec", np.ones(5)), ("hessian_col", 3), ("hessian_quad", np.ones(5))]
         expected = [[_call(_oracle_factory(kind, 9, 5, 7)(), c, x) for c in calls]
                     for x in points]
         mismatches = []

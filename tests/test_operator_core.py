@@ -27,8 +27,10 @@ from greedyqn.operator_core import (
     BLOCK_ENTRIES,
     DRIFT_LIMIT,
     PIVOT_RTOL,
+    PROBE_TRIGGER,
     SpdState,
     _ger,
+    _probe_block,
     _signed_terms,
     factorize,
     symmetric,
@@ -584,6 +586,26 @@ class TestScaleMultiplier:
         assert np.array_equal(state.g_inv, inv0 / 4.0)
         assert np.array_equal(state.column(2), g0[2] * 4.0)
 
+    def test_readers_refuse_an_overflowing_product(self):
+        state = SpdState.scaled_identity(2, 1e300).rescale(1e10)
+        readers = [
+            lambda: state.g, lambda: state.diag, lambda: state.apply([1.0, 0.0]),
+            lambda: state.column(1),
+        ]
+        for read in readers:  # warnings are errors: none may warn
+            with pytest.raises(NonFiniteResult, match="times the scale 1.000e\\+10"):
+                read()
+        assert np.array_equal(state.solve([1.0, 0.0]), [1e-310, 0.0])
+        assert np.array_equal(state._g, np.eye(2) * 1e300)
+
+    def test_readers_at_unit_scale_return_the_stored_bits(self, rng):
+        state = SpdState(random_like(rng, 4))
+        u = rng.standard_normal(4)
+        assert np.array_equal(state.diag, state._g.diagonal())
+        assert state.apply(u).tobytes() == (state._g @ u).tobytes()
+        assert np.array_equal(state.column(2), state._g[2])
+        assert not np.shares_memory(state.diag, state._g)
+
     def test_an_overflowing_multiplier_is_refused_unchanged(self):
         state = SpdState.scaled_identity(2, 1.0).rescale(1e300)
         with pytest.raises(NonFiniteResult):
@@ -755,6 +777,86 @@ class TestMaintenanceStress:
         rel = np.max(np.abs(state.g_inv - fresh)) / np.max(np.abs(fresh))
         assert rel <= 1e-8
         assert state.update_count == 800  # the 200 rescales are not counted
+
+
+def _exact_drift(state):
+    return float(np.max(np.abs(state._g @ state._g_inv - np.eye(state.n))))
+
+
+@st.composite
+def drifted_states(draw):
+    """A state after generated updates and rescales, then drift at a random entry.
+
+    The drift adds delta, of either sign and log-uniform in [1e-13, 1e-4],
+    to entry (i, j) and (j, i) of the stored G_s or G_s^{-1}, so the exact
+    residual lands on either side of PROBE_TRIGGER and of DRIFT_LIMIT.
+    """
+    g, steps, rng = draw(scaled_update_sequences())
+    state = SpdState(g)
+    n = len(g)
+    for step in steps:
+        if step[0] == "rescale":
+            state.rescale(step[1])
+        else:
+            p = rng.standard_normal(n)
+            q = state.g[:, step[1]] if step[0] == "coordinate" else rng.standard_normal(n)
+            coeffs = _bounded_coefficients(state.g, p, q, step[-1])
+            state.rank2_update(p, q, *coeffs, index=step[1] if step[0] == "coordinate" else None)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    delta = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-13.0, -4.0))
+    stored = state._g_inv if draw(st.booleans()) else state._g
+    stored[i, j] += delta
+    if i != j:
+        stored[j, i] += delta
+    return state
+
+
+class TestDriftProbe:
+    """The audit's O(n^2) probe decides refactorization as the exact residual would."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(drifted_states())
+    def test_passes_the_limit_exactly_when_the_exact_residual_does(self, state):
+        exact = _exact_drift(state)
+        drift = state.audit()
+        assert state.drift == drift
+        assert (drift > DRIFT_LIMIT) == (exact > DRIFT_LIMIT)
+        if drift > PROBE_TRIGGER:  # the stored value is then the exact residual itself
+            assert drift == exact
+
+    def test_probe_block_is_fixed_signs_built_once_per_size(self):
+        v = _probe_block(7)
+        assert v.shape == (7, 2)
+        assert set(np.unique(v)) <= {-1.0, 1.0}
+        assert not v.flags.writeable
+        state = SpdState(random_spd(np.random.default_rng(1), 7))
+        state.audit()
+        with mock.patch.object(np.random, "default_rng", side_effect=AssertionError):
+            for _ in range(3):
+                state.audit()
+        assert _probe_block(7) is v
+
+    def test_no_dense_temporary(self):
+        n = 1000
+        state = SpdState.scaled_identity(n, 2.0)
+        state.audit()  # the probe block of this n is built outside the measurement
+        tracemalloc.start()
+        try:
+            drift = state.audit()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert drift <= PROBE_TRIGGER  # the probe alone decided
+        assert peak < n * n * 8 / 4
+
+    def test_an_overflowing_probe_defers_to_the_exact_residual(self):
+        # G_s^{-1} = a w w^T with w the probe's first column: G_s^{-1} w = 2 a w
+        # overflows, while the exact product G_s G_s^{-1} = 1e-300 a w w^T does not.
+        w = _probe_block(2)[:, 0]
+        state = SpdState(np.eye(2))
+        state._g = np.eye(2) * 1e-300
+        state._g_inv = np.outer(w, w) * 1.5e308
+        assert state.audit() == _exact_drift(state) > DRIFT_LIMIT
 
 
 @st.composite
