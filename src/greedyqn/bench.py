@@ -26,17 +26,16 @@ from .data_io import RngStream, SyntheticSpec, generate_logsumexp, generate_star
 from .errors import DatasetNotFound, GreedyQnError, InvalidPlan
 from .objectives import DENSE_CAP, ObjectiveOracle, QuadraticProblem
 from .solvers import (
-    CONVERGED,
     MAX_ITER_REACHED,
     DirectionStrategy,
     FunctionResidual,
-    GradientNorm,
     IterationRecord,
     SolverConfig,
     TraceOptions,
     _terminated,
     classical_qn,
     gradient_method,
+    newton_minimum,
     solve_general,
 )
 
@@ -167,16 +166,18 @@ class _Prepared:
     description: str
 
 
+# The reference solve's gradient tolerance and Newton step budget.
+REFERENCE_GTOL = 1e-13
+REFERENCE_STEPS = 100
+
+
 def _reference_f_star(oracle) -> float:
-    """Logistic optimum: the least value of a classical SR1 solve to |grad f| <= 1e-13."""
-    _, trace = classical_qn(
-        oracle, np.zeros(oracle.n), UpdateRule.sr1(), GradientNorm(1e-13), 50 * oracle.n
-    )
-    if trace.outcome != CONVERGED:
-        last = trace.records[-1]
-        print(f"note: reference solve for f* ended {trace.outcome} ({trace.failure_reason})"
-              f" at k={last.k}, |grad f|={last.grad_norm:.3g}", file=sys.stderr)
-    return float(min(trace.f_values()))
+    """Logistic optimum: the least value of a Newton solve from x = 0.
+
+    Refused as :class:`~greedyqn.errors.NotConverged` when the solve does
+    not converge within ``REFERENCE_STEPS`` steps.
+    """
+    return newton_minimum(oracle, np.zeros(oracle.n), REFERENCE_GTOL, REFERENCE_STEPS)
 
 
 def _prepare(plan: ExperimentPlan) -> _Prepared:

@@ -39,6 +39,10 @@ class NonPositiveHessianDiagonal(GreedyQnError):
     definiteness."""
 
 
+class NotConverged(GreedyQnError):
+    """An iterative solve met neither of its stopping tests within its step budget."""
+
+
 class NonFiniteResult(GreedyQnError):
     """An oracle output, a scale or an operator entry is NaN or inf, or a ratio would overflow."""
 

@@ -11,6 +11,9 @@ share one iteration driver (evaluation, finiteness check, diagnostics,
 termination, records, failure mapping) and differ only in their step
 rule.  Divergence or loss of definiteness is reported as an outcome, never
 patched.
+
+:func:`newton_minimum` is not one of these schemes: it is the reference
+solve for the optimum f* that the experiment tables measure against.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -37,10 +41,11 @@ from .errors import (
     NonFiniteResult,
     NonPositiveCurvature,
     NonPositiveHessianDiagonal,
+    NotConverged,
     NotPositiveDefinite,
     SingularCapacitance,
 )
-from .objectives import ObjectiveOracle, _basis, _sq_norm
+from .objectives import DENSE_CAP, ObjectiveOracle, _basis, _sq_norm
 from .operator_core import SpdState, factorize
 
 
@@ -409,3 +414,75 @@ def lambda_f(problem: ObjectiveOracle, x) -> float:
     refused above the dense cap by ``full_hessian``.
     """
     return _diagnostics(problem, x, problem.gradient(x), None, TraceOptions(lambda_f=True))[0]
+
+
+# Newton's method: the dense Hessian's diagonal shift relative to its largest
+# entry, the relative tolerance of the conjugate-gradient solve above the
+# dense cap, and the rounding of f, in units of eps * |f|, below which the
+# Newton decrement ends the solve.
+NEWTON_SHIFT = 1e-12
+NEWTON_CG_RTOL = 1e-10
+NEWTON_ROUNDING = 4.0
+_EPS = float(np.finfo(float).eps)
+
+
+def _newton_direction(oracle, x, grad) -> np.ndarray:
+    """The Newton direction -H(x)^{-1} grad, dense up to the cap and by CG above it.
+
+    The dense Hessian's diagonal is shifted by ``NEWTON_SHIFT`` times its
+    largest entry before :func:`factorize`: the Hessian of data with an
+    all-zero column has only gamma on that column's diagonal, which the
+    pivot test refuses at a tiny gamma.
+    """
+    n = oracle.n
+    if n <= DENSE_CAP:
+        hess = np.array(oracle.full_hessian(x))
+        hess[np.diag_indices(n)] += NEWTON_SHIFT * hess.diagonal().max()
+        return -cho_solve((factorize(hess), True), grad)
+    # Imported here: scipy.sparse.linalg adds about 3 MiB to every process that loads it.
+    from scipy.sparse.linalg import LinearOperator, cg
+
+    hess = LinearOperator((n, n), matvec=partial(oracle.hessian_vec, x), dtype=float)
+    return -cg(hess, grad, rtol=NEWTON_CG_RTOL, atol=0.0)[0]
+
+
+def newton_minimum(oracle: ObjectiveOracle, x0, gtol: float, max_steps: int) -> float:
+    """The least value of f that Newton's method reaches from x0.
+
+    Each step takes the full Newton step d (:func:`_newton_direction`),
+    halved only while f increases, so f never increases and its last value
+    is the least.  The solve stops once |grad f| <= ``gtol``, or after the
+    step whose Newton decrement lambda^2 = -<grad f, d> is within f's
+    rounding, ``NEWTON_ROUNDING`` * eps * |f|.  It also stops before
+    forming a Hessian when the bound lambda^2 <= |grad f|^2 / mu, with the
+    oracle's strong-convexity constant mu, is at most eps * |f| /
+    ``NEWTON_ROUNDING``: the step would then lower f by at most a quarter
+    of a unit in its last place.  Raises
+    :class:`~greedyqn.errors.NotConverged` when it does not stop within
+    ``max_steps`` steps, or when halving the step to below eps still
+    increases f.
+    """
+    x = np.array(x0, dtype=float)
+    f = _finite(oracle.value(x), "objective")
+    mu = oracle.strong_convexity_mu or 0.0
+    for k in range(max_steps + 1):
+        grad = oracle.gradient(x)
+        grad_norm = math.sqrt(_sq_norm(grad))
+        if grad_norm <= gtol or NEWTON_ROUNDING * grad_norm * grad_norm <= _EPS * abs(f) * mu:
+            return f
+        if k == max_steps:
+            break
+        d = _newton_direction(oracle, x, grad)
+        decrement = -float(np.dot(grad, d))
+        t = 1.0
+        while not (f_next := oracle.value(x + t * d)) <= f:
+            t /= 2.0
+            if t < _EPS:
+                raise NotConverged(f"no Newton step lowers f = {f!r} at step {k}")
+        x, f = x + t * d, f_next
+        if decrement <= NEWTON_ROUNDING * _EPS * abs(f):
+            return f
+    raise NotConverged(
+        f"Newton's method did not converge in {max_steps} steps: "
+        f"|grad f| = {grad_norm:.3g}, f = {f!r}"
+    )

@@ -29,10 +29,11 @@ from greedyqn.bench import (
     _plan_from_args,
     _prepare,
 )
-from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start
+from greedyqn.broyden import UpdateRule
+from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start, parse_libsvm
 from greedyqn.errors import InvalidPlan
-from greedyqn.objectives import DENSE_CAP, QuadraticProblem
-from greedyqn.solvers import NUMERICAL_FAILURE, GradientNorm, lambda_f
+from greedyqn.objectives import DENSE_CAP, LogisticProblem, QuadraticProblem
+from greedyqn.solvers import GradientNorm, lambda_f
 
 GOLDEN = Path(__file__).parent / "golden"
 PINS = Path(__file__).resolve().parent.parent / "perfbench" / "pins.json"
@@ -305,20 +306,18 @@ class TestLibsvmPlan:
         target = tmp_path / "tiny.libsvm"
         target.write_text((GOLDEN / "tiny.libsvm").read_text())
         reference_solves = []
-        classical_qn = bench.classical_qn
+        newton_minimum = bench.newton_minimum
 
-        def spy(oracle, x0, rule, termination, *args, **kwargs):
-            if isinstance(termination, GradientNorm):
-                reference_solves.append(termination)
-            return classical_qn(oracle, x0, rule, termination, *args, **kwargs)
+        def spy(oracle, *args):
+            reference_solves.append(oracle.n)
+            return newton_minimum(oracle, *args)
 
-        monkeypatch.setattr(bench, "classical_qn", spy)
+        monkeypatch.setattr(bench, "newton_minimum", spy)
         argv = ["--problem", "libsvm", "--dataset", str(target), "--methods", "SR1,GrSR1"]
         assert main(argv + ["--epsilons", "1e-1,1e-4", "--hessian-error"]) == 0
         captured = capsys.readouterr()
         assert captured.out.count("epsilon,SR1,GrSR1") == 2
-        assert "note:" not in captured.err  # the reference converged
-        assert len(reference_solves) == 1
+        assert reference_solves == [7]
 
     def test_writes_nothing_beside_the_dataset(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -437,31 +436,91 @@ class TestLibsvmPlan:
         # each ends at k = 0, after the step's r_k and before a direction is chosen
         assert ends == [("NonFiniteResult", 1, None)] * len(ends)
 
-    def test_failed_reference_solve_is_noted(self, tmp_path, monkeypatch, capsys):
-        target = tmp_path / "tiny.libsvm"
-        target.write_text((GOLDEN / "tiny.libsvm").read_text())
-        reached = []
-        classical_qn = bench.classical_qn
+    def test_non_converging_reference_is_refused(self, tmp_path, monkeypatch, capsys):
+        # one Newton step does not reach the optimum of the tiny data at gamma = 1
+        monkeypatch.setattr(bench, "REFERENCE_STEPS", 1)
 
-        def failing(oracle, x0, rule, termination, *args, **kwargs):
-            x, trace = classical_qn(oracle, x0, rule, termination, *args, **kwargs)
-            if isinstance(termination, GradientNorm):  # the reference solve
-                del trace.records[3:]
-                trace.outcome, trace.failure_reason = NUMERICAL_FAILURE, "NotPositiveDefinite"
-                reached.append(float(min(trace.f_values())))
-            return x, trace
+        def refuse(*args, **kwargs):
+            raise AssertionError("no method may run without a converged reference")
 
-        monkeypatch.setattr(bench, "classical_qn", failing)
-        argv = ["--problem", "libsvm", "--dataset", str(target), "--methods", "SR1,GrSR1"]
-        assert main(argv + ["--epsilons", "1e-1,1e-4", "--hessian-error"]) == 0
+        for name in ("gradient_method", "classical_qn", "solve_general"):
+            monkeypatch.setattr(bench, name, refuse)
+        argv = ["--problem", "libsvm", "--dataset", str(GOLDEN / "tiny.libsvm")]
+        argv += ["--methods", "SR1,GrSR1", "--hessian-error", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
         captured = capsys.readouterr()
-        notes = [line for line in captured.err.splitlines() if line.startswith("note:")]
-        assert len(notes) == 1
-        assert "numerical_failure (NotPositiveDefinite) at k=2, |grad f|=" in notes[0]
-        assert captured.out.count("epsilon,SR1,GrSR1") == 2
-        # f* is still the least value the reference reached
-        assert _prepare(micro_plan(problem=LibsvmSpec(str(target), 1.0))).f_star == reached[-1]
-        assert reached[-1] == reached[0]
+        assert captured.out == ""
+        assert captured.err.startswith("error: Newton's method did not converge in 1 steps")
+        assert len(captured.err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+
+def _libsvm_text(labels, rows):
+    """LIBSVM lines from labels and dense rows; a zero entry is left out of its line."""
+    lines = []
+    for label, row in zip(labels, rows):
+        pairs = [f"{j + 1}:{float(v)!r}" for j, v in enumerate(row) if v != 0.0]
+        lines.append(" ".join([f"{label:+d}"] + pairs))
+    return "\n".join(lines) + "\n"
+
+
+def _bfgs_least_f(oracle, budget):
+    """The least f of a classical BFGS run from x = 0 to |grad f| <= 1e-13."""
+    _, trace = solvers.classical_qn(
+        oracle, np.zeros(oracle.n), UpdateRule.bfgs(), GradientNorm(1e-13), budget
+    )
+    return float(min(trace.f_values()))
+
+
+@st.composite
+def _sparse_libsvm(draw):
+    """(text, n, gamma): m <= 12 rows over n <= 6 features, zero columns allowed."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_subnormal=False))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m))
+    gamma = 10.0 ** draw(st.floats(-6.0, 6.0))
+    return _libsvm_text(labels, rows), n, gamma
+
+
+class TestReference:
+    @settings(max_examples=60, deadline=None)
+    @given(_sparse_libsvm())
+    def test_newton_reaches_the_least_value_of_a_long_bfgs_run(self, data):
+        text, n, gamma = data
+        oracle = parse_libsvm(text, n_features=n).to_logistic(gamma)
+        f_star = bench._reference_f_star(oracle)  # refused if it does not converge
+        f_bfgs = _bfgs_least_f(oracle, 2000)
+        assert f_star <= f_bfgs + 4 * np.spacing(f_bfgs)
+
+    def test_conjugate_gradients_above_the_dense_cap(self, tmp_path, monkeypatch, capsys):
+        n = DENSE_CAP + 1
+        rng = np.random.default_rng(5)
+        rows = np.zeros((4, n))
+        for row in rows:
+            cols = rng.choice(n, size=6, replace=False)
+            row[cols] = np.round(rng.standard_normal(6), 3)
+        target = tmp_path / "wide.libsvm"
+        target.write_text(_libsvm_text([1, -1, 1, -1], rows))
+        f_stars = []
+        reference = bench._reference_f_star
+
+        def reference_spy(oracle):
+            f_stars.append(reference(oracle))
+            return f_stars[-1]
+
+        monkeypatch.setattr(bench, "_reference_f_star", reference_spy)
+        argv = ["--problem", "libsvm", "--dataset", str(target), "--n-features", str(n)]
+        with mock.patch.object(LogisticProblem, "hessian_vec", autospec=True,
+                               side_effect=LogisticProblem.hessian_vec) as products:
+            assert main(argv + ["--gamma", "1", "--methods", "GM"]) == 0
+        assert capsys.readouterr().out.startswith("epsilon,GM\n")
+        # full_hessian refuses n above the cap, so the Newton steps ran CG on products
+        assert products.call_count > 0
+        oracle = parse_libsvm(target.read_text(), n_features=n).to_logistic(1.0)
+        f_bfgs = _bfgs_least_f(oracle, 200)
+        assert f_stars == [pytest.approx(f_bfgs, rel=4 * np.finfo(float).eps)]
 
 
 class TestCli:
