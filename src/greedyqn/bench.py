@@ -24,7 +24,7 @@ import numpy as np
 from .broyden import UpdateRule
 from .data_io import RngStream, SyntheticSpec, generate_logsumexp, generate_start, parse_libsvm
 from .errors import DatasetNotFound, GreedyQnError, InvalidPlan
-from .objectives import DENSE_CAP, ObjectiveOracle, QuadraticProblem
+from .objectives import ObjectiveOracle, QuadraticProblem
 from .solvers import (
     MAX_ITER_REACHED,
     DirectionStrategy,
@@ -166,18 +166,13 @@ class _Prepared:
     description: str
 
 
-# The reference solve's gradient tolerance and Newton step budget.
-REFERENCE_GTOL = 1e-13
-REFERENCE_STEPS = 100
-
-
 def _reference_f_star(oracle) -> float:
     """Logistic optimum: the least value of a Newton solve from x = 0.
 
     Refused as :class:`~greedyqn.errors.NotConverged` when the solve does
-    not converge within ``REFERENCE_STEPS`` steps.
+    not stop within its step budget (:func:`~greedyqn.solvers.newton_minimum`).
     """
-    return newton_minimum(oracle, np.zeros(oracle.n), REFERENCE_GTOL, REFERENCE_STEPS)
+    return newton_minimum(oracle, np.zeros(oracle.n))
 
 
 def _prepare(plan: ExperimentPlan) -> _Prepared:
@@ -208,24 +203,27 @@ def _prepare(plan: ExperimentPlan) -> _Prepared:
     return _Prepared(oracle, f_star, x0, desc)
 
 
-def _run_tables(plan: ExperimentPlan, prepared: _Prepared, errors: bool):
-    """Run every method once to the tightest epsilon and read its tables off the traces.
+def _run_tables(plan: ExperimentPlan, errors: bool):
+    """Prepare the problem, run every method once to the tightest epsilon, and read the tables.
 
     Returns the tables by file stem: "iterations" and, when ``errors`` is
     set, "hessian_error" for the methods other than GM; the runs then take
     ``op_error`` at the first iterate meeting each epsilon, the rows the
-    error table reads.  Above the dense cap a plan asking for the error table
-    or for any traced diagnostic is refused before a method runs.  With
-    ``plan.output`` every table and trace file is written once.
+    error table reads.  An error table with no method besides GM is refused
+    before the problem is prepared.  Above the dense cap a plan asking for
+    the error table or for any traced diagnostic is refused by the oracle's
+    own cap check, before a method runs.  With ``plan.output`` every table
+    and trace file is written once.
     """
-    oracle = prepared.oracle
-    m_const = oracle.self_concordance_m or 0.0  # 0.0 turns the correction off
     error_methods = [m for m in plan.methods if m.family != "gm"]
-    trace_opts = plan.trace_options
     if errors and not error_methods:
         raise InvalidPlan("no method with a Hessian approximation for the error table")
-    if (errors or trace_opts.dense) and oracle.n > DENSE_CAP:
-        raise InvalidPlan(f"n={oracle.n} exceeds the dense cap {DENSE_CAP}")
+    prepared = _prepare(plan)
+    oracle = prepared.oracle
+    m_const = oracle.self_concordance_m or 0.0  # 0.0 turns the correction off
+    trace_opts = plan.trace_options
+    if errors or trace_opts.dense:
+        oracle._check_cap()
     if errors:
         trace_opts = replace(trace_opts, op_error_at=tuple(plan.epsilons))
     budget = plan.iteration_budget_factor * oracle.n
@@ -298,19 +296,19 @@ def _op_error_at_threshold(trace, epsilon: float, f_star: float):
 
 def run_plan(plan: ExperimentPlan) -> ResultTable:
     """Iteration-count table over the (method x epsilon) matrix."""
-    return _run_tables(plan, _prepare(plan), errors=False)["iterations"]
+    return _run_tables(plan, errors=False)["iterations"]
 
 
 def run_hessian_error_plan(plan: ExperimentPlan) -> ResultTable:
     """Final Hessian-approximation error per (method, epsilon).
 
     Cells hold the relative operator-norm error of the approximation at the
-    first iterate meeting each threshold.  Gradient descent keeps no
-    approximation and is rejected.
+    first iterate meeting each threshold.  GM, with no approximation, is
+    refused first: only this table is returned, so its run would be wasted.
     """
     if any(m.family == "gm" for m in plan.methods):
         raise InvalidPlan("gradient descent has no Hessian approximation to report")
-    return _run_tables(plan, _prepare(plan), errors=True)["hessian_error"]
+    return _run_tables(plan, errors=True)["hessian_error"]
 
 
 def _format_cell(cell, markdown: bool = False) -> str:
@@ -532,7 +530,7 @@ def main(argv=None) -> int:
     try:
         plan, want_error_table = _plan_from_args(_parse_args(argv))
         _refuse_used_output(plan.output)
-        tables = _run_tables(plan, _prepare(plan), want_error_table)
+        tables = _run_tables(plan, want_error_table)
         print("\n".join(emit_table(t, "csv") for t in tables.values()), end="")
         for name, seconds in tables["iterations"].metadata["wall_times"].items():
             print(f"# {name}: {seconds:.2f}s", file=sys.stderr)

@@ -2,11 +2,13 @@
 
 The family is parameterized by tau in [0, 1]: tau = 0 is the symmetric
 rank-one update (SR1), tau = 1 is DFP, and tau = <Au, u>/<Gu, u> recovers
-BFGS.  Every member is a symmetric rank-two modification of G lying in
-span{Au, Gu}, or span{y, Gs} for a secant step.  :func:`family_coefficients`
-gives its coefficients on either pair; :func:`broyden_update` re-expresses a
-random-direction update with an SR1 part on (Au, Gu - Au).  Each update is a
-single :meth:`~greedyqn.operator_core.SpdState.rank2_update` call.
+BFGS.  Every policy reads tau (:func:`_tau`): a rule has an SR1 part iff
+tau is not BFGS's or 1, and a part dividing by <Au, u> iff tau is not 0.
+Each member is a symmetric rank-two modification of G in span{Au, Gu}, or
+span{y, Gs} for a secant step.  :func:`family_coefficients` gives its
+coefficients on either pair; :func:`broyden_update` re-expresses a
+random-direction update with an SR1 part on (Au, Gu - Au), and each
+update is one :meth:`~greedyqn.operator_core.SpdState.rank2_update` call.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ class UpdateRule:
         return cls(UpdateKind.FIXED_TAU, tau)
 
 
-def _blend_tau(rule: UpdateRule) -> float:
-    """The DFP weight tau of a rule other than BFGS: 0 for SR1, 1 for DFP."""
+def _tau(rule: UpdateRule) -> float | None:
+    """The rule's DFP weight tau: 0 for SR1, 1 for DFP, None for BFGS (it varies)."""
     return {UpdateKind.SR1: 0.0, UpdateKind.DFP: 1.0}.get(rule.kind, rule.tau)
 
 
@@ -88,10 +90,10 @@ def family_coefficients(rule: UpdateRule, alpha, beta) -> tuple[float, float, fl
     An alpha^2 that underflows to 0, or a coefficient that is not finite, is
     refused as :class:`NonFiniteResult`.
     """
-    if rule.kind is UpdateKind.BFGS:
+    tau = _tau(rule)
+    if tau is None:
         coeffs = 1.0 / alpha, 0.0, -1.0 / beta
     else:
-        tau = _blend_tau(rule)
         c11 = c12 = c22 = 0.0
         if tau != 0.0:
             if alpha * alpha == 0.0:
@@ -142,10 +144,10 @@ def broyden_update(state: SpdState, u, au, rule: UpdateRule, index=None) -> SpdS
     if guu - auu <= DEGENERACY_RTOL * auu:
         return state
     c11, c12, c22 = family_coefficients(rule, auu, guu)
-    if index is None and c22 != 0.0 and rule.kind is not UpdateKind.BFGS:
+    tau = _tau(rule)
+    if index is None and tau not in (None, 1.0):
         # The same update on (Au, d): c11 + 2 c12 + c22 on Au Au^T, c12 + c22
         # on Au d^T + d Au^T and c22 = -w on d d^T, built without w.
-        tau = _blend_tau(rule)
         c11, c12 = (tau * (guu - auu) / (auu * auu), -tau / auu) if tau else (0.0, 0.0)
         return state.rank2_update(au, gu - au, c11, c12, c22)
     return state.rank2_update(au, gu, c11, c12, c22, index=index)

@@ -162,7 +162,7 @@ class ObjectiveOracle:
 
     def _check_cap(self):
         if self.n > DENSE_CAP:
-            raise DimensionTooLarge(f"n={self.n} exceeds the dense-Hessian cap {DENSE_CAP}")
+            raise DimensionTooLarge(f"n={self.n} exceeds the dense cap {DENSE_CAP}")
 
 
 class _QuadraticPoint:

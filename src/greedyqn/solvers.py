@@ -28,10 +28,10 @@ from scipy.linalg import cho_solve
 
 from .broyden import (
     DEGENERACY_RTOL,
-    UpdateKind,
     UpdateRule,
     _op_error_from_factor,
     _sigma_from_factor,
+    _tau,
     broyden_update,
     family_coefficients,
     greedy_direction,
@@ -353,15 +353,20 @@ def gradient_method(
 def _secant_coefficients(rule: UpdateRule, alpha, beta):
     """The rule's :func:`family_coefficients` on (y, Gs), or None to skip the update.
 
-    SR1 skips when |<Gs - y, s>| = |beta - alpha| is negligible relative to
-    |<y, s>| = |alpha|, the other rules when alpha is not positive, fixed tau
-    on both.  Unlike :func:`broyden_update`'s screen this is two-sided: a secant
-    pair does not keep G above the target.
+    The secant policy reads tau, with alpha = <y, s> and beta = <Gs, s>.  A
+    rule that divides by alpha (tau != 0) refuses beta <= 0 as
+    :class:`NotPositiveDefinite` and skips alpha <= 0; SR1 tolerates both.
+    A rule with an SR1 part (tau not None or 1) skips a negligible |beta -
+    alpha|: a two-sided test, as a secant pair does not keep G above A.
     """
-    sr1_part = rule.kind in (UpdateKind.SR1, UpdateKind.FIXED_TAU)
-    if sr1_part and abs(beta - alpha) <= DEGENERACY_RTOL * abs(alpha):
+    tau = _tau(rule)
+    if tau != 0.0 and beta <= 0.0:
+        raise NotPositiveDefinite(
+            f"approximation lost definiteness along the step (<Gs,s>={beta})"
+        )
+    if tau not in (None, 1.0) and abs(beta - alpha) <= DEGENERACY_RTOL * abs(alpha):
         return None
-    if alpha <= 0.0 and rule.kind is not UpdateKind.SR1:
+    if tau != 0.0 and alpha <= 0.0:
         return None
     return family_coefficients(rule, alpha, beta)
 
@@ -378,9 +383,8 @@ def classical_qn(
 
     The update direction is the step s = x+ - x, and the target action
     along it is replaced by the gradient difference y = grad(x+) - grad(x).
-    Only gradients are consumed.  SR1 skips its update when the denominator
-    <Gs - y, s> is negligible relative to <y, s>; DFP and BFGS skip when
-    the curvature <y, s> is not positive.
+    Only gradients are consumed.  Whether the pair updates G, is skipped,
+    or ends the run is decided by :func:`_secant_coefficients`.
     """
     state = SpdState.scaled_identity(oracle.n, oracle.lipschitz_l)
 
@@ -392,12 +396,6 @@ def classical_qn(
         alpha = float(np.dot(y, s))
         gs = state.apply(s)
         beta = float(np.dot(gs, s))
-        # SR1 never divides by <Gs, s> and classically tolerates an
-        # indefinite approximation; the other members require it.
-        if beta <= 0.0 and rule.kind is not UpdateKind.SR1:
-            raise NotPositiveDefinite(
-                f"approximation lost definiteness along the step (<Gs,s>={beta})"
-            )
         coeffs = _secant_coefficients(rule, alpha, beta)
         if coeffs is not None:
             state.rank2_update(y, gs, *coeffs)
@@ -417,12 +415,13 @@ def lambda_f(problem: ObjectiveOracle, x) -> float:
 
 
 # Newton's method: the dense Hessian's diagonal shift relative to its largest
-# entry, the relative tolerance of the conjugate-gradient solve above the
-# dense cap, and the rounding of f, in units of eps * |f|, below which the
-# Newton decrement ends the solve.
+# entry, the relative tolerance of CG above the dense cap, and the stopping
+# rule: gradient norm, rounding of f (in eps * |f|) and step budget.
 NEWTON_SHIFT = 1e-12
 NEWTON_CG_RTOL = 1e-10
+NEWTON_GTOL = 1e-13
 NEWTON_ROUNDING = 4.0
+NEWTON_STEPS = 100
 _EPS = float(np.finfo(float).eps)
 
 
@@ -446,31 +445,32 @@ def _newton_direction(oracle, x, grad) -> np.ndarray:
     return -cg(hess, grad, rtol=NEWTON_CG_RTOL, atol=0.0)[0]
 
 
-def newton_minimum(oracle: ObjectiveOracle, x0, gtol: float, max_steps: int) -> float:
+def newton_minimum(oracle: ObjectiveOracle, x0) -> float:
     """The least value of f that Newton's method reaches from x0.
 
     Each step takes the full Newton step d (:func:`_newton_direction`),
     halved only while f increases, so f never increases and its last value
-    is the least.  The solve stops once |grad f| <= ``gtol``, or after the
-    step whose Newton decrement lambda^2 = -<grad f, d> is within f's
-    rounding, ``NEWTON_ROUNDING`` * eps * |f|.  It also stops before
+    is the least.  The solve stops once |grad f| <= ``NEWTON_GTOL``, or
+    after the step whose Newton decrement lambda^2 = -<grad f, d> is within
+    f's rounding, ``NEWTON_ROUNDING`` * eps * |f|.  It also stops before
     forming a Hessian when the bound lambda^2 <= |grad f|^2 / mu, with the
     oracle's strong-convexity constant mu, is at most eps * |f| /
     ``NEWTON_ROUNDING``: the step would then lower f by at most a quarter
     of a unit in its last place.  Raises
     :class:`~greedyqn.errors.NotConverged` when it does not stop within
-    ``max_steps`` steps, or when halving the step to below eps still
-    increases f.
+    ``NEWTON_STEPS`` steps, or when halving the step to below eps still
+    increases f.  The constants are read at each call.
     """
     x = np.array(x0, dtype=float)
     f = _finite(oracle.value(x), "objective")
     mu = oracle.strong_convexity_mu or 0.0
-    for k in range(max_steps + 1):
+    for k in range(NEWTON_STEPS + 1):
         grad = oracle.gradient(x)
         grad_norm = math.sqrt(_sq_norm(grad))
-        if grad_norm <= gtol or NEWTON_ROUNDING * grad_norm * grad_norm <= _EPS * abs(f) * mu:
+        rounding = _EPS * abs(f)
+        if grad_norm <= NEWTON_GTOL or NEWTON_ROUNDING * grad_norm * grad_norm <= rounding * mu:
             return f
-        if k == max_steps:
+        if k == NEWTON_STEPS:
             break
         d = _newton_direction(oracle, x, grad)
         decrement = -float(np.dot(grad, d))
@@ -483,6 +483,6 @@ def newton_minimum(oracle: ObjectiveOracle, x0, gtol: float, max_steps: int) -> 
         if decrement <= NEWTON_ROUNDING * _EPS * abs(f):
             return f
     raise NotConverged(
-        f"Newton's method did not converge in {max_steps} steps: "
+        f"Newton's method did not converge in {NEWTON_STEPS} steps: "
         f"|grad f| = {grad_norm:.3g}, f = {f!r}"
     )

@@ -233,9 +233,13 @@ class TestThresholdExtraction:
 
 
 class TestHessianErrorPlan:
-    def test_rejects_gradient_method(self):
-        with pytest.raises(InvalidPlan):
+    def test_rejects_gradient_method(self, monkeypatch):
+        # only the error table is returned, so a GM run would be wasted
+        prepared = []
+        monkeypatch.setattr(bench, "_prepare", lambda plan: prepared.append(plan))
+        with pytest.raises(InvalidPlan, match="gradient descent"):
             run_hessian_error_plan(micro_plan(methods=["GM", "SR1"]))
+        assert prepared == []
 
     def test_quadratic_greedy_sr1_reaches_exact_hessian(self):
         plan = ExperimentPlan(
@@ -438,7 +442,7 @@ class TestLibsvmPlan:
 
     def test_non_converging_reference_is_refused(self, tmp_path, monkeypatch, capsys):
         # one Newton step does not reach the optimum of the tiny data at gamma = 1
-        monkeypatch.setattr(bench, "REFERENCE_STEPS", 1)
+        monkeypatch.setattr(solvers, "NEWTON_STEPS", 1)
 
         def refuse(*args, **kwargs):
             raise AssertionError("no method may run without a converged reference")
@@ -701,6 +705,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "dense cap" in captured.err
+
+    def test_error_table_of_gm_alone_is_refused_before_the_data_is_read(
+        self, monkeypatch, capsys
+    ):
+        called = []
+        for name in ("parse_libsvm", "newton_minimum"):
+            monkeypatch.setattr(bench, name, lambda *a, name=name, **k: called.append(name))
+        argv = ["--problem", "libsvm", "--dataset", str(GOLDEN / "tiny.libsvm")]
+        assert main(argv + ["--methods", "GM", "--hessian-error"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "no method with a Hessian approximation for the error table"
+        assert captured.err == f"error: {message}\n"
+        assert called == []  # neither parsed nor solved for its reference optimum
 
     def test_trace_over_the_dense_cap_runs_no_method(self, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):

@@ -6,9 +6,10 @@ from scipy.linalg import eigh
 
 from conftest import min_eig, random_spd
 from greedyqn import solvers
+from greedyqn.bench import QuadraticSpec
 from greedyqn.broyden import UpdateRule, broyden_update
 from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start, parse_libsvm
-from greedyqn.errors import DimensionTooLarge
+from greedyqn.errors import DimensionTooLarge, NotPositiveDefinite
 from greedyqn.objectives import DENSE_CAP, LogisticProblem, QuadraticProblem
 from greedyqn.operator_core import AUDIT_EVERY, SpdState
 from greedyqn.solvers import (
@@ -493,6 +494,75 @@ class TestRuleAndStrategyValidation:
         )
         _, trace = solve_general(oracle, generate_start(12, 13), cfg)
         assert trace.outcome == CONVERGED
+
+
+def _endpoint_problems():
+    """Generated problems on which classical SR1 meets <Gs, s> <= 0 and <Gs, s> = <y, s>."""
+    return [
+        generate_logsumexp(SyntheticSpec(n=2, m=4, gamma=1.0, seed=0)),
+        generate_logsumexp(SyntheticSpec(n=8, m=10, gamma=0.01, seed=0)),
+        QuadraticSpec(n=3, seed=0).build(),
+    ]
+
+
+def _run_bits(oracle, rule, kind):
+    """The iterate bits and trace of one secant, greedy or random run of ``rule``."""
+    x0 = generate_start(oracle.n, 1)
+    termination = GradientNorm(1e-12)
+    if kind == "secant":
+        x, trace = classical_qn(oracle, x0, rule, termination, 200)
+    else:
+        greedy = kind == "greedy"
+        strategy = DirectionStrategy.greedy() if greedy else DirectionStrategy.random_sphere(3)
+        m = oracle.self_concordance_m
+        config = SolverConfig(rule, strategy, termination, 200, correction=m > 0.0, m_const=m)
+        x, trace = solve_general(oracle, x0, config)
+    records = [repr(r) for r in trace.records]
+    return x.tobytes(), records, trace.outcome, trace.converged_at, trace.failure_reason
+
+
+class TestTauEndpoints:
+    """Fixed tau = 0 and tau = 1 are SR1 and DFP: every policy reads the rule's tau."""
+
+    @pytest.mark.parametrize("kind", ["secant", "greedy", "random"])
+    @pytest.mark.parametrize(
+        "tau,named", [(0.0, UpdateRule.sr1()), (1.0, UpdateRule.dfp())], ids=["sr1", "dfp"]
+    )
+    def test_fixed_endpoint_runs_bit_for_bit_as_the_named_rule(self, tau, named, kind):
+        for oracle in _endpoint_problems():
+            assert _run_bits(oracle, UpdateRule.fixed(tau), kind) == _run_bits(oracle, named, kind)
+
+    def test_endpoint_problems_meet_the_secant_rules(self, monkeypatch):
+        # the runs above pass through the pairs on which the rules differ
+        pairs = []
+        secant = solvers._secant_coefficients
+
+        def spy(rule, alpha, beta):
+            pairs.append((alpha, beta))
+            return secant(rule, alpha, beta)
+
+        monkeypatch.setattr(solvers, "_secant_coefficients", spy)
+        for oracle in _endpoint_problems():
+            _run_bits(oracle, UpdateRule.sr1(), "secant")
+        assert any(beta <= 0.0 for _, beta in pairs)
+        assert any(abs(beta - alpha) <= 1e-12 * abs(alpha) for alpha, beta in pairs)
+
+    def test_secant_coefficients_read_tau(self):
+        coeffs = solvers._secant_coefficients
+        sr1, dfp = UpdateRule.sr1(), UpdateRule.dfp()
+        zero, one = UpdateRule.fixed(0.0), UpdateRule.fixed(1.0)
+        # beta = alpha: an SR1 part's denominator vanishes, DFP has none
+        assert coeffs(zero, 2.0, 2.0) is None and coeffs(sr1, 2.0, 2.0) is None
+        assert repr(coeffs(one, 2.0, 2.0)) == repr(coeffs(dfp, 2.0, 2.0)) == "(1.0, -0.5, 0.0)"
+        # alpha < 0: SR1 updates, a rule that divides by alpha skips
+        assert repr(coeffs(zero, -1.0, 2.0)) == repr(coeffs(sr1, -1.0, 2.0)) != "None"
+        assert coeffs(one, -1.0, 2.0) is None and coeffs(dfp, -1.0, 2.0) is None
+        # <Gs, s> <= 0: SR1 tolerates an indefinite G, every other rule refuses it
+        for beta in (0.0, -1.0):
+            assert repr(coeffs(zero, 1.0, beta)) == repr(coeffs(sr1, 1.0, beta)) != "None"
+            for rule in (one, dfp, UpdateRule.bfgs(), UpdateRule.fixed(0.5)):
+                with pytest.raises(NotPositiveDefinite):
+                    coeffs(rule, 1.0, beta)
 
 
 class TestLambdaF:
