@@ -26,7 +26,7 @@ from .errors import (
     NonPositiveCurvature,
     NonPositiveHessianDiagonal,
 )
-from .operator_core import SpdState, factorize, symmetric
+from .operator_core import SpdState, _as_vector, _coordinate, factorize, symmetric
 
 # Relative skip tolerance of every update screen: the family update's
 # degeneracy test and the secant skip tests in ``solvers``.
@@ -109,48 +109,51 @@ def family_coefficients(rule: UpdateRule, alpha, beta) -> tuple[float, float, fl
     return coeffs
 
 
-def broyden_update(state: SpdState, u, au, rule: UpdateRule, index=None) -> SpdState:
+def broyden_update(state: SpdState, u, au, rule: UpdateRule) -> SpdState:
     """Apply the rule's member of the Broyden family to ``state`` in place.
 
     This is the one place that decides a family update along a direction u
-    with an exact target action ``au``.  The curvatures <Au, u> and <Gu, u>
-    must be positive (:class:`NonPositiveCurvature` otherwise).  When the
-    direction carries no approximation error, <(G - A)u, u> <=
-    DEGENERACY_RTOL * <Au, u>, the operator is left unchanged: the SR1
-    denominator would vanish, every member degenerates to the identity
-    update, and the BFGS parameter would leave [0, 1] if G dipped below A
-    along u.  Otherwise G gains the :func:`family_coefficients` rank-two
-    term on (Au, Gu).
+    with an exact target action ``au``, refused as :class:`NonFiniteResult`
+    unless finite.  The curvatures <Au, u> and <Gu, u> must be positive
+    (:class:`NonPositiveCurvature` otherwise).  When the direction carries
+    no approximation error, <(G - A)u, u> <= DEGENERACY_RTOL * <Au, u>, the
+    operator is left unchanged: the SR1 denominator would vanish, every
+    member degenerates to the identity update, and the BFGS parameter would
+    leave [0, 1] if G dipped below A along u.  Otherwise G gains the
+    :func:`family_coefficients` rank-two term on (Au, Gu).
 
-    ``index`` = i says that u is the basis vector e_i, as on a greedy step:
-    Gu is then read off G as its column i, and the update takes
+    u is a vector, or an int i that stands for e_i on a greedy step
+    (:class:`DimensionMismatch` unless 0 <= i < n): the curvatures are then
+    ``au[i]`` and G_ii, and the update takes
     :meth:`~greedyqn.operator_core.SpdState.rank2_update`'s coordinate path,
     one Woodbury matvec, refusing an update that leaves G_ii not positive.
-    Without it Gu = G @ u and the update is the dense one, taken on (Au, d)
-    with d = Gu - Au whenever the rule has an SR1 part, -w d d^T with w =
-    (1 - tau)/(<Gu, u> - <Au, u>): that part is then one term, where on
-    (Au, Gu) it is a cancelling sum of three terms of size w |Au|^2 whose
-    rounding, about eps * w |Au|^2, swamps G as <Gu, u> nears <Au, u>.
+    Along a vector Gu = G @ u, and the dense update is taken on (Au, d),
+    d = Gu - Au, whenever the rule has an SR1 part -w d d^T with
+    w = (1 - tau)/(<Gu, u> - <Au, u>): that part is then one term, where on
+    (Au, Gu) it is a cancelling sum whose rounding, about eps * w |Au|^2,
+    swamps G as <Gu, u> nears <Au, u>.
     """
-    u = np.asarray(u, dtype=float)
-    au = np.asarray(au, dtype=float)
-    if u.shape != (state.n,) or au.shape != (state.n,):
-        raise DimensionMismatch("direction/action length mismatch")
-    gu = state.apply(u) if index is None else state.column(index)
-    auu = float(np.dot(au, u))
-    guu = float(np.dot(gu, u))
+    i = _coordinate(u, state.n)
+    au = _as_vector(au, state.n)
+    if not np.isfinite(au).all():
+        raise NonFiniteResult("Hessian action along u is not finite")
+    if i is None:
+        gu = state.apply(u)  # refuses a u of the wrong shape
+        auu, guu = float(np.dot(au, u)), float(np.dot(gu, u))
+    else:  # gu = i stands for G e_i, which rank2_update reads off G's row i
+        gu, auu, guu = i, float(au[i]), float(state.diag[i])
     if auu <= 0.0 or guu <= 0.0:
         raise NonPositiveCurvature(f"curvatures must be positive (auu={auu}, guu={guu})")
     if guu - auu <= DEGENERACY_RTOL * auu:
         return state
     c11, c12, c22 = family_coefficients(rule, auu, guu)
     tau = _tau(rule)
-    if index is None and tau not in (None, 1.0):
+    if i is None and tau not in (None, 1.0):
         # The same update on (Au, d): c11 + 2 c12 + c22 on Au Au^T, c12 + c22
         # on Au d^T + d Au^T and c22 = -w on d d^T, built without w.
         c11, c12 = (tau * (guu - auu) / (auu * auu), -tau / auu) if tau else (0.0, 0.0)
         return state.rank2_update(au, gu - au, c11, c12, c22)
-    return state.rank2_update(au, gu, c11, c12, c22, index=index)
+    return state.rank2_update(au, gu, c11, c12, c22)
 
 
 def greedy_direction(diag_g, diag_a) -> int:

@@ -53,6 +53,14 @@ def _as_vector(u, n):
     return v
 
 
+def _coordinate(u, n) -> int | None:
+    """i when ``u`` is an int i that stands for e_i, refused unless 0 <= i < n; else None."""
+    i = int(u) if isinstance(u, (int, np.integer)) else None
+    if i is not None and not 0 <= i < n:
+        raise DimensionMismatch(f"coordinate {i} is outside range({n})")
+    return i
+
+
 def _check_scale(c):
     if not c > 0:
         raise NonPositiveScale(f"scale must be positive, got {c}")
@@ -200,7 +208,7 @@ class SpdState:
     G is stored as s * G_s and G^{-1} as G_s^{-1} / s, with the arrays
     G_s, G_s^{-1} exactly symmetric and s a float multiplier that
     :meth:`rescale` alone changes.  The readers ``g``, ``g_inv``, ``diag``,
-    :meth:`apply`, :meth:`column` and :meth:`solve` apply s on read, and
+    :meth:`apply` and :meth:`solve` apply s on read, and
     :meth:`rank2_update` folds it into its coefficients.  s starts at 1.0,
     where the readers skip the multiplication; at any other s a reader
     that multiplies by it refuses an overflowing entry as
@@ -259,17 +267,11 @@ class SpdState:
         """G @ u."""
         return _scaled(self._g @ _as_vector(u, self.n), self._scale)
 
-    def column(self, i: int) -> np.ndarray:
-        """G @ e_i, from row i of G (G is stored exactly symmetric)."""
-        return _scaled(self._g[i].copy(), self._scale)
-
     def solve(self, rhs) -> np.ndarray:
         """G^{-1} @ rhs via the maintained inverse (O(n^2))."""
         return (self._g_inv @ _as_vector(rhs, self.n)) / self._scale
 
-    def rank2_update(
-        self, p, q, c11: float, c12: float, c22: float, index: int | None = None
-    ) -> "SpdState":
+    def rank2_update(self, p, q, c11: float, c12: float, c22: float) -> "SpdState":
         """Apply G += c11*p p^T + c12*(p q^T + q p^T) + c22*q q^T in O(n^2).
 
         The inverse is maintained through the Woodbury identity with a 2x2
@@ -278,33 +280,31 @@ class SpdState:
         SPD.  The stored G_s = G / s takes the update with every
         coefficient divided by s.
 
-        With ``index`` = i, q must be G e_i, as :meth:`column` reads it: the
-        greedy step's pair.  The update then reads q off the stored row i,
-        G_s e_i = q / s, and takes (c11/s, c12, c22*s) on (p, G_s e_i).
-        G_s^{-1} G_s e_i is e_i exactly, so the second Woodbury matvec is
-        skipped, the capacitance reads p_i and G_ii off p and the stored
-        row, and the inverse's e_i terms touch only row and column i.  G_s
-        gains the update as at most two signed rank-one terms
-        (:func:`_signed_terms`), G_s^{-1} its t11 term as one, each by one
-        BLAS ``dger``, which keeps both exactly symmetric.  Every family
-        member sets the new G_ii to A_ii > 0, so an update whose G_ii, by
-        the same ``dger`` terms on the 1x1 entry, is not positive is
-        refused as :class:`NotPositiveDefinite`, with G and G^{-1}
-        unchanged.  Secant and random steps pass no index and keep the
-        dense path, bit for bit at s = 1: classical SR1's update is a
-        cancelling sum whose late results move under any reordering of
-        this arithmetic.
+        q is a vector, or an int i that stands for G e_i: the greedy step's
+        pair, refused as :class:`DimensionMismatch` unless 0 <= i < n.  The
+        update then reads the stored row i, G_s e_i, and takes (c11/s, c12,
+        c22*s) on (p, G_s e_i).  G_s^{-1} G_s e_i is e_i exactly, so the second
+        Woodbury matvec is skipped, the capacitance reads p_i and G_ii off p
+        and the stored row, and the inverse's e_i terms touch only row and
+        column i.  G_s gains the update as at most two signed rank-one terms
+        (:func:`_signed_terms`), G_s^{-1} its t11 term as one, each by one BLAS
+        ``dger``, which keeps both exactly symmetric.  Every family member sets
+        the new G_ii to A_ii > 0, so an update whose G_ii, by the same ``dger``
+        terms on the 1x1 entry, is not positive is refused as
+        :class:`NotPositiveDefinite`, with G and G^{-1} unchanged.  Secant and
+        random steps pass a vector q and keep the dense path, bit for bit at
+        s = 1: classical SR1's update is a cancelling sum whose late results
+        move under any reordering of this arithmetic.
         """
+        index = _coordinate(q, self.n)
         p = _as_vector(p, self.n)
-        q = _as_vector(q, self.n)
         # Fold s into the coefficients in Python floats: an overflow reads as
         # inf, without a numpy warning.
         c11, c12, c22, s = float(c11), float(c12), float(c22), self._scale
         if index is None:
-            c11, c12, c22 = c11 / s, c12 / s, c22 / s
+            q, c11, c12, c22 = _as_vector(q, self.n), c11 / s, c12 / s, c22 / s
         else:
-            q = self._g[index]
-            c11, c22 = c11 / s, c22 * s
+            q, c11, c22 = self._g[index], c11 / s, c22 * s
         cmat = np.array([[c11, c12], [c12, c22]], dtype=float)
 
         # Capacitance K = I + C W with W = U^T G_s^{-1} U, U = [p q]; the

@@ -45,7 +45,7 @@ from .errors import (
     NotPositiveDefinite,
     SingularCapacitance,
 )
-from .objectives import DENSE_CAP, ObjectiveOracle, _basis, _sq_norm
+from .objectives import DENSE_CAP, ObjectiveOracle, _sq_norm
 from .operator_core import SpdState, factorize
 
 
@@ -278,9 +278,9 @@ def _run(oracle, x0, termination, max_iter, step, state=None, options=TraceOptio
     return x, trace
 
 
-def _apply_family_update(state, u, au, rule, index=None):
+def _apply_family_update(state, u, au, rule):
     """The rule's family update of ``state`` along u, whose exact target action is ``au``."""
-    return broyden_update(state, u, au, rule, index)
+    return broyden_update(state, u, au, rule)
 
 
 def solve_general(
@@ -294,14 +294,13 @@ def solve_general(
     optionally inflates G by (1 + m_const * r_k) so the Hessian at the new
     point stays dominated, selects the update direction (greedy coordinate
     or random sphere), and applies the tau-update against the exact
-    Hessian action at the new point.  Along a greedy e_i that action is
-    the oracle's Hessian column i, G e_i is read off G as its column i,
-    and the update takes the coordinate path of
-    :meth:`SpdState.rank2_update`.  A non-finite Hessian output or
-    quadratic form ends the run as :class:`NonFiniteResult` (the quadratic
-    form before the rescale), non-positive curvature along u as
-    :class:`NonPositiveCurvature`.  The returned trace is the run's only
-    report.
+    Hessian action at the new point.  A greedy direction e_i is passed as
+    its index i: its action is the oracle's Hessian column i, and the
+    update takes the coordinate path of :meth:`SpdState.rank2_update`.  A
+    non-finite Hessian output or quadratic form ends the run as
+    :class:`NonFiniteResult` (the quadratic form before the rescale),
+    non-positive curvature along u as :class:`NonPositiveCurvature`.  The
+    returned trace is the run's only report.
     """
     n = oracle.n
     state = SpdState.scaled_identity(n, oracle.lipschitz_l)
@@ -317,14 +316,12 @@ def solve_general(
             state.rescale(1.0 + config.m_const * r_k)
         if greedy:
             diag_a = _finite(oracle.hessian_diag(x_next), "Hessian diagonal")
-            idx = row["direction_index"] = greedy_direction(state.diag, diag_a)
-            u = _basis(n, idx)
-            au = _finite(oracle.hessian_col(x_next, idx), "Hessian action along u")
+            u = row["direction_index"] = greedy_direction(state.diag, diag_a)
+            au = oracle.hessian_col(x_next, u)
         else:
-            idx = None
             u = unit_sphere_direction(rng, n)
-            au = _finite(oracle.hessian_vec(x_next, u), "Hessian action along u")
-        _apply_family_update(state, u, au, config.rule, idx)
+            au = oracle.hessian_vec(x_next, u)
+        _apply_family_update(state, u, au, config.rule)
         return x_next, None
 
     return _run(oracle, x0, config.termination, config.max_iter, step, state, config.trace)

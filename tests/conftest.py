@@ -6,8 +6,17 @@ derivatives come from central finite differences, so they can serve as
 oracles for the implementation under test.
 """
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# In CI (GitHub Actions sets CI), a failing example is printed as a
+# @reproduce_failure line that can be pinned: the example database is not kept.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def random_spd(rng, n, cond=50.0):

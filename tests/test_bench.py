@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greedyqn import bench, solvers
@@ -476,6 +476,27 @@ def _bfgs_least_f(oracle, budget):
     return float(min(trace.f_values()))
 
 
+def _value_calls(oracle, run):
+    """The (f, x) of each ``oracle.value`` call that ``run()`` makes, in call order."""
+    calls = []
+    value = oracle.value
+
+    def value_spy(x):
+        calls.append((value(x), np.array(x)))
+        return calls[-1][0]
+
+    with mock.patch.object(oracle, "value", value_spy):
+        run()
+    return calls
+
+
+def _logistic_f_extended(oracle, x):
+    """The logistic objective at x, evaluated in ``np.longdouble`` from the oracle's data."""
+    x = np.asarray(x, dtype=np.longdouble)
+    t = oracle.labels.astype(np.longdouble) * (oracle.c.astype(np.longdouble) @ x)
+    return np.sum(np.logaddexp(np.longdouble(0), -t)) + oracle.gamma * np.dot(x, x) / 2
+
+
 @st.composite
 def _sparse_libsvm(draw):
     """(text, n, gamma): m <= 12 rows over n <= 6 features, zero columns allowed."""
@@ -489,14 +510,25 @@ def _sparse_libsvm(draw):
 
 
 class TestReference:
+    # Both points' double values lie within rounding of each other, so the
+    # points are compared in extended precision: here Newton's double value
+    # is 6 ulps above BFGS's least, and in long double 6.7e-18 above it.
+    @example((
+        "-1\n-1 2:-3.0\n-1 2:-2.3231160370444286 3:-2.450857991844078\n"
+        "+1 2:-1.5 3:-1.7185737883684462\n-1 5:1.0\n-1 5:1.0\n", 5, 0.001,
+    ))
     @settings(max_examples=60, deadline=None)
     @given(_sparse_libsvm())
     def test_newton_reaches_the_least_value_of_a_long_bfgs_run(self, data):
         text, n, gamma = data
         oracle = parse_libsvm(text, n_features=n).to_logistic(gamma)
-        f_star = bench._reference_f_star(oracle)  # refused if it does not converge
-        f_bfgs = _bfgs_least_f(oracle, 2000)
-        assert f_star <= f_bfgs + 4 * np.spacing(f_bfgs)
+        f_star = []  # the reference solve is refused if it does not converge
+        newton = _value_calls(oracle, lambda: f_star.append(bench._reference_f_star(oracle)))
+        # Newton's point is its last at f*: an earlier iterate may round to the same f.
+        x_newton = [x for f, x in newton if f == f_star[0]][-1]
+        bfgs = _value_calls(oracle, lambda: _bfgs_least_f(oracle, 2000))
+        f_bfgs = min(_logistic_f_extended(oracle, x) for _, x in bfgs)
+        assert _logistic_f_extended(oracle, x_newton) <= f_bfgs + np.spacing(float(f_bfgs))
 
     def test_conjugate_gradients_above_the_dense_cap(self, tmp_path, monkeypatch, capsys):
         n = DENSE_CAP + 1

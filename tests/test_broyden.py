@@ -120,6 +120,16 @@ class TestBroydenUpdate:
         with pytest.raises(DimensionMismatch):
             broyden_update(state, np.ones(2), np.ones(3), UpdateRule.sr1())
 
+    @pytest.mark.parametrize("u", [0, np.array([1.0, 0.0])], ids=["coordinate", "vector"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_action_is_refused_unchanged(self, u, bad):
+        # A_00 = 3 is finite: along e_0 only the check of the whole action sees A e_1
+        state = SpdState(np.diag([4.0, 5.0]))
+        with pytest.raises(NonFiniteResult, match="action along u is not finite"):
+            broyden_update(state, u, np.array([3.0, bad]), UpdateRule.bfgs())
+        assert np.array_equal(state.g, np.diag([4.0, 5.0]))
+        assert state.update_count == 0
+
     def test_degenerate_direction_leaves_state_unchanged(self, rng):
         a = random_spd(rng, 4)
         state = SpdState(a)

@@ -442,15 +442,15 @@ def near_zero_diagonal_cases(draw):
 
 
 class TestCoordinateUpdate:
-    """``rank2_update(p, G e_i, ..., index=i)`` against the dense path on the same pair."""
+    """``rank2_update(p, i, ...)`` against the dense path on the pair (p, G e_i)."""
 
     @settings(max_examples=100, deadline=None)
     @given(coordinate_cases())
     def test_matches_the_dense_path(self, case):
         g, i, p, coeffs = case
         dense, coord = SpdState(g), SpdState(g)
-        dense.rank2_update(p, dense.column(i), *coeffs)
-        coord.rank2_update(p, coord.column(i), *coeffs, index=i)
+        dense.rank2_update(p, dense.g[i], *coeffs)
+        coord.rank2_update(p, i, *coeffs)
         for got, ref in ((coord.g, dense.g), (coord.g_inv, dense.g_inv)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
             assert np.array_equal(got, got.T)
@@ -463,7 +463,7 @@ class TestCoordinateUpdate:
         state = SpdState(g)
         for _ in range(steps):
             try:
-                state.rank2_update(p, state.column(i), *coeffs, index=i)
+                state.rank2_update(p, i, *coeffs)
             except (NotPositiveDefinite, SingularCapacitance):
                 break  # only the first update is sure to keep G positive definite
             for m in (state.g, state.g_inv):
@@ -477,11 +477,11 @@ class TestCoordinateUpdate:
         coeffs = 1.0 / p[i], 0.0, -1.0 / g[i, i]  # BFGS: the new G_ii is p_i
         # G_ii by the n x n kernel on a copy of G
         full = np.array(state.g)
-        for sign, x in _signed_terms(p, state.column(i), *coeffs):
+        for sign, x in _signed_terms(p, state.g[i], *coeffs):
             _ger(full, sign, x)
         g0, inv0 = state.g, state.g_inv
         try:
-            state.rank2_update(p, state.column(i), *coeffs, index=i)
+            state.rank2_update(p, i, *coeffs)
         except NotPositiveDefinite:
             assert full[i, i] <= 0.0
             assert np.array_equal(state.g, g0) and np.array_equal(state.g_inv, inv0)
@@ -497,7 +497,8 @@ class TestCoordinateUpdate:
         state = SpdState.scaled_identity(2, 1.0)
         g0, inv0 = state.g, state.g_inv
         with pytest.raises(SingularCapacitance) as refusal:
-            state.rank2_update(np.zeros(2), state.column(0), -1.0, 1.0, -1.0, index=index)
+            q = state.g[0] if index is None else index
+            state.rank2_update(np.zeros(2), q, -1.0, 1.0, -1.0)
         det, scale = re.fullmatch(
             r"capacitance determinant (\S+) below 1e-14 \* (\S+)", str(refusal.value)
         ).groups()
@@ -510,7 +511,7 @@ class TestCoordinateUpdate:
         state = SpdState(np.diag([1.0, 1.0]))
         g0, inv0 = state.g, state.g_inv
         with pytest.raises(NotPositiveDefinite, match="diagonal entry 0 to -1.000e"):
-            state.rank2_update(np.array([1.0, 0.0]), state.column(0), -2.0, 0.0, 0.0, index=0)
+            state.rank2_update(np.array([1.0, 0.0]), 0, -2.0, 0.0, 0.0)
         assert np.array_equal(state.g, g0)
         assert np.array_equal(state.g_inv, inv0)
         assert state.update_count == 0
@@ -559,14 +560,11 @@ class TestScaleMultiplier:
             else:
                 p = rng.standard_normal(n)
                 if step[0] == "coordinate":
-                    i = step[1]
-                    q, ref_q = state.column(i), ref_g[:, i]
-                    coeffs = _bounded_coefficients(ref_g, p, ref_q, step[2])
-                    state.rank2_update(p, q, *coeffs, index=i)
+                    q, ref_q = step[1], ref_g[:, step[1]]
                 else:
                     q = ref_q = rng.standard_normal(n)
-                    coeffs = _bounded_coefficients(ref_g, p, q, step[1])
-                    state.rank2_update(p, q, *coeffs)
+                coeffs = _bounded_coefficients(ref_g, p, ref_q, step[-1])
+                state.rank2_update(p, q, *coeffs)
                 ref_g, ref_inv = reference_rank2_update(ref_g, ref_inv, p, ref_q, *coeffs)
             for got, ref in ((state.g, ref_g), (state.g_inv, ref_inv)):
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -584,13 +582,12 @@ class TestScaleMultiplier:
         state.rescale(4.0)
         assert np.array_equal(state.g, g0 * 4.0)
         assert np.array_equal(state.g_inv, inv0 / 4.0)
-        assert np.array_equal(state.column(2), g0[2] * 4.0)
+        assert np.array_equal(state.diag, g0.diagonal() * 4.0)
 
     def test_readers_refuse_an_overflowing_product(self):
         state = SpdState.scaled_identity(2, 1e300).rescale(1e10)
         readers = [
             lambda: state.g, lambda: state.diag, lambda: state.apply([1.0, 0.0]),
-            lambda: state.column(1),
         ]
         for read in readers:  # warnings are errors: none may warn
             with pytest.raises(NonFiniteResult, match="times the scale 1.000e\\+10"):
@@ -603,7 +600,6 @@ class TestScaleMultiplier:
         u = rng.standard_normal(4)
         assert np.array_equal(state.diag, state._g.diagonal())
         assert state.apply(u).tobytes() == (state._g @ u).tobytes()
-        assert np.array_equal(state.column(2), state._g[2])
         assert not np.shares_memory(state.diag, state._g)
 
     def test_an_overflowing_multiplier_is_refused_unchanged(self):
@@ -799,9 +795,12 @@ def drifted_states(draw):
             state.rescale(step[1])
         else:
             p = rng.standard_normal(n)
-            q = state.g[:, step[1]] if step[0] == "coordinate" else rng.standard_normal(n)
-            coeffs = _bounded_coefficients(state.g, p, q, step[-1])
-            state.rank2_update(p, q, *coeffs, index=step[1] if step[0] == "coordinate" else None)
+            if step[0] == "coordinate":
+                q, ref_q = step[1], state.g[step[1]]
+            else:
+                q = ref_q = rng.standard_normal(n)
+            coeffs = _bounded_coefficients(state.g, p, ref_q, step[-1])
+            state.rank2_update(p, q, *coeffs)
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     delta = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-13.0, -4.0))
     stored = state._g_inv if draw(st.booleans()) else state._g
@@ -925,18 +924,37 @@ def updated_states(draw):
     return state
 
 
-class TestColumn:
-    @settings(max_examples=60, deadline=None)
-    @given(updated_states())
-    def test_column_is_apply_along_e_i(self, state):
-        for i in range(state.n):
-            e = np.zeros(state.n)
-            e[i] = 1.0
-            assert state.column(i).tobytes() == state.apply(e).tobytes()
+class TestGreedyCurvatures:
+    """Along e_i, ``broyden_update`` reads <Au, u> as ``au[i]`` and <Gu, u> as ``diag[i]``."""
 
-    def test_column_is_a_copy(self, rng):
-        state = SpdState(random_like(rng, 4))
-        col = state.column(1)
-        col[:] = 0.0
-        assert np.array_equal(state.column(1), state.g[:, 1])
-        assert state.column(1)[1] > 0.0
+    @settings(max_examples=60, deadline=None)
+    @given(updated_states(), st.data())
+    def test_are_the_bits_of_the_products_along_e_i(self, state, data):
+        n = state.n
+        au = data.draw(hnp.arrays(float, n, elements=st.floats(-1e300, 1e300)))
+        diag = state.diag
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = 1.0
+            assert diag[i].tobytes() == np.dot(state.apply(e), e).tobytes()
+            # A zero's sign may differ; broyden_update refuses either as non-positive.
+            assert au[i].tobytes() == np.dot(au, e).tobytes() or au[i] == 0.0
+
+
+class TestCoordinateRange:
+    """An int direction outside range(n) is refused before anything is read or written."""
+
+    @pytest.mark.parametrize("i", [-1, 3])
+    @pytest.mark.parametrize("update", ["rank2_update", "broyden_update"])
+    def test_is_refused_unchanged(self, rng, i, update):
+        a, g = random_dominating_pair(rng, 3)
+        state = SpdState(g)
+        g0, inv0 = state.g, state.g_inv
+        with pytest.raises(DimensionMismatch, match=f"coordinate {i} is outside range\\(3\\)"):
+            if update == "rank2_update":
+                state.rank2_update(a[0], i, 1.0, 0.0, -1.0 / g[0, 0])
+            else:
+                broyden_update(state, i, a[0], UpdateRule.bfgs())
+        assert np.array_equal(state.g, g0)
+        assert np.array_equal(state.g_inv, inv0)
+        assert state.update_count == 0
