@@ -74,18 +74,119 @@ def parse_libsvm(text: str, label_map=None, n_features: int | None = None) -> Li
     Indices are 1-based in the file and mapped to 0-based.  ``#`` starts a
     comment running to the end of the line.  ``label_map`` optionally remaps
     raw label values (e.g. {2.0: -1.0}); after remapping every label must be
-    -1 or +1.
+    -1 or +1.  Labels and values take Python's float syntax and indices its
+    int syntax; lines end at any ``str.splitlines`` break, and blank lines
+    are skipped but counted.  A refusal names the first bad line.
+
+    ASCII text whose pairs are all plain digits, a colon and a value is
+    parsed in bulk by :func:`_parse_bulk`.  Any other text, and text with a
+    bad line, is parsed by :func:`_parse_lines`, the only code that refuses
+    a line.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    csr = _parse_bulk(lines, label_map)
+    if csr is None:
+        csr = _parse_lines(lines, label_map)
+    labels, indptr, indices, values, max_index = csr
+    if n_features is not None:
+        if n_features < max_index:
+            raise DimensionMismatch(
+                f"n_features override {n_features} below max index {max_index}"
+            )
+        cols = n_features
+    else:
+        cols = max_index
+    return LibsvmDataset(
+        labels=np.asarray(labels, dtype=float),
+        indptr=np.asarray(indptr, dtype=int),
+        indices=np.asarray(indices, dtype=int),
+        values=np.asarray(values, dtype=float),
+        n_features=cols,
+    )
+
+
+def _parse_bulk(lines, label_map):
+    """(labels, indptr, indices, values, max index) of well-formed lines, else None.
+
+    Each step is a C-level pass over the text or over its tokens.  A line
+    that needs a refusal, or a pair that is not plain ASCII digits, a colon
+    and a value, gives None.
+    """
+    body = "\n".join(["", *lines, ""])  # a "\n" before each line and after the last
+    if not body.isascii():
+        return None
+    text = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    # str.split's ASCII whitespace: bytes 9-13 and 28-32 (uint8 differences wrap around)
+    space = (text - 9 <= 4) | (text - 28 <= 4)
+    starts = np.flatnonzero(space[:-1] > space[1:]) + 1  # where str.split's tokens start
+    colons = np.flatnonzero(text == ord(":"))
+    # Read the digits left of each colon, ones first, and blank them and the colon.
+    index = np.zeros(colons.size, dtype=np.int64)
+    width = np.zeros(colons.size, dtype=np.int64)
+    reading = np.ones(colons.size, dtype=bool)
+    blanked = text.copy()
+    blanked[colons] = ord(" ")
+    for place in range(19):
+        at = np.maximum(colons - 1 - place, 0)  # text[0] is the leading "\n"
+        digit = text[at] - ord("0")  # uint8: a byte that is no digit reads above 9
+        reading &= digit <= 9
+        if not reading.any():
+            break
+        if place == 18:  # an index of 19 digits or more may not fit in int64
+            return None
+        index += digit * (reading * 10**place)
+        width += reading
+        blanked[at[reading]] = ord(" ")
+    # The first token of each non-blank line is its label, and every other
+    # token is a pair: digits, a colon and a value that is not blank.
+    first_token = np.searchsorted(starts, np.flatnonzero(text == ord("\n")))  # of each line
+    label_token = first_token[:-1][first_token[:-1] < first_token[1:]]  # of each row
+    is_label = np.zeros(starts.size, dtype=bool)
+    is_label[label_token] = True
+    if not (np.all(width > 0) and np.array_equal(starts[~is_label], colons - width)
+            and not np.any(space[colons + 1])):
+        return None
+    # Blanking the indices and colons leaves one token per label and per value.
+    try:
+        numbers = np.fromiter(map(float, blanked.tobytes().decode("ascii").split()),
+                              dtype=float, count=starts.size)
+    except ValueError:
+        return None
+    labels = numbers[is_label]
+    if label_map:
+        raw = labels.tolist()
+        try:
+            labels = np.fromiter(map(float, map(label_map.get, raw, raw)), dtype=float,
+                                 count=len(raw))
+        except (TypeError, ValueError, OverflowError):  # a mapped value that is no float
+            return None
+    values = numbers[~is_label]
+    indptr = np.append(label_token - np.arange(label_token.size), colons.size)
+    row_start = np.zeros(index.size + 1, dtype=bool)
+    row_start[indptr] = True
+    if not (np.all(np.abs(labels) == 1.0) and np.all(index >= 1) and np.all(np.isfinite(values))
+            and np.all((np.diff(index) > 0) | row_start[1:-1])):
+        return None
+    return labels, indptr, index - 1, values, int(index.max(initial=0))
+
+
+def _parse_lines(lines, label_map):
+    """(labels, indptr, indices, values, max index) of ``lines``, one token at a time.
+
+    The only code that refuses a line: it raises the error of the first bad
+    line, naming its 1-based number among all lines, blank ones included.
     """
     labels = []
     indptr = [0]
     indices = []
     values = []
     max_index = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in enumerate(lines, start=1):
         tokens = line.split()
+        if not tokens:
+            continue
         try:
             label = float(tokens[0])
         except ValueError:
@@ -114,21 +215,7 @@ def parse_libsvm(text: str, label_map=None, n_features: int | None = None) -> Li
         labels.append(label)
         indptr.append(len(indices))
         max_index = max(max_index, prev)
-    if n_features is not None:
-        if n_features < max_index:
-            raise DimensionMismatch(
-                f"n_features override {n_features} below max index {max_index}"
-            )
-        cols = n_features
-    else:
-        cols = max_index
-    return LibsvmDataset(
-        labels=np.array(labels, dtype=float),
-        indptr=np.array(indptr, dtype=int),
-        indices=np.array(indices, dtype=int),
-        values=np.array(values, dtype=float),
-        n_features=cols,
-    )
+    return labels, indptr, indices, values, max_index
 
 
 def serialize_libsvm(dataset: LibsvmDataset) -> str:

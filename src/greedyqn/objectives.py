@@ -61,18 +61,20 @@ def _checked_data(c, gamma, curvature):
     c must be a finite 2-D array and gamma positive and finite.  The
     gradient's Lipschitz constant is L = curvature * sum(c*c) + gamma.  Data
     whose sum of squares overflows is refused as :class:`InvalidPlan` naming
-    the largest entry, and so is any other data that makes L inf.
+    the largest entry, and so is any other data that makes L inf.  A finite
+    sum of squares shows every entry finite, so c is scanned for NaN and inf
+    only when the sum is not finite.
     """
     c = np.array(c, dtype=float)
     if c.ndim != 2:
         raise DimensionMismatch("c must be an m x n array")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("data entries must be finite")
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     with np.errstate(over="ignore"):
         c_sq = c * c
         sq_sum = float(np.sum(c_sq))
+    if not math.isfinite(sq_sum) and not np.all(np.isfinite(c)):
+        raise ValueError("data entries must be finite")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if not math.isfinite(sq_sum):
         i, j = np.unravel_index(np.argmax(np.abs(c)), c.shape)
         raise InvalidPlan(f"data entry {float(c[i, j])!r} at row {i}, column {j} "

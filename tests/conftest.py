@@ -6,11 +6,15 @@ derivatives come from central finite differences, so they can serve as
 oracles for the implementation under test.
 """
 
+import math
 import os
 
 import numpy as np
 import pytest
 from hypothesis import settings
+
+from greedyqn.data_io import LibsvmDataset
+from greedyqn.errors import DimensionMismatch, MalformedLine, NonMonotoneIndices, UnmappedLabel
 
 # In CI (GitHub Actions sets CI), a failing example is printed as a
 # @reproduce_failure line that can be pinned: the example database is not kept.
@@ -89,6 +93,71 @@ def dense_broyden(g, a, u, tau):
         + (guu / auu + 1.0) * np.outer(au, au) / auu
     )
     return tau * dfp + (1.0 - tau) * sr1
+
+
+def reference_parse_libsvm(text: str, label_map=None, n_features: int | None = None) -> LibsvmDataset:
+    """Line-by-line LIBSVM parser: the package's parser before it parsed in bulk, kept verbatim.
+
+    Parse LIBSVM text: one sample per line, "label idx:val idx:val ...".
+
+    Indices are 1-based in the file and mapped to 0-based.  ``#`` starts a
+    comment running to the end of the line.  ``label_map`` optionally remaps
+    raw label values (e.g. {2.0: -1.0}); after remapping every label must be
+    -1 or +1.
+    """
+    labels = []
+    indptr = [0]
+    indices = []
+    values = []
+    max_index = 0
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise MalformedLine(line_no, f"bad label {tokens[0]!r}") from None
+        if label_map and label in label_map:
+            label = float(label_map[label])
+        if label not in (-1.0, 1.0):
+            raise UnmappedLabel(tokens[0])
+        prev = 0
+        for tok in tokens[1:]:
+            try:
+                pos, val = tok.split(":", 1)
+                pos = int(pos)
+                val = float(val)
+            except ValueError:
+                raise MalformedLine(line_no, f"bad pair {tok!r}") from None
+            if pos < 1:
+                raise MalformedLine(line_no, f"index {pos} must be >= 1")
+            if not math.isfinite(val):
+                raise MalformedLine(line_no, f"non-finite value {tok!r}")
+            if pos <= prev:
+                raise NonMonotoneIndices(line_no)
+            prev = pos
+            indices.append(pos - 1)
+            values.append(val)
+        labels.append(label)
+        indptr.append(len(indices))
+        max_index = max(max_index, prev)
+    if n_features is not None:
+        if n_features < max_index:
+            raise DimensionMismatch(
+                f"n_features override {n_features} below max index {max_index}"
+            )
+        cols = n_features
+    else:
+        cols = max_index
+    return LibsvmDataset(
+        labels=np.array(labels, dtype=float),
+        indptr=np.array(indptr, dtype=int),
+        indices=np.array(indices, dtype=int),
+        values=np.array(values, dtype=float),
+        n_features=cols,
+    )
 
 
 def min_eig(sym):

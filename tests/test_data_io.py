@@ -3,6 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
+from conftest import reference_parse_libsvm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -208,6 +209,95 @@ class TestParseLibsvm:
         prob = parse_libsvm("+1 1:1\n-1 2:1\n").to_logistic(gamma=0.5)
         assert prob.n == 2
         assert prob.gamma == 0.5
+
+
+def parse_outcome(parse, text, **kwargs):
+    """What ``parse`` makes of ``text``: the dataset's arrays, or the refusal's class, line and message."""
+    try:
+        ds = parse(text, **kwargs)
+    except Exception as exc:
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+    return csr_arrays(ds), ds.n_features
+
+
+class TestParserPins:
+    """Unusual but valid syntax, and the refusal each bad line gets."""
+
+    def test_signs_underscores_leading_zeros_and_crlf(self):
+        ds = parse_libsvm("+1 +3:1 1_0:1_0\r\n-1 03:-0\r\n")
+        assert ds.n_features == 10
+        expected = csr_dataset([1.0, -1.0], [([2, 9], [1.0, 10.0]), ([2], [-0.0])], 10)
+        assert csr_arrays(ds) == csr_arrays(expected)
+
+    def test_form_feed_vertical_tab_and_non_ascii_digit(self):
+        ds = parse_libsvm("+1 1:1\f-1 2:\u0663\v+1 1:1e3\n")
+        expected = csr_dataset([1.0, -1.0, 1.0], [([0], [1.0]), ([1], [3.0]), ([0], [1000.0])], 2)
+        assert csr_arrays(ds) == csr_arrays(expected)
+
+    def test_next_line_break(self):
+        ds = parse_libsvm("+1 1:1\x85-1 2:2\n")
+        assert csr_arrays(ds) == csr_arrays(csr_dataset([1.0, -1.0], [([0], [1.0]), ([1], [2.0])], 2))
+
+    def test_label_only_row_is_empty(self):
+        ds = parse_libsvm("+1\n-1 2:1\n")
+        assert csr_arrays(ds) == csr_arrays(csr_dataset([1.0, -1.0], [([], []), ([1], [1.0])], 2))
+
+    @pytest.mark.parametrize("text", ["", "# only\n"])
+    def test_no_rows(self, text):
+        ds = parse_libsvm(text)
+        assert ds.n_features == 0
+        assert csr_arrays(ds) == csr_arrays(csr_dataset([], [], 0))
+
+    @pytest.mark.parametrize("text, cls, line_no, message", [
+        ("\n# c\n\n+1 0:1\n", MalformedLine, 4, "line 4: malformed (index 0 must be >= 1)"),
+        ("+1 1:1\n-1 -1:1\n", MalformedLine, 2, "line 2: malformed (index -1 must be >= 1)"),
+        ("+1 1:1e999\n", MalformedLine, 1, "line 1: malformed (non-finite value '1:1e999')"),
+        ("+1 1:1\n+1 3:\n", MalformedLine, 2, "line 2: malformed (bad pair '3:')"),
+        ("+1 :3\n", MalformedLine, 1, "line 1: malformed (bad pair ':3')"),
+        ("-1 1:2:3 5\n", MalformedLine, 1, "line 1: malformed (bad pair '1:2:3')"),
+        ("+1 1:1\n\n-1 5\n", MalformedLine, 3, "line 3: malformed (bad pair '5')"),
+        ("+1 1:1\n+1 2:1 2:1\n", NonMonotoneIndices, 2,
+         "line 2: feature indices must be strictly increasing"),
+        ("+1 1:1\nnan 1:1\n", UnmappedLabel, None,
+         "label 'nan' is not in {-1, +1} and no mapping covers it"),
+    ])
+    def test_refusal(self, text, cls, line_no, message):
+        assert parse_outcome(parse_libsvm, text) == (cls, line_no, message)
+
+
+# Edge cases put into generated text: whole lines, and tokens put into a line.
+_EDGE_LINES = [
+    "+1 +3:1 1_0:1_0", "-1 03:-0", "+1 1:1\f-1 2:\u0663\v+1 1:1e3", "+1 1:1\x85-1 2:2", "+1", "",
+    "# only", "+1 0:1", "nan 1:1", "-1 2:1 2:1", "\t+1\t1:1  2:2\x1f3:3 ", "1 1:1 # c:",
+]
+_EDGE_TOKENS = ["-1:1", "1:1e999", "3:", ":3", "1:2:3", "5", "+3:1", "1_0:2", "\u0663:1", "1:nan",
+                "99:1", "#", "2:1 2:1", "1e0", "1:0x1", "3: 5", "1::2", "\x00", "1:1\t\x1f",
+                "123456789012345678:1", "1234567890123456789:1", "0000000000000000000099:1"]
+
+
+@st.composite
+def libsvm_texts(draw):
+    """Serialized generated datasets, with at most one edge case put into a random line."""
+    lines = serialize_libsvm(draw(libsvm_datasets())).splitlines()
+    edge = draw(st.sampled_from([None, "line", "token"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    if edge == "line":
+        lines.insert(at, draw(st.sampled_from(_EDGE_LINES)))
+    elif edge == "token":
+        tokens = lines[at].split(" ")
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_EDGE_TOKENS)))
+        lines[at] = " ".join(tokens)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "\r\n", ""]))
+
+
+class TestParseMatchesLineByLine:
+    @settings(max_examples=300, deadline=None)
+    @given(libsvm_texts(), st.sampled_from([None, {1.0: -1.0, -1.0: 1.0}, {2.0: 1.0}, {1.0: None}]),
+           st.sampled_from([None, 0, 5, 30]))
+    def test_same_arrays_or_same_refusal(self, text, label_map, n_features):
+        kwargs = {"label_map": label_map, "n_features": n_features}
+        expected = parse_outcome(reference_parse_libsvm, text, **kwargs)
+        assert parse_outcome(parse_libsvm, text, **kwargs) == expected
 
 
 class TestGenerateLogsumexp:
