@@ -22,6 +22,9 @@ from .errors import (
 )
 from .objectives import LogisticProblem, LogSumExpProblem, _stable_softmax
 
+# The largest index the CSR arrays (int64) hold.
+_INDEX_MAX = int(np.iinfo(np.int64).max)
+
 
 class RngStream(np.random.Generator):
     """Deterministic 64-bit PCG64 generator keyed by (seed, stream label).
@@ -194,7 +197,7 @@ def _parse_lines(lines, label_map):
         if label_map and label in label_map:
             label = float(label_map[label])
         if label not in (-1.0, 1.0):
-            raise UnmappedLabel(tokens[0])
+            raise UnmappedLabel(line_no, tokens[0])
         prev = 0
         for tok in tokens[1:]:
             try:
@@ -205,6 +208,8 @@ def _parse_lines(lines, label_map):
                 raise MalformedLine(line_no, f"bad pair {tok!r}") from None
             if pos < 1:
                 raise MalformedLine(line_no, f"index {pos} must be >= 1")
+            if pos > _INDEX_MAX:
+                raise MalformedLine(line_no, f"index {pos} must be <= {_INDEX_MAX}")
             if not math.isfinite(val):
                 raise MalformedLine(line_no, f"non-finite value {tok!r}")
             if pos <= prev:

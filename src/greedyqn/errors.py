@@ -69,9 +69,12 @@ class NonMonotoneIndices(GreedyQnError):
 class UnmappedLabel(GreedyQnError):
     """A class label is not in {-1, +1} after applying the label map."""
 
-    def __init__(self, value):
+    def __init__(self, line_no, value):
+        self.line_no = line_no
         self.value = value
-        super().__init__(f"label {value!r} is not in {{-1, +1}} and no mapping covers it")
+        super().__init__(
+            f"line {line_no}: label {value!r} is not in {{-1, +1}} and no mapping covers it"
+        )
 
 
 class DatasetNotFound(GreedyQnError):

@@ -5,9 +5,11 @@ operator G kept together with its inverse, each stored as a dense array
 times a scalar multiplier, so a rescale of G costs O(1).  Rank-two
 symmetric modifications of G are pushed through to the inverse with a
 Woodbury update whose capacitance block is 2x2, so a full solve never
-costs more than a matrix-vector product.  A greedy coordinate update adds
-its terms with BLAS ``dger`` rank-one calls, which keep both arrays
-exactly symmetric.  Floating-point drift of the maintained inverse is
+costs more than a matrix-vector product.  A greedy coordinate update
+splits its terms into signed rank-one terms.  Above a small n it queues
+them, and the readers add the queue through thin products; each queue is
+applied to its stored array by one BLAS-3 product before every audit.
+Floating-point drift of the maintained inverse is
 audited periodically, by an O(n^2) probe on a fixed block of two sign
 vectors that defers to the exact n^3 residual only when it reads above a
 trigger far below the drift limit, and repaired by dense refactorization.
@@ -19,7 +21,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.blas import dger
+from scipy.linalg.blas import dger, dsbmv, dsyrk
 from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import (
@@ -42,7 +44,9 @@ DRIFT_LIMIT = 1e-6
 PROBE_TRIGGER = 1e-3 * DRIFT_LIMIT
 
 # Row blocks of the in-place rank-two update hold about this many entries
-# (256 KiB of float64), so the update's buffers stay in cache.
+# (256 KiB of float64), so the update's buffers stay in cache.  An n x n
+# array within this budget takes a coordinate update's terms at once;
+# a larger one queues them until the next audit (:func:`_queues`).
 BLOCK_ENTRIES = 32768
 
 
@@ -166,6 +170,84 @@ def _ger(a, sign, x):
     dger(sign, x, x, a=a.T, overwrite_a=1)
 
 
+def _add_squares(d, sign, x):
+    """In place, d += sign * x * x, entrywise, by BLAS ``dsbmv`` on a diagonal band.
+
+    Each entry takes the arithmetic that ``dger(sign, x, x)`` gives the
+    diagonal of an n x n array, which the coordinate path no longer sweeps.
+    """
+    dsbmv(0, sign, x[None, :], x, beta=1.0, y=d, overwrite_y=1)
+
+
+def _mirror_upper(a):
+    """Copy ``a``'s upper triangle onto its lower one, in row blocks of about BLOCK_ENTRIES entries."""
+    n = a.shape[0]
+    rows = max(1, BLOCK_ENTRIES // max(n, 1))
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        below = np.arange(r1) < np.arange(r0, r1)[:, None]  # (i, j) with j < i
+        np.copyto(a[r0:r1, :r1], a[:r1, r0:r1].T, where=below)
+
+
+class _Queue:
+    """Signed rank-one terms, sum_k sign_k x_k x_k^T, owed to a stored symmetric array."""
+
+    __slots__ = ("x", "sign", "count")
+
+    def __init__(self, n: int, capacity: int):
+        self.x = np.empty((capacity, n))
+        self.sign = np.empty(capacity)
+        self.count = 0
+
+    def push(self, terms):
+        for sign, x in terms:
+            self.x[self.count] = x
+            self.sign[self.count] = sign
+            self.count += 1
+
+    def times(self, v) -> np.ndarray:
+        """The queued terms times v, by two thin products."""
+        x = self.x[: self.count]
+        return (self.sign[: self.count] * (x @ v)) @ x
+
+    def row(self, i: int) -> np.ndarray:
+        """Row i of the queued terms."""
+        x = self.x[: self.count]
+        return (self.sign[: self.count] * x[:, i]) @ x
+
+    def add_to(self, a, keep_diagonal=False) -> np.ndarray:
+        """``a``, a C-ordered array the caller owns, plus the queued terms in place.
+
+        One BLAS ``dsyrk`` per sign adds its terms to the upper triangle
+        (the lower one of the Fortran view ``a.T``), which is then mirrored,
+        so ``a`` comes out exactly symmetric with no n x n temporary.
+        ``keep_diagonal`` restores the diagonal as it was.
+        """
+        if self.count:
+            d = a.diagonal().copy() if keep_diagonal else None
+            x, signs = self.x[: self.count], self.sign[: self.count]
+            for sign in (1.0, -1.0):
+                part = x[signs == sign]
+                if len(part):
+                    dsyrk(sign, part.T, beta=1.0, c=a.T, overwrite_c=1, lower=1)
+            _mirror_upper(a)
+            if keep_diagonal:
+                np.fill_diagonal(a, d)
+        return a
+
+
+def _queues(n: int):
+    """(G_s's queue, G_s^{-1}'s queue) of an n x n state, or (None, None) while n^2 <= BLOCK_ENTRIES.
+
+    Each holds the terms of up to AUDIT_EVERY coordinate updates, at most
+    two per update.  A small state takes every update at once: there the
+    queue's bookkeeping costs more than the sweeps it saves.
+    """
+    if n * n <= BLOCK_ENTRIES:
+        return None, None
+    return _Queue(n, 2 * AUDIT_EVERY), _Queue(n, 2 * AUDIT_EVERY)
+
+
 def symmetric(a) -> np.ndarray:
     """A read-only float copy of ``a`` with its lower triangle mirrored: exactly symmetric.
 
@@ -222,17 +304,25 @@ class SpdState:
     dense refactorization.  The value of the last audit, a probe reading
     or an exact residual, is kept in ``drift``.
 
+    Above n^2 = :data:`BLOCK_ENTRIES`, a coordinate update queues its
+    signed rank-one terms for G_s and G_s^{-1} (:func:`_queues`) and keeps
+    only G_s's stored diagonal current.  ``g``, ``g_inv``, ``diag`` and
+    :meth:`solve` read the queue without applying it; :meth:`apply`,
+    :meth:`audit`, :meth:`refactorize` and a dense-path update apply it
+    first, each queue by one BLAS-3 product.
+
     A state is owned by a single solver; operations are not safe to call
     concurrently on the same instance.
     """
 
-    __slots__ = ("n", "_g", "_g_inv", "_scale", "update_count", "drift")
+    __slots__ = ("n", "_g", "_g_inv", "_scale", "update_count", "drift", "_gq", "_iq")
 
     def __init__(self, g):
         self._g = np.array(symmetric(g))
         self.n = self._g.shape[0]
         self._scale = 1.0
         self.update_count = 0
+        self._gq, self._iq = _queues(self.n)
         self.refactorize()
 
     @classmethod
@@ -246,17 +336,32 @@ class SpdState:
         self._scale = 1.0
         self.update_count = 0
         self.drift = 0.0
+        self._gq, self._iq = _queues(n)
         return self
+
+    def _queued(self) -> bool:
+        return self._gq is not None and self._gq.count > 0
+
+    def _flush(self):
+        """Apply the queued terms to G_s and G_s^{-1}, G_s's kept diagonal left as it is."""
+        if self._queued():
+            self._gq.add_to(self._g, keep_diagonal=True)
+            self._iq.add_to(self._g_inv)
+            self._gq.count = self._iq.count = 0
 
     @property
     def g(self) -> np.ndarray:
         """Read-only copy of G; later updates do not change it."""
-        return _read_only(_scaled(self._g.copy(), self._scale))
+        g = self._g.copy()
+        if self._queued():
+            self._gq.add_to(g, keep_diagonal=True)
+        return _read_only(_scaled(g, self._scale))
 
     @property
     def g_inv(self) -> np.ndarray:
         """Read-only copy of G^{-1}; later updates do not change it."""
-        return _read_only(self._g_inv / self._scale)
+        inv = self._iq.add_to(self._g_inv.copy()) if self._queued() else self._g_inv
+        return _read_only(inv / self._scale)
 
     @property
     def diag(self) -> np.ndarray:
@@ -265,11 +370,28 @@ class SpdState:
 
     def apply(self, u) -> np.ndarray:
         """G @ u."""
-        return _scaled(self._g @ _as_vector(u, self.n), self._scale)
+        u = _as_vector(u, self.n)
+        self._flush()
+        return _scaled(self._g @ u, self._scale)
+
+    def _inv_times(self, v) -> np.ndarray:
+        """G_s^{-1} @ v: the stored array's product plus the queued terms'."""
+        out = self._g_inv @ v
+        if self._queued():
+            out += self._iq.times(v)
+        return out
 
     def solve(self, rhs) -> np.ndarray:
         """G^{-1} @ rhs via the maintained inverse (O(n^2))."""
-        return (self._g_inv @ _as_vector(rhs, self.n)) / self._scale
+        return self._inv_times(_as_vector(rhs, self.n)) / self._scale
+
+    def _row(self, i: int) -> np.ndarray:
+        """Row i of G_s: the stored row plus the queued terms', with the kept G_ii."""
+        if not self._queued():
+            return self._g[i]
+        row = self._g[i] + self._gq.row(i)
+        row[i] = self._g[i, i]
+        return row
 
     def rank2_update(self, p, q, c11: float, c12: float, c22: float) -> "SpdState":
         """Apply G += c11*p p^T + c12*(p q^T + q p^T) + c22*q q^T in O(n^2).
@@ -282,19 +404,23 @@ class SpdState:
 
         q is a vector, or an int i that stands for G e_i: the greedy step's
         pair, refused as :class:`DimensionMismatch` unless 0 <= i < n.  The
-        update then reads the stored row i, G_s e_i, and takes (c11/s, c12,
+        update then reads row i of G_s, G_s e_i, and takes (c11/s, c12,
         c22*s) on (p, G_s e_i).  G_s^{-1} G_s e_i is e_i exactly, so the second
-        Woodbury matvec is skipped, the capacitance reads p_i and G_ii off p
-        and the stored row, and the inverse's e_i terms touch only row and
-        column i.  G_s gains the update as at most two signed rank-one terms
-        (:func:`_signed_terms`), G_s^{-1} its t11 term as one, each by one BLAS
-        ``dger``, which keeps both exactly symmetric.  Every family member sets
-        the new G_ii to A_ii > 0, so an update whose G_ii, by the same ``dger``
-        terms on the 1x1 entry, is not positive is refused as
-        :class:`NotPositiveDefinite`, with G and G^{-1} unchanged.  Secant and
-        random steps pass a vector q and keep the dense path, bit for bit at
-        s = 1: classical SR1's update is a cancelling sum whose late results
-        move under any reordering of this arithmetic.
+        Woodbury matvec is skipped and the capacitance reads p_i and G_ii
+        off p and the row.  G_s gains the update as at most two signed
+        rank-one terms (:func:`_signed_terms`), G_s^{-1} its terms on (y1, e_i)
+        as at most two more.  While n^2 <= :data:`BLOCK_ENTRIES`, each G_s
+        term and G_s^{-1}'s t11 term are applied by one BLAS ``dger``, which
+        keeps both arrays exactly symmetric, and the t12, t22 terms touch
+        only row and column i.  Above it the terms are queued, and G_s's
+        stored diagonal takes them by :func:`_add_squares`, ``dger``'s
+        arithmetic on each entry.  Every family member sets the new G_ii to
+        A_ii > 0, so an update whose G_ii, by that arithmetic, is not
+        positive is refused as :class:`NotPositiveDefinite`, with G and
+        G^{-1} unchanged.  Secant and random steps pass a vector q and keep
+        the dense path, after the queue is applied, bit for bit at s = 1:
+        classical SR1's update is a cancelling sum whose late results move
+        under any reordering of this arithmetic.
         """
         index = _coordinate(q, self.n)
         p = _as_vector(p, self.n)
@@ -302,14 +428,15 @@ class SpdState:
         # inf, without a numpy warning.
         c11, c12, c22, s = float(c11), float(c12), float(c22), self._scale
         if index is None:
+            self._flush()
             q, c11, c12, c22 = _as_vector(q, self.n), c11 / s, c12 / s, c22 / s
         else:
-            q, c11, c22 = self._g[index], c11 / s, c22 * s
+            q, c11, c22 = self._row(index), c11 / s, c22 * s
         cmat = np.array([[c11, c12], [c12, c22]], dtype=float)
 
         # Capacitance K = I + C W with W = U^T G_s^{-1} U, U = [p q]; the
         # update is singular iff det K = det(G_new)/det(G) vanishes.
-        y1 = self._g_inv @ p
+        y1 = self._inv_times(p)
         if index is None:
             y2 = self._g_inv @ q
             w = np.array(
@@ -327,14 +454,13 @@ class SpdState:
             )
         if index is not None:
             terms = _signed_terms(p, q, c11, c12, c22)
-            # The new G_ii, by the arithmetic the update below gives it.
-            at = slice(index, index + 1)
-            g_ii = self._g[at, at].copy()
+            # The new diagonal of G_s, by the arithmetic the update gives it.
+            diag = self._g.diagonal().copy()
             for sign, x in terms:
-                _ger(g_ii, sign, x[at])
-            if not g_ii[0, 0] > 0.0:
+                _add_squares(diag, sign, x)
+            if not diag[index] > 0.0:
                 raise NotPositiveDefinite(
-                    f"update sets diagonal entry {index} to {g_ii[0, 0] * s:.3e}"
+                    f"update sets diagonal entry {index} to {diag[index] * s:.3e}"
                 )
 
         # T = K^{-1} C is symmetric in exact arithmetic; symmetrize the
@@ -346,7 +472,7 @@ class SpdState:
         if index is None:
             _add_sym_rank2(self._g, p, q, c11, c12, c22)
             _add_sym_rank2(self._g_inv, y1, y2, -t[0, 0], -t12, -t[1, 1])
-        else:
+        elif self._gq is None:
             for sign, x in terms:
                 _ger(self._g, sign, x)
             # G_s^{-1} -= t11 y1 y1^T + t12 (y1 e_i^T + e_i y1^T) + t22 e_i e_i^T
@@ -356,6 +482,12 @@ class SpdState:
             self._g_inv[index] -= y1
             self._g_inv[:, index] -= y1
             self._g_inv[index, index] -= t[1, 1]
+        else:
+            e = np.zeros(self.n)
+            e[index] = 1.0
+            self._gq.push(terms)
+            self._iq.push(_signed_terms(y1, e, -t[0, 0], -t12, -t[1, 1]))
+            np.fill_diagonal(self._g, diag)
         self.update_count += 1
         if self.update_count % AUDIT_EVERY == 0 and self.audit() > DRIFT_LIMIT:
             self.refactorize()
@@ -365,8 +497,9 @@ class SpdState:
         """G <- c*G, G^{-1} <- G^{-1}/c (0 < c < inf), in O(1): only s changes.
 
         Refused like ``c`` itself when the new s = s*c is not positive and
-        finite.  The stored arrays and their drift stay as they are, so a
-        rescale is not counted in ``update_count`` and never audits.
+        finite.  The stored arrays, their queued terms and their drift stay
+        as they are, so a rescale is not counted in ``update_count`` and
+        never audits.
         """
         _check_scale(c)
         scale = self._scale * float(c)
@@ -377,8 +510,9 @@ class SpdState:
     def audit(self) -> float:
         """Measure, store in ``drift`` and return the drift of G_s^{-1} from the inverse of G_s.
 
-        G G^{-1} = G_s G_s^{-1}, so s plays no part.  The probe R = G_s
-        (G_s^{-1} V) - V on the fixed n x 2 sign block V of
+        The queued terms are applied first, so the drift they carry is
+        measured too.  G G^{-1} = G_s G_s^{-1}, so s plays no part.  The
+        probe R = G_s (G_s^{-1} V) - V on the fixed n x 2 sign block V of
         :func:`_probe_block` costs two thin products, O(n^2), and builds no
         n x n array.  Its reading max|R| stands for the drift when it is at
         most :data:`PROBE_TRIGGER`, far below :data:`DRIFT_LIMIT`.
@@ -387,6 +521,7 @@ class SpdState:
         overflow in the probe is thus not a failure: it only defers to the
         exact residual, so it is not reported as a warning.
         """
+        self._flush()
         drift = 0.0
         if self.n:
             v = _probe_block(self.n)
@@ -401,7 +536,8 @@ class SpdState:
         return drift
 
     def refactorize(self):
-        """Rebuild the stored inverse from a fresh dense factorization of the stored G."""
+        """Rebuild the stored inverse from a fresh dense factorization of the stored G, queue applied."""
+        self._flush()
         inv = dpotri(factorize(self._g), lower=1)[0] if self.n else np.zeros((0, 0))
         self._g_inv = np.array(symmetric(inv))
         self.audit()

@@ -15,6 +15,7 @@ from hypothesis import settings
 
 from greedyqn.data_io import LibsvmDataset
 from greedyqn.errors import DimensionMismatch, MalformedLine, NonMonotoneIndices, UnmappedLabel
+from greedyqn.operator_core import SpdState
 
 # In CI (GitHub Actions sets CI), a failing example is printed as a
 # @reproduce_failure line that can be pinned: the example database is not kept.
@@ -122,7 +123,7 @@ def reference_parse_libsvm(text: str, label_map=None, n_features: int | None = N
         if label_map and label in label_map:
             label = float(label_map[label])
         if label not in (-1.0, 1.0):
-            raise UnmappedLabel(tokens[0])
+            raise UnmappedLabel(line_no, tokens[0])
         prev = 0
         for tok in tokens[1:]:
             try:
@@ -158,6 +159,29 @@ def reference_parse_libsvm(text: str, label_map=None, n_features: int | None = N
         values=np.array(values, dtype=float),
         n_features=cols,
     )
+
+
+def rounding_noise(monkeypatch, delta, seed):
+    """Wrap ``SpdState.rank2_update`` and ``SpdState.solve`` with seeded relative noise.
+
+    Each entry of a vector p or q, and of the solve's output, is multiplied
+    by 1 + delta or 1 - delta, the sign drawn from one generator seeded by
+    ``seed``; an int q (a greedy coordinate) passes through unchanged.
+    """
+    rng = np.random.default_rng(seed)
+    rank2_update, solve = SpdState.rank2_update, SpdState.solve
+
+    def jitter(v):
+        v = np.asarray(v, dtype=float)
+        return v * (1.0 + delta * (2.0 * rng.integers(0, 2, size=v.shape) - 1.0))
+
+    def noisy_update(state, p, q, *coefficients):
+        if not isinstance(q, (int, np.integer)):
+            q = jitter(q)
+        return rank2_update(state, jitter(p), q, *coefficients)
+
+    monkeypatch.setattr(SpdState, "rank2_update", noisy_update)
+    monkeypatch.setattr(SpdState, "solve", lambda state, rhs: jitter(solve(state, rhs)))
 
 
 def min_eig(sym):

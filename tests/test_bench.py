@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import rounding_noise
 from greedyqn import bench, solvers
 from greedyqn.bench import (
     BUDGET_EXHAUSTED,
@@ -620,6 +621,15 @@ class TestCli:
         assert captured.err.startswith("error: ") and message in captured.err
         assert prepared == []
 
+    def test_an_index_beyond_int64_exits_two(self, tmp_path, capsys):
+        dataset = tmp_path / "big.libsvm"
+        dataset.write_text("+1 1:1 99999999999999999999:2\n-1 2:1\n")
+        argv = ["--problem", "libsvm", "--dataset", str(dataset), "--methods", "GM"]
+        assert main(argv + ["--epsilons", "1e-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 1: malformed (index 99999999999999999999")
+
     @pytest.mark.parametrize(
         "argv,message",
         [
@@ -949,3 +959,27 @@ def test_error_table_reads_the_iteration_runs(plan):
                     assert error == rows[int(count)].split(",")[7]  # bit-equal: both .17g
                 else:
                     assert error == count
+
+
+# The default plan's iteration table (the paper's table), as perfbench/pins.json pins it.
+PAPER_TABLE = """epsilon,GM,DFP,BFGS,SR1,GrDFP,GrBFGS,GrSR1
+0.1,69,4,4,3,33,31,32
+0.001,1913,822,56,16,445,56,52
+1e-05,5416,1937,107,29,829,72,58
+1e-07,9084,2859,152,39,1005,85,63
+1e-09,12782,3645,196,48,1111,95,67
+"""
+
+
+class TestRoundingNoise:
+    """Relative noise of 1e-12 on every update vector and solve moves no count of the paper's table.
+
+    So a reordering of the operator arithmetic that moves a count is a
+    defect, not rounding.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_default_plan_keeps_its_counts(self, seed, monkeypatch, capsys):
+        rounding_noise(monkeypatch, 1e-12, seed)
+        assert main([]) == 0
+        assert capsys.readouterr().out == PAPER_TABLE

@@ -258,8 +258,12 @@ class TestParserPins:
         ("+1 1:1\n\n-1 5\n", MalformedLine, 3, "line 3: malformed (bad pair '5')"),
         ("+1 1:1\n+1 2:1 2:1\n", NonMonotoneIndices, 2,
          "line 2: feature indices must be strictly increasing"),
-        ("+1 1:1\nnan 1:1\n", UnmappedLabel, None,
-         "label 'nan' is not in {-1, +1} and no mapping covers it"),
+        ("+1 1:1\nnan 1:1\n", UnmappedLabel, 2,
+         "line 2: label 'nan' is not in {-1, +1} and no mapping covers it"),
+        ("+1 1:1\n3 2:1\n", UnmappedLabel, 2,
+         "line 2: label '3' is not in {-1, +1} and no mapping covers it"),
+        ("+1 1:1 99999999999999999999:2\n-1 2:1\n", MalformedLine, 1,
+         "line 1: malformed (index 99999999999999999999 must be <= 9223372036854775807)"),
     ])
     def test_refusal(self, text, cls, line_no, message):
         assert parse_outcome(parse_libsvm, text) == (cls, line_no, message)

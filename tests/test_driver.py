@@ -17,11 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spd
-from greedyqn.bench import ExperimentPlan, _trace_csv, run_plan
+from greedyqn.bench import ExperimentPlan, _trace_csv, main, run_plan
 from greedyqn.broyden import UpdateRule
 from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start
 from greedyqn.objectives import QuadraticProblem
-from greedyqn.operator_core import SpdState
+from greedyqn.operator_core import AUDIT_EVERY, SpdState
 from greedyqn.solvers import (
     CONVERGED,
     MAX_ITER_REACHED,
@@ -129,6 +129,22 @@ def golden_text(tmp_path: Path) -> str:
 
 def test_golden_driver_traces(tmp_path):
     assert golden_text(tmp_path).encode() == GOLDEN.read_bytes()
+
+
+def test_diagnostics_leave_a_queued_run_as_it_is(tmp_path):
+    # At n = 200 the greedy updates are queued (n^2 > BLOCK_ENTRIES), and the
+    # run crosses the flush of its 50th update.  The traced diagnostics read
+    # G through state.g, which applies nothing, so every step keeps its bits.
+    argv = ["--problem", "logsumexp", "--n", "200", "--m", "200", "--methods", "GrBFGS",
+            "--epsilons", "0.3", "--budget-factor", "1"]
+    rows = {}
+    for name, extra in (("plain", []), ("traced", ["--trace", "sigma,op_error"])):
+        assert main(argv + extra + ["--out", str(tmp_path / name)]) == 0
+        lines = (tmp_path / name / "trace_GrBFGS.csv").read_text().splitlines()
+        rows[name] = [line.split(",")[:5] for line in lines]
+    assert rows["plain"][0] == ["k", "f", "grad_norm", "r_k", "dir_index"]
+    assert len(rows["plain"]) > AUDIT_EVERY + 2
+    assert rows["traced"] == rows["plain"]
 
 
 class TestNonFiniteHessian:

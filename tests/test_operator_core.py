@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 import tracemalloc
@@ -20,8 +21,10 @@ from greedyqn.errors import (
     SingularCapacitance,
 )
 from greedyqn import operator_core
-from greedyqn.broyden import UpdateRule, broyden_update
+from greedyqn.broyden import UpdateRule, broyden_update, greedy_direction
+from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start
 from greedyqn.objectives import LogisticProblem, LogSumExpProblem, QuadraticProblem
+from greedyqn.solvers import DirectionStrategy, GradientNorm, SolverConfig, solve_general
 from greedyqn.operator_core import (
     AUDIT_EVERY,
     BLOCK_ENTRIES,
@@ -29,8 +32,10 @@ from greedyqn.operator_core import (
     PIVOT_RTOL,
     PROBE_TRIGGER,
     SpdState,
+    _add_squares,
     _ger,
     _probe_block,
+    _queues,
     _signed_terms,
     factorize,
     symmetric,
@@ -958,3 +963,177 @@ class TestCoordinateRange:
         assert np.array_equal(state.g, g0)
         assert np.array_equal(state.g_inv, inv0)
         assert state.update_count == 0
+
+
+# Above n^2 = BLOCK_ENTRIES (n > 181) a coordinate update queues its terms.
+QUEUED_N = 200
+
+
+def queued_state(rng, updates=30, rescale=True):
+    """(A, state): a state of size QUEUED_N after greedy family updates toward A, still queued.
+
+    Every third update is preceded by a rescale by 1.05 when ``rescale`` is set.
+    """
+    a, g = random_dominating_pair(rng, QUEUED_N)
+    state = SpdState(g)
+    rules = [UpdateRule.bfgs(), UpdateRule.sr1(), UpdateRule.dfp()]
+    for k in range(updates):
+        if rescale and k % 3 == 2:
+            state.rescale(1.05)
+        i = greedy_direction(state.diag, a.diagonal())
+        broyden_update(state, i, a[:, i], rules[k % 3])
+    assert state._gq.count > 0 and state.update_count % AUDIT_EVERY
+    return a, state
+
+
+def exactly_symmetric(m):
+    return m.tobytes() == m.T.copy().tobytes()
+
+
+class TestQueuedUpdates:
+    """Queued coordinate updates: the readers see every term, and a flush stores what they saw."""
+
+    def test_the_depth_follows_the_block_budget(self):
+        assert 181 * 181 <= BLOCK_ENTRIES < 182 * 182
+        assert _queues(181) == (None, None)
+        assert [len(q.sign) for q in _queues(182)] == [2 * AUDIT_EVERY] * 2
+
+    @pytest.mark.parametrize("n", [1, 7, QUEUED_N])
+    def test_add_squares_gives_the_diagonal_bits_of_dger(self, rng, n):
+        a = random_like(rng, n)
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+        for sign in (1.0, -1.0):
+            full = a.copy()
+            _ger(full, sign, x)
+            d = a.diagonal().copy()
+            _add_squares(d, sign, x)
+            assert d.tobytes() == full.diagonal().copy().tobytes()
+
+    def test_readers_see_the_queue_and_a_flush_stores_what_they_saw(self, rng):
+        _, state = queued_state(rng)
+        count = state._gq.count
+        g, g_inv, diag = state.g, state.g_inv, state.diag
+        v = rng.standard_normal(QUEUED_N)
+        x = state.solve(v)
+        assert state._gq.count == count  # reading applied nothing
+        assert diag.tobytes() == g.diagonal().copy().tobytes()
+        assert exactly_symmetric(g) and exactly_symmetric(g_inv)
+        assert np.max(np.abs(g @ g_inv - np.eye(QUEUED_N))) <= 1e-9
+        assert np.max(np.abs(g @ x - v)) <= 1e-9 * np.max(np.abs(v))
+        state.audit()
+        assert state._gq.count == state._iq.count == 0
+        assert state.g.tobytes() == g.tobytes() and state.g_inv.tobytes() == g_inv.tobytes()
+        assert state.diag.tobytes() == diag.tobytes()
+        assert exactly_symmetric(state._g) and exactly_symmetric(state._g_inv)
+
+    def test_diag_has_the_bits_of_the_products_along_e_i(self, rng):
+        _, state = queued_state(rng)
+        diag = state.diag  # read before apply applies the queue
+        for i in range(QUEUED_N):
+            e = np.zeros(QUEUED_N)
+            e[i] = 1.0
+            assert diag[i].tobytes() == np.dot(state.apply(e), e).tobytes()
+
+    def test_refusal_reads_the_diagonal_the_state_then_reports(self, rng):
+        _, base = queued_state(rng, rescale=False)
+        checked = []
+        add_squares = operator_core._add_squares
+
+        def spy(d, sign, x):
+            add_squares(d, sign, x)
+            checked.append(d.copy())
+
+        outcomes = set()
+        with mock.patch.object(operator_core, "_add_squares", spy):
+            for trial in range(24):
+                state = copy.deepcopy(base)
+                i = int(rng.integers(QUEUED_N))
+                g_ii = state.diag[i]
+                p = rng.standard_normal(QUEUED_N)
+                p[i] = g_ii * (-1.0) ** trial * 10.0 ** -rng.uniform(11.0, 14.0)
+                g0, inv0, count = state.g, state.g_inv, state._gq.count
+                checked.clear()
+                try:  # BFGS: the new G_ii is p_i
+                    state.rank2_update(p, i, 1.0 / p[i], 0.0, -1.0 / g_ii)
+                except NotPositiveDefinite:
+                    outcomes.add("refused")
+                    assert checked[-1][i] <= 0.0
+                    assert np.array_equal(state.g, g0) and np.array_equal(state.g_inv, inv0)
+                    assert state._gq.count == count
+                except SingularCapacitance:
+                    pass
+                else:
+                    outcomes.add("taken")
+                    assert checked[-1][i] > 0.0
+                    assert state.diag[i].tobytes() == checked[-1][i].tobytes()
+                    assert np.array_equal(state.diag, checked[-1])
+        assert outcomes == {"refused", "taken"}
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-4])
+    def test_audit_decides_on_the_queued_terms(self, rng, delta):
+        a, state = queued_state(rng)
+        # drift that only the queue carries: a term owed to G_s^{-1}
+        e = np.zeros(QUEUED_N)
+        e[int(rng.integers(QUEUED_N))] = math.sqrt(delta)
+        state._iq.push([(1.0, e)])
+        exact = float(np.max(np.abs(state.g @ state.g_inv - np.eye(QUEUED_N))))
+        probe = copy.deepcopy(state)
+        assert (probe.audit() > DRIFT_LIMIT) == (exact > DRIFT_LIMIT) == (delta > DRIFT_LIMIT)
+        # the audit the update count calls for refactorizes on the same reading
+        while state.update_count % AUDIT_EVERY:
+            i = greedy_direction(state.diag, a.diagonal())
+            broyden_update(state, i, a[:, i], UpdateRule.bfgs())
+        assert state.drift <= DRIFT_LIMIT
+        assert np.max(np.abs(state.g @ state.g_inv - np.eye(QUEUED_N))) <= DRIFT_LIMIT
+
+    def test_a_flush_builds_no_dense_temporary(self):
+        n = 1000
+        rng = np.random.default_rng(5)
+        state = SpdState.scaled_identity(n, 2.0)
+        state.audit()  # the probe block of this n is built outside the measurement
+        for i in range(AUDIT_EVERY - 1):
+            p = rng.standard_normal(n) / math.sqrt(n)
+            state.rank2_update(p, i, 1e-3, 0.0, -1e-4)
+        assert state._gq.count == 2 * (AUDIT_EVERY - 1)
+        tracemalloc.start()
+        try:
+            state.audit()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state._gq.count == 0
+        assert peak < n * n * 8 / 4
+
+    def test_greedy_bfgs_matches_immediate_updates(self):
+        oracle = generate_logsumexp(SyntheticSpec(n=QUEUED_N, m=QUEUED_N, gamma=1.0, seed=4))
+        config = SolverConfig(
+            rule=UpdateRule.bfgs(),
+            strategy=DirectionStrategy.greedy(),
+            termination=GradientNorm(1e-12),
+            max_iter=60,
+            correction=True,
+            m_const=oracle.self_concordance_m,
+        )
+
+        def run():
+            states = []
+            make = SpdState.scaled_identity
+            with mock.patch.object(
+                SpdState, "scaled_identity", lambda n, c: states.append(make(n, c)) or states[-1]
+            ):
+                _, trace = solve_general(oracle, generate_start(QUEUED_N, 4), config)
+            return trace, states[0]
+
+        queued, state = run()
+        with mock.patch.object(operator_core, "_queues", lambda n: (None, None)):
+            immediate, reference = run()
+        assert reference._gq is None and state.update_count > AUDIT_EVERY
+        assert [r.direction_index for r in queued.records] == [
+            r.direction_index for r in immediate.records
+        ]
+        for got, ref in zip(queued.records, immediate.records, strict=True):
+            for field in ("f_value", "grad_norm", "r_k"):
+                a, b = getattr(got, field), getattr(ref, field)
+                assert (a is None and b is None) or abs(a - b) <= 1e-12 * abs(b)
+        for got, ref in ((state.g, reference.g), (state.g_inv, reference.g_inv)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

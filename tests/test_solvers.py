@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh
 
 from conftest import min_eig, random_spd
@@ -62,6 +64,47 @@ def watch_updates(monkeypatch, oracle, watch):
 
     monkeypatch.setattr(oracle, "hessian_diag", diag_spy)
     monkeypatch.setattr(solvers, "_apply_family_update", update_spy)
+
+
+@st.composite
+def logsumexp_specs(draw):
+    """Log-sum-exp instances: n in [2, 10], m in [2, 3n], gamma log-uniform on [1e-3, 1e2]."""
+    n = draw(st.integers(2, 10))
+    return SyntheticSpec(
+        n=n,
+        m=draw(st.integers(2, 3 * n)),
+        gamma=10.0 ** draw(st.floats(-3.0, 2.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestHessianDominated:
+    """The paper's invariant along corrected greedy runs: the Hessian at x_k is below G_k."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(logsumexp_specs(), st.sampled_from([UpdateRule.sr1(), UpdateRule.bfgs(), UpdateRule.dfp()]))
+    def test_least_generalized_eigenvalue_is_at_least_one(self, spec, rule):
+        oracle = generate_logsumexp(spec)
+        f_star = oracle.value(np.zeros(spec.n))  # the minimizer is the origin
+        states, least = [], []
+        scaled_identity, value = SpdState.scaled_identity, oracle.value
+
+        def capture(n, c):
+            states.append(scaled_identity(n, c))
+            return states[-1]
+
+        def value_spy(x):
+            # iteration k evaluates f at x_k first, while the state holds G_k
+            g, hess = states[0].g, oracle.full_hessian(x)
+            least.append(eigh(g, hess, eigvals_only=True)[0])
+            return value(x)
+
+        cfg = greedy_config(rule, FunctionResidual(1e-12, f_star), 30, correction=True, m_const=2.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SpdState, "scaled_identity", capture)
+            patch.setattr(oracle, "value", value_spy)
+            solve_general(oracle, generate_start(spec.n, spec.seed), cfg)
+        assert least and min(least) >= 1.0 - 1e-10
 
 
 class TestSolveQuadratic:
