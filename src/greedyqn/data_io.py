@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    DimensionTooLarge,
     MalformedLine,
     NonMonotoneIndices,
     UnmappedLabel,
@@ -66,6 +67,10 @@ class LibsvmDataset:
 
     def to_logistic(self, gamma: float) -> LogisticProblem:
         m = self.labels.size
+        if m * int(self.n_features) * 8 > np.iinfo(np.intp).max:
+            raise DimensionTooLarge(
+                f"m={m} x n_features={self.n_features} float64 entries: more than numpy can index"
+            )
         c = np.zeros((m, self.n_features))
         c[np.repeat(np.arange(m), np.diff(self.indptr)), self.indices] = self.values
         return LogisticProblem(c, self.labels, gamma)

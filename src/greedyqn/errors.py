@@ -10,7 +10,7 @@ class DimensionMismatch(GreedyQnError):
 
 
 class DimensionTooLarge(GreedyQnError):
-    """Problem dimension exceeds the configured cap for dense diagnostics."""
+    """Problem dimension exceeds the dense diagnostics' cap, or a dense array numpy can index."""
 
 
 class NotPositiveDefinite(GreedyQnError):

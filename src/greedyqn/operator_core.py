@@ -6,13 +6,13 @@ times a scalar multiplier, so a rescale of G costs O(1).  Rank-two
 symmetric modifications of G are pushed through to the inverse with a
 Woodbury update whose capacitance block is 2x2, so a full solve never
 costs more than a matrix-vector product.  A greedy coordinate update
-splits its terms into signed rank-one terms.  Above a small n it queues
-them, and the readers add the queue through thin products; each queue is
-applied to its stored array by one BLAS-3 product before every audit.
-Floating-point drift of the maintained inverse is
-audited periodically, by an O(n^2) probe on a fixed block of two sign
-vectors that defers to the exact n^3 residual only when it reads above a
-trigger far below the drift limit, and repaired by dense refactorization.
+changes row and column i of the inverse in place; its other, signed
+rank-one terms are queued above a small n, read through thin products and
+applied by one BLAS-3 product before every audit.  Drift of the maintained
+inverse is audited periodically, by an O(n^2) probe on a fixed block of
+two sign vectors that defers to the exact n^3 residual only when it reads
+above a trigger far below the drift limit, and repaired by dense
+refactorization.
 """
 
 from __future__ import annotations
@@ -199,11 +199,15 @@ class _Queue:
         self.sign = np.empty(capacity)
         self.count = 0
 
-    def push(self, terms):
+    def push(self, a, terms):
+        """Queue ``terms``, or with no room add each to ``a`` at once by :func:`_ger`."""
         for sign, x in terms:
-            self.x[self.count] = x
-            self.sign[self.count] = sign
-            self.count += 1
+            if len(self.sign):
+                self.x[self.count] = x
+                self.sign[self.count] = sign
+                self.count += 1
+            else:
+                _ger(a, sign, x)
 
     def times(self, v) -> np.ndarray:
         """The queued terms times v, by two thin products."""
@@ -237,15 +241,14 @@ class _Queue:
 
 
 def _queues(n: int):
-    """(G_s's queue, G_s^{-1}'s queue) of an n x n state, or (None, None) while n^2 <= BLOCK_ENTRIES.
+    """(G_s's queue, G_s^{-1}'s queue) of an n x n state, with no room while n^2 <= BLOCK_ENTRIES.
 
-    Each holds the terms of up to AUDIT_EVERY coordinate updates, at most
+    Each has room for the terms of AUDIT_EVERY coordinate updates, at most
     two per update.  A small state takes every update at once: there the
     queue's bookkeeping costs more than the sweeps it saves.
     """
-    if n * n <= BLOCK_ENTRIES:
-        return None, None
-    return _Queue(n, 2 * AUDIT_EVERY), _Queue(n, 2 * AUDIT_EVERY)
+    room = 0 if n * n <= BLOCK_ENTRIES else 2 * AUDIT_EVERY
+    return _Queue(n, room), _Queue(n, room)
 
 
 def symmetric(a) -> np.ndarray:
@@ -305,8 +308,8 @@ class SpdState:
     or an exact residual, is kept in ``drift``.
 
     Above n^2 = :data:`BLOCK_ENTRIES`, a coordinate update queues its
-    signed rank-one terms for G_s and G_s^{-1} (:func:`_queues`) and keeps
-    only G_s's stored diagonal current.  ``g``, ``g_inv``, ``diag`` and
+    dense signed rank-one terms for G_s and G_s^{-1} (:func:`_queues`) and
+    keeps G_s's stored diagonal current.  ``g``, ``g_inv``, ``diag`` and
     :meth:`solve` read the queue without applying it; :meth:`apply`,
     :meth:`audit`, :meth:`refactorize` and a dense-path update apply it
     first, each queue by one BLAS-3 product.
@@ -339,12 +342,9 @@ class SpdState:
         self._gq, self._iq = _queues(n)
         return self
 
-    def _queued(self) -> bool:
-        return self._gq is not None and self._gq.count > 0
-
     def _flush(self):
         """Apply the queued terms to G_s and G_s^{-1}, G_s's kept diagonal left as it is."""
-        if self._queued():
+        if self._gq.count or self._iq.count:
             self._gq.add_to(self._g, keep_diagonal=True)
             self._iq.add_to(self._g_inv)
             self._gq.count = self._iq.count = 0
@@ -352,15 +352,13 @@ class SpdState:
     @property
     def g(self) -> np.ndarray:
         """Read-only copy of G; later updates do not change it."""
-        g = self._g.copy()
-        if self._queued():
-            self._gq.add_to(g, keep_diagonal=True)
+        g = self._gq.add_to(self._g.copy(), keep_diagonal=True)
         return _read_only(_scaled(g, self._scale))
 
     @property
     def g_inv(self) -> np.ndarray:
         """Read-only copy of G^{-1}; later updates do not change it."""
-        inv = self._iq.add_to(self._g_inv.copy()) if self._queued() else self._g_inv
+        inv = self._iq.add_to(self._g_inv.copy()) if self._iq.count else self._g_inv
         return _read_only(inv / self._scale)
 
     @property
@@ -377,7 +375,7 @@ class SpdState:
     def _inv_times(self, v) -> np.ndarray:
         """G_s^{-1} @ v: the stored array's product plus the queued terms'."""
         out = self._g_inv @ v
-        if self._queued():
+        if self._iq.count:
             out += self._iq.times(v)
         return out
 
@@ -387,7 +385,7 @@ class SpdState:
 
     def _row(self, i: int) -> np.ndarray:
         """Row i of G_s: the stored row plus the queued terms', with the kept G_ii."""
-        if not self._queued():
+        if not self._gq.count:
             return self._g[i]
         row = self._g[i] + self._gq.row(i)
         row[i] = self._g[i, i]
@@ -404,19 +402,18 @@ class SpdState:
 
         q is a vector, or an int i that stands for G e_i: the greedy step's
         pair, refused as :class:`DimensionMismatch` unless 0 <= i < n.  The
-        update then reads row i of G_s, G_s e_i, and takes (c11/s, c12,
-        c22*s) on (p, G_s e_i).  G_s^{-1} G_s e_i is e_i exactly, so the second
-        Woodbury matvec is skipped and the capacitance reads p_i and G_ii
-        off p and the row.  G_s gains the update as at most two signed
-        rank-one terms (:func:`_signed_terms`), G_s^{-1} its terms on (y1, e_i)
-        as at most two more.  While n^2 <= :data:`BLOCK_ENTRIES`, each G_s
-        term and G_s^{-1}'s t11 term are applied by one BLAS ``dger``, which
-        keeps both arrays exactly symmetric, and the t12, t22 terms touch
-        only row and column i.  Above it the terms are queued, and G_s's
-        stored diagonal takes them by :func:`_add_squares`, ``dger``'s
-        arithmetic on each entry.  Every family member sets the new G_ii to
-        A_ii > 0, so an update whose G_ii, by that arithmetic, is not
-        positive is refused as :class:`NotPositiveDefinite`, with G and
+        update then reads row i of G_s, G_s e_i, and takes (c11/s, c12, c22*s)
+        on (p, G_s e_i).  G_s^{-1} G_s e_i is e_i exactly, so the second
+        Woodbury matvec is skipped and the capacitance reads p_i and G_ii off
+        p and the row.  G_s gains the update as at most two signed rank-one
+        terms (:func:`_signed_terms`), G_s^{-1} its t11 term on y1 as one
+        more.  Each is applied by one BLAS ``dger``, which keeps both arrays
+        exactly symmetric, or above n^2 = :data:`BLOCK_ENTRIES` queued, and
+        then G_s's stored diagonal takes them by :func:`_add_squares`,
+        ``dger``'s arithmetic on each entry.  G_s^{-1}'s t12, t22 terms touch
+        only row and column i, in place at every n.  Every family member sets
+        the new G_ii to A_ii > 0, so an update whose G_ii, by that arithmetic,
+        is not positive is refused as :class:`NotPositiveDefinite`, with G and
         G^{-1} unchanged.  Secant and random steps pass a vector q and keep
         the dense path, after the queue is applied, bit for bit at s = 1:
         classical SR1's update is a cancelling sum whose late results move
@@ -472,22 +469,16 @@ class SpdState:
         if index is None:
             _add_sym_rank2(self._g, p, q, c11, c12, c22)
             _add_sym_rank2(self._g_inv, y1, y2, -t[0, 0], -t12, -t[1, 1])
-        elif self._gq is None:
-            for sign, x in terms:
-                _ger(self._g, sign, x)
+        else:
+            self._gq.push(self._g, terms)
+            if self._gq.count:
+                np.fill_diagonal(self._g, diag)
             # G_s^{-1} -= t11 y1 y1^T + t12 (y1 e_i^T + e_i y1^T) + t22 e_i e_i^T
-            for sign, x in _signed_terms(y1, y1, -t[0, 0], 0.0, 0.0):
-                _ger(self._g_inv, sign, x)
+            self._iq.push(self._g_inv, _signed_terms(y1, y1, -t[0, 0], 0.0, 0.0))
             y1 *= t12
             self._g_inv[index] -= y1
             self._g_inv[:, index] -= y1
             self._g_inv[index, index] -= t[1, 1]
-        else:
-            e = np.zeros(self.n)
-            e[index] = 1.0
-            self._gq.push(terms)
-            self._iq.push(_signed_terms(y1, e, -t[0, 0], -t12, -t[1, 1]))
-            np.fill_diagonal(self._g, diag)
         self.update_count += 1
         if self.update_count % AUDIT_EVERY == 0 and self.audit() > DRIFT_LIMIT:
             self.refactorize()

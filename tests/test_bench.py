@@ -630,6 +630,28 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: line 1: malformed (index 99999999999999999999")
 
+    # 2 x (2^63 - 1) float64 entries pass what numpy can index, so the dense data
+    # is refused before it is allocated.
+    @pytest.mark.parametrize(
+        "text,flags",
+        [
+            ("+1 1:1 9223372036854775807:2\n-1 2:1\n", []),
+            ("+1 1:1\n-1 2:1\n", ["--n-features", "9223372036854775807"]),
+        ],
+        ids=["index", "n-features"],
+    )
+    def test_a_huge_feature_count_exits_two(self, tmp_path, capsys, text, flags):
+        dataset = tmp_path / "huge.libsvm"
+        dataset.write_text(text)
+        argv = ["--problem", "libsvm", "--dataset", str(dataset), "--methods", "GM"]
+        assert main(argv + flags + ["--epsilons", "1e-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: m=2 x n_features=9223372036854775807 float64 entries:"
+            " more than numpy can index\n"
+        )
+
     @pytest.mark.parametrize(
         "argv,message",
         [

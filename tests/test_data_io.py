@@ -19,6 +19,7 @@ from greedyqn.data_io import (
 )
 from greedyqn.errors import (
     DimensionMismatch,
+    DimensionTooLarge,
     InvalidPlan,
     MalformedLine,
     NonMonotoneIndices,
@@ -209,6 +210,22 @@ class TestParseLibsvm:
         prob = parse_libsvm("+1 1:1\n-1 2:1\n").to_logistic(gamma=0.5)
         assert prob.n == 2
         assert prob.gamma == 0.5
+
+    # Only sizes whose bytes pass 2^63 - 1, which numpy refuses without trying to
+    # allocate; a size it can index but memory cannot hold is not tried.
+    @pytest.mark.parametrize(
+        "rows,n_features",
+        [
+            ([([0], [1.0]), ([2**63 - 2], [2.0])], 2**63 - 1),
+            ([([0], [1.0])], 2**60),
+            ([([0], [1.0]), ([1], [1.0])], 2**62),
+        ],
+    )
+    def test_to_logistic_refuses_more_entries_than_numpy_can_index(self, rows, n_features):
+        ds = csr_dataset([1.0] * len(rows), rows, n_features)
+        message = f"m={len(rows)} x n_features={n_features} float64 entries"
+        with pytest.raises(DimensionTooLarge, match=message):
+            ds.to_logistic(gamma=1.0)
 
 
 def parse_outcome(parse, text, **kwargs):
