@@ -1,21 +1,25 @@
 """Objective oracles: quadratic, regularized log-sum-exp, l2-regularized logistic.
 
 Each oracle exposes value, gradient, Hessian diagonal, Hessian-vector
-product, the Hessian quadratic form <H h, h> and (for diagnostics) the
-full dense Hessian, together with the problem constants: the gradient
-Lipschitz constant L and strong-convexity constant mu in the Euclidean
-metric, and the strong self-concordance constant M where one is known.
+product, the step x + d with the Hessian quadratic form <H d, d> along it,
+and (for diagnostics) the full dense Hessian, together with the problem
+constants: the gradient Lipschitz constant L and strong-convexity constant
+mu in the Euclidean metric, and the strong self-concordance constant M
+where one is known.
 
 Each oracle keeps a one-entry cache: the quantities derived from the last
 point it evaluated (``c @ x`` with the softmax, the logistic margins, or
 ``A @ x``), keyed on the bytes of x.  So value, gradient, Hessian diagonal
 and Hessian actions at one point share one ``c @ x`` and one softmax or
-sigmoid pass, and return the same bits as a fresh oracle.  The problem data
+sigmoid pass, and return the same bits as a fresh oracle, but at a point
+:meth:`ObjectiveOracle.advance` stepped to: the data oracles carry its
+``c @ x`` from the step's c d, which agrees to rounding.  The problem data
 and constants never change after construction.  The cache is safe to use
 from several threads: a call reads the cached record once, a new record is
 built whole before one assignment publishes it, and its lazily filled
 entries never change once set.  Threads that evaluate at different points
-only evict each other's record and recompute it.
+only evict each other's record and recompute it, so an evicted stepped
+point is fresh again.
 """
 
 from __future__ import annotations
@@ -133,15 +137,17 @@ class ObjectiveOracle:
         """Column i of the Hessian: its action along the basis vector e_i."""
         return self.hessian_vec(x, _basis(self.n, i))
 
-    def hessian_quad(self, x, h) -> float:
-        """<H(x) h, h>, the Hessian's quadratic form along h, as a float.
+    def advance(self, x, d) -> tuple[np.ndarray, float]:
+        """(x + d, <H(x) d, d>): the step along d and the Hessian's quadratic form along it.
 
-        By default the inner product of :meth:`hessian_vec` with h; the data
-        oracles override it with a form that reads the data once, through
-        c @ h.  Its sums go through ``np.vdot``, which returns an overflow
-        as inf (or NaN) without a warning.
+        By default the form is the inner product of :meth:`hessian_vec` with
+        d; the data oracles read the data once for it, through c @ d.  Its
+        sums go through ``np.vdot``, which returns an overflow as inf (or
+        NaN) without a warning.  A d of the wrong length is refused as
+        :class:`DimensionMismatch`.
         """
-        return float(np.vdot(self.hessian_vec(x, h), h))
+        quad = float(np.vdot(self.hessian_vec(x, d), d))
+        return x + d, quad
 
     def full_hessian(self, x) -> np.ndarray:
         """The dense Hessian at x as a read-only, exactly symmetric array."""
@@ -165,6 +171,29 @@ class ObjectiveOracle:
     def _check_cap(self):
         if self.n > DENSE_CAP:
             raise DimensionTooLarge(f"n={self.n} exceeds the dense cap {DENSE_CAP}")
+
+
+class _DataOracle(ObjectiveOracle):
+    """An oracle on data c whose records hold t, a linear ``_image`` of ``c @ x``."""
+
+    def hessian_col(self, x, i):
+        return self._action(self._at(x), _basis(self.n, i), self.c[:, i])
+
+    def advance(self, x, d):
+        """Also caches x + d, with t + image(c @ d) carried, if the form is finite.
+
+        A step lost to rounding (x + d has x's bits) keeps x's own record:
+        carrying c @ d into it would move t while x stays put.
+        """
+        p = self._at(x)
+        d = _as_vector(d, self.n)
+        cd = self.c @ d
+        quad = self._quad(p, d, cd)
+        x_next = p.x + d
+        key = x_next.tobytes()
+        if math.isfinite(quad) and key != p.key:
+            self._last = self._point_type(self, np.frombuffer(key), key, p.t + self._image(cd))
+        return x_next, quad
 
 
 class _QuadraticPoint:
@@ -222,11 +251,11 @@ class QuadraticProblem(ObjectiveOracle):
 class _SoftmaxPoint:
     """x, t = c @ x, the log-sum-exp and softmax weights of t - b, and c^T pi on first use."""
 
-    def __init__(self, oracle, x, key):
+    def __init__(self, oracle, x, key, t=None):
         self.key = key
         self.x = x
         self._c = oracle.c
-        self.t = oracle.c @ x
+        self.t = oracle.c @ x if t is None else t
         self.lse, self.pi = _stable_softmax(self.t - oracle.b)
 
     @cached_property
@@ -234,7 +263,7 @@ class _SoftmaxPoint:
         return self._c.T @ self.pi
 
 
-class LogSumExpProblem(ObjectiveOracle):
+class LogSumExpProblem(_DataOracle):
     """f(x) = ln(sum_j exp(<c_j, x> - b_j)) + 0.5 sum_j <c_j, x>^2 + 0.5*gamma*|x|^2.
 
     The log term is evaluated with max-subtraction, so the softmax weights
@@ -275,10 +304,11 @@ class LogSumExpProblem(ObjectiveOracle):
         h = _as_vector(h, self.n)
         return self._action(p, h, self.c @ h)
 
-    def hessian_col(self, x, i):
-        return self._action(self._at(x), _basis(self.n, i), self.c[:, i])
+    @staticmethod
+    def _image(ch):
+        return ch
 
-    def hessian_quad(self, x, h):
+    def _quad(self, p, h, ch):
         """sum((pi + 1) (c h)^2) - <c^T pi, h>^2 + gamma |h|^2, with c^T pi cached at x.
 
         The first sum is taken as 2 <(pi + 1)/2 * (c h), c h>: halving is
@@ -287,9 +317,6 @@ class LogSumExpProblem(ObjectiveOracle):
         and the rest through Python floats, so an overflow reads as inf or
         NaN without a warning.
         """
-        p = self._at(x)
-        h = _as_vector(h, self.n)
-        ch = self.c @ h
         v = float(np.vdot(p.soft_grad, h))
         half = float(np.vdot((0.5 * p.pi + 0.5) * ch, ch))
         return 2.0 * half - v * v + self.gamma * _sq_norm(h)
@@ -313,10 +340,10 @@ class LogSumExpProblem(ObjectiveOracle):
 class _SigmoidPoint:
     """x and the margins t = y * (c @ x); sigmoid(-t) and the Hessian weights on first use."""
 
-    def __init__(self, oracle, x, key):
+    def __init__(self, oracle, x, key, t=None):
         self.key = key
         self.x = x
-        self.t = oracle.labels * (oracle.c @ x)
+        self.t = oracle._image(oracle.c @ x) if t is None else t
 
     @cached_property
     def sig_neg(self):
@@ -327,7 +354,7 @@ class _SigmoidPoint:
         return expit(self.t) * self.sig_neg
 
 
-class LogisticProblem(ObjectiveOracle):
+class LogisticProblem(_DataOracle):
     """f(x) = sum_j ln(1 + exp(-y_j <c_j, x>)) + 0.5*gamma*|x|^2, labels y in {-1, +1}."""
 
     def __init__(self, c, labels, gamma: float):
@@ -362,14 +389,11 @@ class LogisticProblem(ObjectiveOracle):
         h = _as_vector(h, self.n)
         return self._action(p, h, self.c @ h)
 
-    def hessian_col(self, x, i):
-        return self._action(self._at(x), _basis(self.n, i), self.c[:, i])
+    def _image(self, ch):
+        return self.labels * ch
 
-    def hessian_quad(self, x, h):
+    def _quad(self, p, h, ch):
         """sum(w (c h)^2) + gamma |h|^2 with the Hessian weights w <= 1/4 at x."""
-        p = self._at(x)
-        h = _as_vector(h, self.n)
-        ch = self.c @ h
         return float(np.vdot(p.weights * ch, ch)) + self.gamma * _sq_norm(h)
 
     def _action(self, p, h, ch):

@@ -288,9 +288,10 @@ def solve_general(
 ) -> tuple[np.ndarray, RunTrace]:
     """Broyden-family scheme with exact Hessian actions on a smooth oracle.
 
-    Each iteration takes the unit quasi-Newton step d, measures its length
-    r_k in the local Hessian metric as the square root of the oracle's
-    :meth:`~greedyqn.objectives.ObjectiveOracle.hessian_quad` along d,
+    Each iteration takes the unit quasi-Newton step d by the oracle's
+    :meth:`~greedyqn.objectives.ObjectiveOracle.advance` (x + d and <H d, d>,
+    with the data oracles' ``c @ x`` carried to x + d), takes the step's
+    length r_k in the local Hessian metric as the form's square root,
     optionally inflates G by (1 + m_const * r_k) so the Hessian at the new
     point stays dominated, selects the update direction (greedy coordinate
     or random sphere), and applies the tau-update against the exact
@@ -308,9 +309,8 @@ def solve_general(
     rng = None if greedy else RngStream(config.strategy.seed, "directions")
 
     def step(x, grad, row):
-        d = -state.solve(grad)
-        x_next = x + d
-        quad = _finite(oracle.hessian_quad(x, d), "Hessian quadratic form along the step")
+        x_next, quad = oracle.advance(x, -state.solve(grad))
+        quad = _finite(quad, "Hessian quadratic form along the step")
         r_k = row["r_k"] = math.sqrt(max(quad, 0.0))
         if config.correction and config.m_const * r_k > 0.0:
             state.rescale(1.0 + config.m_const * r_k)

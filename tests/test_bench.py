@@ -195,6 +195,26 @@ class TestRunPlan:
         assert all(fields[i] != "" for i in (5, 6, 7))
 
 
+class TestSharedOracle:
+    """A plan runs its methods one after another on one oracle and its point cache."""
+
+    @pytest.mark.parametrize("first,second", [("GrDFP", "GrSR1"), ("GrBFGS", "BFGS")])
+    def test_trace_is_the_same_after_another_method(self, tmp_path, first, second):
+        # the first method's last step leaves a carried record in the cache
+        traces = []
+        for methods in ([second], [first, second]):
+            out = tmp_path / "_".join(methods)
+            run_plan(ExperimentPlan(
+                problem=SyntheticSpec(n=50, m=50, gamma=1.0, seed=1),
+                methods=methods,
+                epsilons=[1e-1, 1e-3, 1e-5, 1e-7, 1e-9],
+                seed=1,
+                output=str(out),
+            ))
+            traces.append((out / f"trace_{second}.csv").read_bytes())
+        assert traces[0] == traces[1]
+
+
 class TestThresholdExtraction:
     def make_trace(self, f_values, outcome):
         from greedyqn.solvers import IterationRecord, RunTrace

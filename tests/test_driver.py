@@ -147,20 +147,27 @@ def test_diagnostics_leave_a_queued_run_as_it_is(tmp_path):
     assert rows["traced"] == rows["plain"]
 
 
+def _spoil(method, bad):
+    """A fault scaling ``method``'s output by ``bad``: for ``advance``, its quadratic form."""
+    if method == "advance":
+        return lambda out: (out[0], out[1] * bad)
+    return lambda out: out * bad
+
+
 class TestNonFiniteHessian:
     """A non-finite Hessian output ends the run at the step that read it."""
 
     @pytest.mark.parametrize(
         "method,call,r_k_set,dir_index",
         [
-            ("hessian_quad", 3, False, None),  # quadratic form along the step at k = 2
+            ("advance", 3, False, None),  # quadratic form along the step at k = 2
             ("hessian_diag", 3, True, None),  # diagonal at x_3
             ("hessian_col", 3, True, 7),  # action along the chosen e_7
         ],
     )
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_named_failure(self, method, call, r_k_set, dir_index, bad):
-        _, trace = _grsr1_run(method, call, lambda out: out * bad)
+        _, trace = _grsr1_run(method, call, _spoil(method, bad))
         assert trace.outcome == NUMERICAL_FAILURE
         assert trace.failure_reason == "NonFiniteResult"
         last = trace.records[-1]
@@ -169,10 +176,10 @@ class TestNonFiniteHessian:
         assert last.direction_index == dir_index
 
     # the step's quadratic form, and the action along the random u, at k = 1
-    @pytest.mark.parametrize("method", ["hessian_quad", "hessian_vec"])
+    @pytest.mark.parametrize("method", ["advance", "hessian_vec"])
     def test_random_directions(self, method):
         inner = generate_logsumexp(_LSE8)
-        oracle = FaultyOracle(inner, method, 2, lambda out: out * np.nan)
+        oracle = FaultyOracle(inner, method, 2, _spoil(method, np.nan))
         f_star = inner.value(np.zeros(8))
         cfg = SolverConfig(
             rule=UpdateRule.bfgs(),

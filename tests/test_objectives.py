@@ -346,17 +346,35 @@ def _bits(out):
 
 
 def _call(oracle, call, x):
-    """(bits of the output, or the type and text of the error) of one oracle call."""
+    """[bits of each output], or (the type and text of the error), of one oracle call."""
     name, arg = call
     try:
         with np.errstate(all="ignore"):
-            if name in ("hessian_vec", "hessian_col", "hessian_quad"):
-                out = getattr(oracle, name)(x, arg)
+            if name == "advance":
+                out = oracle.advance(x, arg)
+            elif name in ("hessian_vec", "hessian_col"):
+                out = (getattr(oracle, name)(x, arg),)
             else:
-                out = getattr(oracle, name)(x)
+                out = (getattr(oracle, name)(x),)
     except Exception as exc:  # compared across oracles, never swallowed
         return type(exc).__name__, str(exc)
-    return _bits(out)
+    return [_bits(part) for part in out]
+
+
+def _near(got, want, rtol):
+    """The same error, or outputs with the same non-finite entries and the finite
+    ones within ``rtol`` of the largest finite entry of their part of ``want``."""
+    if isinstance(got, tuple) or isinstance(want, tuple):
+        return got == want
+    for a, b in zip((np.frombuffer(g) for g in got), (np.frombuffer(w) for w in want)):
+        finite = np.isfinite(b)
+        if not (np.array_equal(np.isfinite(a), finite)
+                and np.array_equal(a[~finite], b[~finite], equal_nan=True)):
+            return False
+        scale = np.max(np.abs(b[finite]), initial=0.0)
+        if not np.all(np.abs(a[finite] - b[finite]) <= rtol * scale):
+            return False
+    return len(got) == len(want)
 
 
 @st.composite
@@ -368,16 +386,17 @@ def call_sequences(draw):
     points = _points(np.random.default_rng(seed + 1), n)
     h = np.random.default_rng(seed + 2).standard_normal(n)
     method = st.sampled_from(["value", "gradient", "hessian_diag", "hessian_vec",
-                              "hessian_col", "hessian_quad", "full_hessian"])
+                              "hessian_col", "advance", "full_hessian"])
+    # each advance appends the point it steps to; an index past the last point names it
     calls = draw(st.lists(
-        st.tuples(st.integers(0, len(points) - 1), method, st.integers(0, n - 1)),
+        st.tuples(st.integers(0, len(points) + 2), method, st.integers(0, n - 1)),
         min_size=1, max_size=25,
     ))
     return _oracle_factory(kind, seed, n, m), points, h, calls
 
 
 class TestHessianQuad:
-    """``hessian_quad`` is <hessian_vec(x, h), h>, read from c @ h alone by the data oracles."""
+    """``advance``'s form is <hessian_vec(x, h), h>, read from c @ h alone by the data oracles."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(_KINDS), st.integers(1, 12), st.integers(1, 15),
@@ -388,44 +407,59 @@ class TestHessianQuad:
         x = x_scale * rng.uniform(-1.0, 1.0, n)
         h = h_scale * rng.standard_normal(n)
         expected = float(np.vdot(oracle.hessian_vec(x, h), h))
-        got = oracle.hessian_quad(x, h)
+        x_next, got = oracle.advance(x, h)
         assert isinstance(got, float)
         assert abs(got - expected) <= 1e-12 * expected
+        assert x_next.tobytes() == (x + h).tobytes()
 
     def test_quadratic_keeps_the_action_bits(self, rng):
         prob = make_quadratic(rng, 5)
         x, h = rng.standard_normal(5), rng.standard_normal(5)
-        assert prob.hessian_quad(x, h) == float(np.vdot(prob.hessian_vec(x, h), h))
+        assert prob.advance(x, h)[1] == float(np.vdot(prob.hessian_vec(x, h), h))
 
     @pytest.mark.parametrize("kind", _KINDS)
     def test_overflow_reads_as_non_finite_without_a_warning(self, kind):
         oracle = _oracle_factory(kind, 3, 4, 5)()
-        assert not np.isfinite(oracle.hessian_quad(np.zeros(4), np.full(4, 1e300)))
+        assert not np.isfinite(oracle.advance(np.zeros(4), np.full(4, 1e300))[1])
 
     def test_logsumexp_weights_at_the_top_of_the_range(self):
         # (pi + 1) * (c h) would overflow here; the halved weights do not
         prob = LogSumExpProblem(np.array([[1.0]]), np.zeros(1), 1.0)
-        assert not np.isfinite(prob.hessian_quad(np.zeros(1), np.array([1.5e308])))
+        assert not np.isfinite(prob.advance(np.zeros(1), np.array([1.5e308]))[1])
 
     def test_wrong_length_is_refused(self, rng):
         for prob in all_problems(rng):
             with pytest.raises(DimensionMismatch):
-                prob.hessian_quad(np.zeros(prob.n), np.zeros(prob.n + 1))
+                prob.advance(np.zeros(prob.n), np.zeros(prob.n + 1))
 
 
 class TestPointCache:
-    """Each oracle caches its last point and still returns a fresh oracle's bits."""
+    """Each oracle caches its last point and still returns a fresh oracle's bits,
+    but at a point an ``advance`` stepped to, whose data product was carried."""
 
     @settings(max_examples=150, deadline=None)
     @given(call_sequences())
     def test_any_call_sequence_matches_a_fresh_oracle(self, case):
+        """Bit for bit, and within 1e-13 relative at a point with a carried record."""
         make, points, h, calls = case
+        points = list(points)
         cached = make()
+        stepped = set()  # bits of the points an advance published a carried record for
         x = np.empty_like(points[0])  # one buffer, rewritten in place before each call
         for j, name, i in calls:
-            x[...] = points[j]
-            call = (name, h if name in ("hessian_vec", "hessian_quad") else i)
-            assert _call(cached, call, x) == _call(make(), call, points[j].copy())
+            point = points[min(j, len(points) - 1)]
+            x[...] = point
+            call = (name, h if name in ("hessian_vec", "advance") else i)
+            got, want = _call(cached, call, x), _call(make(), call, point.copy())
+            if point.tobytes() in stepped:
+                assert _near(got, want, 1e-13)
+            else:
+                assert got == want
+            if name == "advance" and isinstance(want, list):
+                x_next, quad = (np.frombuffer(part) for part in want)
+                points.append(x_next)
+                if np.isfinite(quad[0]):
+                    stepped.add(x_next.tobytes())
 
     @pytest.mark.parametrize("kind", _KINDS)
     def test_cache_is_keyed_on_bits(self, kind):
@@ -440,6 +474,44 @@ class TestPointCache:
         at_x = oracle._at(x)
         x[2] = 2.0  # the caller changes its array in place
         assert oracle._at(x) is not at_x
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["logsumexp", "logistic"]), st.integers(1, 12), st.integers(1, 15),
+           st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+    def test_every_call_at_a_stepped_point_is_near_a_fresh_oracle(self, kind, n, m, seed, scale):
+        make = _oracle_factory(kind, seed, n, m)
+        oracle = make()
+        rng = np.random.default_rng(seed + 5)
+        h = rng.standard_normal(n)
+        x_next, _ = oracle.advance(scale * rng.uniform(-1.0, 1.0, n), h)
+        calls = [("value", None), ("gradient", None), ("hessian_diag", None), ("hessian_vec", h),
+                 ("hessian_col", n - 1), ("full_hessian", None),
+                 ("advance", h)]  # last: it moves the cache on
+        for call in calls:
+            assert _near(_call(oracle, call, x_next), _call(make(), call, x_next.copy()), 1e-13)
+
+    @pytest.mark.parametrize("kind", ["logsumexp", "logistic"])
+    def test_a_step_lost_to_rounding_keeps_the_fresh_record(self, kind):
+        # t = c @ x has an exact zero, which a carried c @ d would move although x does not
+        c = np.array([[1.0, -1.0], [2.0, 1.0]])
+        make = (lambda: LogSumExpProblem(c, np.zeros(2), 1.0)) if kind == "logsumexp" else (
+            lambda: LogisticProblem(c, np.array([1.0, -1.0]), 1.0))
+        oracle = make()
+        x = np.ones(2)
+        for _ in range(3):
+            x_next, _ = oracle.advance(x, np.array([1e-20, -3e-20]))
+            assert x_next.tobytes() == x.tobytes()
+        assert oracle._at(x).t.tobytes() == make()._at(x).t.tobytes()
+        assert oracle.gradient(x).tobytes() == make().gradient(x).tobytes()
+
+    @pytest.mark.parametrize("kind", ["logsumexp", "logistic"])
+    def test_a_step_whose_form_is_not_finite_caches_no_point(self, kind):
+        oracle = _oracle_factory(kind, 3, 4, 5)()
+        x = np.zeros(4)
+        record = oracle._at(x)
+        _, quad = oracle.advance(x, np.full(4, 1e300))
+        assert not np.isfinite(quad)
+        assert oracle._at(x) is record
 
     @pytest.mark.parametrize("kind", _KINDS)
     def test_cached_point_does_not_alias_the_callers_array(self, kind):
@@ -471,7 +543,7 @@ class TestPointCache:
         rng = np.random.default_rng(10)
         points = [rng.uniform(-1.0, 1.0, 5) for _ in range(6)]
         calls = [("value", None), ("gradient", None), ("hessian_diag", None),
-                 ("hessian_vec", np.ones(5)), ("hessian_col", 3), ("hessian_quad", np.ones(5))]
+                 ("hessian_vec", np.ones(5)), ("hessian_col", 3), ("advance", np.ones(5))]
         expected = [[_call(_oracle_factory(kind, 9, 5, 7)(), c, x) for c in calls]
                     for x in points]
         mismatches = []

@@ -9,10 +9,12 @@ from scipy.linalg import eigh
 from conftest import min_eig, random_spd
 from greedyqn import solvers
 from greedyqn.bench import QuadraticSpec
-from greedyqn.broyden import UpdateRule, broyden_update
+from greedyqn.broyden import UpdateRule, broyden_update, greedy_direction
 from greedyqn.data_io import SyntheticSpec, generate_logsumexp, generate_start, parse_libsvm
 from greedyqn.errors import DimensionTooLarge, NotPositiveDefinite
-from greedyqn.objectives import DENSE_CAP, LogisticProblem, QuadraticProblem
+from greedyqn.objectives import (
+    DENSE_CAP, LogisticProblem, LogSumExpProblem, ObjectiveOracle, QuadraticProblem,
+)
 from greedyqn.operator_core import AUDIT_EVERY, SpdState
 from greedyqn.solvers import (
     CONVERGED,
@@ -105,6 +107,151 @@ class TestHessianDominated:
             patch.setattr(oracle, "value", value_spy)
             solve_general(oracle, generate_start(spec.n, spec.seed), cfg)
         assert least and min(least) >= 1.0 - 1e-10
+
+
+class FreshLogSumExp(LogSumExpProblem):
+    """Log-sum-exp whose step computes ``c @ x`` afresh at x + d instead of carrying it."""
+
+    advance = ObjectiveOracle.advance
+
+
+class FreshLogistic(LogisticProblem):
+    """Logistic loss whose step computes its margins afresh at x + d instead of carrying them."""
+
+    advance = ObjectiveOracle.advance
+
+
+class _Watched:
+    """A data oracle that compares each carried t with a fresh image of ``c @ x``."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.errors, self.sizes = [], []
+
+    def advance(self, x, d):
+        x_next, quad = super().advance(x, d)
+        fresh = self._image(self.c @ x_next)
+        self.errors.append(float(np.max(np.abs(self._at(x_next).t - fresh))))
+        self.sizes.append(float(np.max(np.abs(fresh))))
+        return x_next, quad
+
+
+class WatchedLogSumExp(_Watched, LogSumExpProblem):
+    pass
+
+
+class WatchedLogistic(_Watched, LogisticProblem):
+    pass
+
+
+def _first_near_tie(ratios):
+    """The first step whose two largest greedy ratios are within 1e-9 relative, or their count."""
+    for k, r in enumerate(ratios):
+        top = np.sort(r)[-2:]
+        if top.size == 2 and top[1] - top[0] <= 1e-9 * top[1]:
+            return k
+    return len(ratios)
+
+
+class TestCarriedProducts:
+    """The step carries ``c @ x`` (log-sum-exp) or the margins (logistic) to x + d.
+
+    That moves their rounding but neither a direction nor an iterate beyond it.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        logistic=st.booleans(),
+        n=st.integers(2, 12),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        greedy=st.booleans(),
+        correction=st.booleans(),
+        rule=st.sampled_from([UpdateRule.sr1(), UpdateRule.bfgs(), UpdateRule.dfp()]),
+    )
+    def test_carried_run_follows_the_fresh_run(
+        self, logistic, n, data, seed, greedy, correction, rule
+    ):
+        """The same directions, and f within 1e-12 relative, up to a near-tie of the ratios.
+
+        gamma is the default plan's 1.0.  At gamma = 0.1 some runs (uncorrected SR1
+        that diverges, logistic DFP) amplify any rounding past 1e-12, a
+        1-ulp perturbation of a fresh ``c @ x`` as much as the carried one.
+        """
+        m = data.draw(st.integers(2, 3 * n), label="m")
+        if logistic:
+            rng = np.random.default_rng(seed)
+            c = rng.uniform(-1.0, 1.0, (m, n)) * (rng.uniform(size=(m, n)) < 0.65)
+            args, types = (c, rng.choice([-1.0, 1.0], m), 1.0), (LogisticProblem, FreshLogistic)
+        else:
+            lse = generate_logsumexp(SyntheticSpec(n=n, m=m, gamma=1.0, seed=seed))
+            args, types = (lse.c, lse.b, lse.gamma), (LogSumExpProblem, FreshLogSumExp)
+        strategy = DirectionStrategy.greedy() if greedy else DirectionStrategy.random_sphere(seed)
+        cfg = SolverConfig(rule, strategy, GradientNorm(1e-10), 60,
+                           correction=correction, m_const=2.0)
+        runs = []
+        for oracle_type in types:
+            ratios = []
+
+            def spy(diag_g, diag_a):
+                index = greedy_direction(diag_g, diag_a)  # refuses a diagonal entry <= 0
+                ratios.append(diag_g / diag_a)
+                return index
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solvers, "greedy_direction", spy)
+                _, trace = solve_general(oracle_type(*args), generate_start(n, seed), cfg)
+            runs.append((trace.records, _first_near_tie(ratios)))
+        (carried, tie_a), (fresh, tie_b) = runs
+        tie = min(tie_a, tie_b)
+        for a, b in zip(carried[: tie + 1], fresh[: tie + 1]):
+            assert abs(a.f_value - b.f_value) <= 1e-12 * abs(b.f_value)
+            if a.k < tie:
+                assert a.direction_index == b.direction_index
+
+    @pytest.mark.parametrize(
+        "n,rule,epsilon,steps",
+        [(50, UpdateRule.dfp(), 1e-9, 1111), (200, UpdateRule.bfgs(), 1e-5, None)],
+        ids=["GrDFP-n50", "GrBFGS-n200-queued"],
+    )
+    def test_carried_rounding_stays_below_1e_13_of_the_largest_product(
+        self, n, rule, epsilon, steps
+    ):
+        """No recomputation of c @ x is needed along the paper's longest greedy run.
+
+        The bound is taken against the run's largest |c x_k|: x_k tends to
+        the minimizer at the origin, so against the current |c x_k| the same
+        error reads about 1e-10 by the end of the GrDFP run.
+        """
+        lse = generate_logsumexp(SyntheticSpec(n=n, m=n, gamma=1.0, seed=1))
+        oracle = WatchedLogSumExp(lse.c, lse.b, lse.gamma)
+        cfg = greedy_config(rule, FunctionResidual(epsilon, lse.value(np.zeros(n))), 1000 * n,
+                            correction=True, m_const=2.0)
+        _, trace = solve_general(oracle, generate_start(n, 1), cfg)
+        assert trace.outcome == CONVERGED
+        if steps is not None:
+            assert trace.converged_at == steps
+        else:
+            assert trace.converged_at > AUDIT_EVERY  # the run crosses a flush of the queue
+        assert len(oracle.errors) == trace.converged_at
+        assert max(oracle.errors) <= 1e-13 * max(oracle.sizes)
+
+    def test_carried_rounding_stays_below_1e_13_in_a_stalled_run(self):
+        """A run held at its rounding floor: each step's x + d loses bits of d.
+
+        Logistic margins, whose minimizer is away from the origin, so the
+        lost bits are not negligible against x.  4000 greedy BFGS steps
+        (measured: at most 23 eps).
+        """
+        rng = np.random.default_rng(0)
+        c = rng.uniform(-1.0, 1.0, (40, 20))
+        oracle = WatchedLogistic(c, rng.choice([-1.0, 1.0], 40), 0.1)
+        cfg = greedy_config(UpdateRule.bfgs(), GradientNorm(1e-300), 4000)
+        _, trace = solve_general(oracle, rng.normal(size=20), cfg)
+        assert trace.outcome == MAX_ITER_REACHED
+        f = trace.f_values()
+        assert np.ptp(f[-1000:]) <= 1e-15 * abs(f[-1])  # stalled for the last 1000 steps
+        assert max(oracle.errors) <= 1e-13 * max(oracle.sizes)
 
 
 class TestSolveQuadratic:
