@@ -42,37 +42,35 @@ from .solvers import (
 BUDGET_EXHAUSTED = "-"
 FAILED = "!"
 
-_RULES = {
-    "SR1": UpdateRule.sr1,
-    "DFP": UpdateRule.dfp,
-    "BFGS": UpdateRule.bfgs,
-}
+_RULES = {"SR1": UpdateRule.sr1(), "DFP": UpdateRule.dfp(), "BFGS": UpdateRule.bfgs()}
 
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One column of the experiment matrix."""
+    """One column of the experiment matrix, known by its command-line name: "GM",
+    a classical "SR1", "DFP" or "BFGS", or one of those three behind "Gr" (greedy)
+    or "Ra" (random directions).  Other names are refused; the rest is read off it."""
 
     name: str
-    family: str  # "gm" | "classical" | "general"
-    rule: UpdateRule | None = None
-    random_directions: bool = False
 
+    def __post_init__(self):
+        if self.family != "gm" and self.rule is None:
+            raise InvalidPlan(f"unknown method {self.name!r}")
 
-def parse_method(name: str) -> MethodSpec:
-    if name == "GM":
-        return MethodSpec(name, "gm")
-    if name in _RULES:
-        return MethodSpec(name, "classical", rule=_RULES[name]())
-    for prefix, random_dirs in (("Gr", False), ("Ra", True)):
-        if name.startswith(prefix) and name[len(prefix):] in _RULES:
-            return MethodSpec(
-                name,
-                "general",
-                rule=_RULES[name[len(prefix):]](),
-                random_directions=random_dirs,
-            )
-    raise InvalidPlan(f"unknown method {name!r}")
+    @property
+    def family(self) -> str:
+        """One of "gm", "classical" or "general"."""
+        if self.name == "GM":
+            return "gm"
+        return "general" if self.name[:2] in ("Gr", "Ra") else "classical"
+
+    @property
+    def rule(self) -> UpdateRule | None:
+        return _RULES.get(self.name[2:] if self.family == "general" else self.name)
+
+    @property
+    def random_directions(self) -> bool:
+        return self.name.startswith("Ra")
 
 
 @dataclass(frozen=True)
@@ -123,9 +121,7 @@ class ExperimentPlan:
     trace_options: TraceOptions = field(default_factory=TraceOptions)
 
     def __post_init__(self):
-        self.methods = [
-            m if isinstance(m, MethodSpec) else parse_method(m) for m in self.methods
-        ]
+        self.methods = [m if isinstance(m, MethodSpec) else MethodSpec(m) for m in self.methods]
         if not self.methods:
             raise InvalidPlan("no methods requested")
         _refuse_repeats([m.name for m in self.methods], "method")
@@ -176,10 +172,12 @@ def _reference_f_star(oracle) -> float:
 
 
 def _prepare(plan: ExperimentPlan) -> _Prepared:
+    """The plan's oracle, f*, start and description; a plan whose trace options need
+    the dense Hessian is refused by the oracle's cap check before any f* work."""
     prob = plan.problem
     if isinstance(prob, SyntheticSpec):
         oracle = generate_logsumexp(prob)
-        f_star = oracle.value(np.zeros(oracle.n))
+        f_star = lambda: oracle.value(np.zeros(oracle.n))
         desc = f"logsumexp n={prob.n} m={prob.m} gamma={prob.gamma:g}"
     elif isinstance(prob, LibsvmSpec):
         path = Path(prob.path)
@@ -191,16 +189,17 @@ def _prepare(plan: ExperimentPlan) -> _Prepared:
         if dataset.n_features < 1:
             raise InvalidPlan(f"dataset {path} has no feature (n = 0)")
         oracle = dataset.to_logistic(prob.gamma)
-        f_star = _reference_f_star(oracle)
+        f_star = lambda: _reference_f_star(oracle)
         desc = f"logistic {path.name} n={oracle.n} m={oracle.m} gamma={prob.gamma:g}"
     elif isinstance(prob, QuadraticSpec):
         oracle = prob.build()
-        f_star = oracle.value(oracle.minimizer())
+        f_star = lambda: oracle.value(oracle.minimizer())
         desc = f"quadratic n={prob.n}"
     else:
         raise InvalidPlan(f"unsupported problem spec {type(prob).__name__}")
-    x0 = generate_start(oracle.n, plan.seed)
-    return _Prepared(oracle, f_star, x0, desc)
+    if plan.trace_options.dense or plan.trace_options.op_error_at:
+        oracle._check_cap()
+    return _Prepared(oracle, f_star(), generate_start(oracle.n, plan.seed), desc)
 
 
 def _run_tables(plan: ExperimentPlan, errors: bool):
@@ -211,21 +210,20 @@ def _run_tables(plan: ExperimentPlan, errors: bool):
     ``op_error`` at the first iterate meeting each epsilon, the rows the
     error table reads.  An error table with no method besides GM is refused
     before the problem is prepared.  Above the dense cap a plan asking for
-    the error table or for any traced diagnostic is refused by the oracle's
-    own cap check, before a method runs.  With ``plan.output`` every table
-    and trace file is written once.
+    the error table or for any traced diagnostic is refused by
+    :func:`_prepare`, before the reference solve.  With ``plan.output``
+    every table and trace file is written once.
     """
     error_methods = [m for m in plan.methods if m.family != "gm"]
-    if errors and not error_methods:
-        raise InvalidPlan("no method with a Hessian approximation for the error table")
+    if errors:
+        if not error_methods:
+            raise InvalidPlan("no method with a Hessian approximation for the error table")
+        op_error_at = tuple(plan.epsilons)
+        plan = replace(plan, trace_options=replace(plan.trace_options, op_error_at=op_error_at))
     prepared = _prepare(plan)
     oracle = prepared.oracle
     m_const = oracle.self_concordance_m or 0.0  # 0.0 turns the correction off
     trace_opts = plan.trace_options
-    if errors or trace_opts.dense:
-        oracle._check_cap()
-    if errors:
-        trace_opts = replace(trace_opts, op_error_at=tuple(plan.epsilons))
     budget = plan.iteration_budget_factor * oracle.n
     termination = FunctionResidual(plan.epsilons[-1], prepared.f_star)
     traces = {}
@@ -241,14 +239,9 @@ def _run_tables(plan: ExperimentPlan, errors: bool):
                 oracle, prepared.x0, spec.rule, termination, budget, trace_options=trace_opts
             )
         else:
-            strategy = (
-                DirectionStrategy.random_sphere(plan.seed)
-                if spec.random_directions
-                else DirectionStrategy.greedy()
-            )
             config = SolverConfig(
                 rule=spec.rule,
-                strategy=strategy,
+                strategy=DirectionStrategy(plan.seed if spec.random_directions else None),
                 termination=termination,
                 max_iter=budget,
                 correction=m_const > 0.0,

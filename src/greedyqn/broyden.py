@@ -2,8 +2,9 @@
 
 The family is parameterized by tau in [0, 1]: tau = 0 is the symmetric
 rank-one update (SR1), tau = 1 is DFP, and tau = <Au, u>/<Gu, u> recovers
-BFGS.  Every policy reads tau (:func:`_tau`): a rule has an SR1 part iff
-tau is not BFGS's or 1, and a part dividing by <Au, u> iff tau is not 0.
+BFGS.  An :class:`UpdateRule` is its tau, None for BFGS, and every policy
+reads it: a rule has an SR1 part iff tau is neither None nor 1, and a
+part dividing by <Au, u> iff tau is not 0.
 Each member is a symmetric rank-two modification of G in span{Au, Gu}, or
 span{y, Gs} for a secant step.  :func:`family_coefficients` gives its
 coefficients on either pair; :func:`broyden_update` re-expresses a
@@ -44,38 +45,40 @@ class UpdateKind(enum.Enum):
 
 @dataclass(frozen=True)
 class UpdateRule:
-    """Selector among SR1, DFP, BFGS, and a fixed mixing parameter."""
+    """A Broyden-family member stored as its DFP weight tau: None is BFGS, whose tau
+    <Au, u>/<Gu, u> varies, 0.0 SR1, 1.0 DFP and any other value in [0, 1] a fixed
+    blend.  A tau outside [0, 1], NaN and ``fixed(None)`` (BFGS) are refused."""
 
-    kind: UpdateKind
     tau: float | None = None
 
     def __post_init__(self):
-        if self.kind is UpdateKind.FIXED_TAU:
-            if self.tau is None or not 0.0 <= self.tau <= 1.0:
-                raise ValueError("fixed-tau rule needs tau in [0, 1]")
-        elif self.tau is not None:
-            raise ValueError(f"{self.kind.value} rule does not take tau")
+        if self.tau is not None and not 0.0 <= self.tau <= 1.0:
+            raise ValueError("fixed-tau rule needs tau in [0, 1]")
+
+    @property
+    def kind(self) -> UpdateKind:
+        """The rule's name, read off tau."""
+        if self.tau is None:
+            return UpdateKind.BFGS
+        return {0.0: UpdateKind.SR1, 1.0: UpdateKind.DFP}.get(self.tau, UpdateKind.FIXED_TAU)
 
     @classmethod
     def sr1(cls):
-        return cls(UpdateKind.SR1)
+        return cls(0.0)
 
     @classmethod
     def dfp(cls):
-        return cls(UpdateKind.DFP)
+        return cls(1.0)
 
     @classmethod
     def bfgs(cls):
-        return cls(UpdateKind.BFGS)
+        return cls()
 
     @classmethod
     def fixed(cls, tau: float):
-        return cls(UpdateKind.FIXED_TAU, tau)
-
-
-def _tau(rule: UpdateRule) -> float | None:
-    """The rule's DFP weight tau: 0 for SR1, 1 for DFP, None for BFGS (it varies)."""
-    return {UpdateKind.SR1: 0.0, UpdateKind.DFP: 1.0}.get(rule.kind, rule.tau)
+        if tau is None:
+            raise ValueError("fixed-tau rule needs tau in [0, 1]")
+        return cls(tau)
 
 
 def family_coefficients(rule: UpdateRule, alpha, beta) -> tuple[float, float, float]:
@@ -90,7 +93,7 @@ def family_coefficients(rule: UpdateRule, alpha, beta) -> tuple[float, float, fl
     An alpha^2 that underflows to 0, or a coefficient that is not finite, is
     refused as :class:`NonFiniteResult`.
     """
-    tau = _tau(rule)
+    tau = rule.tau
     if tau is None:
         coeffs = 1.0 / alpha, 0.0, -1.0 / beta
     else:
@@ -147,7 +150,7 @@ def broyden_update(state: SpdState, u, au, rule: UpdateRule) -> SpdState:
     if guu - auu <= DEGENERACY_RTOL * auu:
         return state
     c11, c12, c22 = family_coefficients(rule, auu, guu)
-    tau = _tau(rule)
+    tau = rule.tau
     if i is None and tau not in (None, 1.0):
         # The same update on (Au, d): c11 + 2 c12 + c22 on Au Au^T, c12 + c22
         # on Au d^T + d Au^T and c22 = -w on d d^T, built without w.

@@ -31,7 +31,6 @@ from .broyden import (
     UpdateRule,
     _op_error_from_factor,
     _sigma_from_factor,
-    _tau,
     broyden_update,
     family_coefficients,
     greedy_direction,
@@ -56,26 +55,27 @@ class DirectionKind(enum.Enum):
 
 @dataclass(frozen=True)
 class DirectionStrategy:
-    """How update directions are chosen.
+    """How update directions are chosen: greedy coordinates without a seed,
+    uniform unit-sphere directions from the seed's "directions" stream with one."""
 
-    ``seed`` feeds the "directions" stream and must be present exactly for
-    the random-sphere strategy.
-    """
-
-    kind: DirectionKind
     seed: int | None = None
 
-    def __post_init__(self):
-        if (self.kind is DirectionKind.RANDOM_SPHERE) != (self.seed is not None):
-            raise ValueError("seed must be present iff the strategy is random-sphere")
+    @property
+    def kind(self) -> DirectionKind:
+        """The strategy's name, read off the seed."""
+        if self.seed is None:
+            return DirectionKind.GREEDY_COORDINATE
+        return DirectionKind.RANDOM_SPHERE
 
     @classmethod
     def greedy(cls):
-        return cls(DirectionKind.GREEDY_COORDINATE)
+        return cls()
 
     @classmethod
     def random_sphere(cls, seed: int):
-        return cls(DirectionKind.RANDOM_SPHERE, seed)
+        if seed is None:
+            raise ValueError("random-sphere strategy needs a seed")
+        return cls(seed)
 
 
 @dataclass(frozen=True)
@@ -305,7 +305,7 @@ def solve_general(
     """
     n = oracle.n
     state = SpdState.scaled_identity(n, oracle.lipschitz_l)
-    greedy = config.strategy.kind is DirectionKind.GREEDY_COORDINATE
+    greedy = config.strategy.seed is None
     rng = None if greedy else RngStream(config.strategy.seed, "directions")
 
     def step(x, grad, row):
@@ -356,7 +356,7 @@ def _secant_coefficients(rule: UpdateRule, alpha, beta):
     A rule with an SR1 part (tau not None or 1) skips a negligible |beta -
     alpha|: a two-sided test, as a secant pair does not keep G above A.
     """
-    tau = _tau(rule)
+    tau = rule.tau
     if tau != 0.0 and beta <= 0.0:
         raise NotPositiveDefinite(
             f"approximation lost definiteness along the step (<Gs,s>={beta})"

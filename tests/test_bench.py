@@ -21,8 +21,8 @@ from greedyqn.bench import (
     QuadraticSpec,
     ResultTable,
     emit_table,
+    MethodSpec,
     main,
-    parse_method,
     run_hessian_error_plan,
     run_plan,
     _build_parser,
@@ -61,24 +61,30 @@ def micro_plan(**overrides):
 
 
 class TestMethodParsing:
+    # family, rule (None for GM) and random flag of every CLI name
     @pytest.mark.parametrize(
-        "name,family,random_dirs",
+        "name,family,rule,random_dirs",
         [
-            ("GM", "gm", False),
-            ("SR1", "classical", False),
-            ("BFGS", "classical", False),
-            ("GrDFP", "general", False),
-            ("RaBFGS", "general", True),
+            ("GM", "gm", None, False),
+            ("SR1", "classical", UpdateRule(0.0), False),
+            ("DFP", "classical", UpdateRule(1.0), False),
+            ("BFGS", "classical", UpdateRule(None), False),
+            ("GrSR1", "general", UpdateRule(0.0), False),
+            ("GrDFP", "general", UpdateRule(1.0), False),
+            ("GrBFGS", "general", UpdateRule(None), False),
+            ("RaSR1", "general", UpdateRule(0.0), True),
+            ("RaDFP", "general", UpdateRule(1.0), True),
+            ("RaBFGS", "general", UpdateRule(None), True),
         ],
     )
-    def test_known_names(self, name, family, random_dirs):
-        spec = parse_method(name)
-        assert spec.family == family
-        assert spec.random_directions == random_dirs
+    def test_known_names(self, name, family, rule, random_dirs):
+        spec = MethodSpec(name)
+        assert (spec.family, spec.rule, spec.random_directions) == (family, rule, random_dirs)
 
-    def test_unknown_name(self):
-        with pytest.raises(InvalidPlan):
-            parse_method("Newton")
+    @pytest.mark.parametrize("name", ["Newton", "GrGM", "RaGrSR1", ""])
+    def test_unknown_name(self, name):
+        with pytest.raises(InvalidPlan, match=re.escape(f"unknown method {name!r}")):
+            MethodSpec(name)
 
 
 class TestPlanValidation:
@@ -816,6 +822,27 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "dense cap" in captured.err
         assert not (tmp_path / "D").exists()
+
+    @pytest.mark.parametrize("flags", [["--hessian-error"], ["--trace", "sigma"]])
+    def test_dense_cap_is_checked_before_the_reference_solve(
+        self, flags, tmp_path, monkeypatch, capsys
+    ):
+        n = DENSE_CAP + 1
+        rng = np.random.default_rng(3)
+        rows = np.zeros((40, n))
+        for row in rows:
+            cols = rng.choice(n, size=5, replace=False)
+            row[cols] = np.round(rng.standard_normal(5), 3)
+        target = tmp_path / "wide.libsvm"
+        target.write_text(_libsvm_text([1, -1] * 20, rows))
+        solves = []
+        monkeypatch.setattr(bench, "newton_minimum", lambda *a, **k: solves.append(a))
+        argv = ["--problem", "libsvm", "--dataset", str(target), "--n-features", str(n)]
+        assert main(argv + ["--methods", "SR1"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: n={n} exceeds the dense cap {DENSE_CAP}\n"
+        assert solves == []  # refused before the Newton solve for f*
 
     def test_second_run_into_one_directory_is_refused(self, tmp_path, monkeypatch, capsys):
         argv = ["--m", "5", "--epsilons", "1e-1,1e-4", "--seed", "7", "--out", str(tmp_path)]

@@ -639,24 +639,36 @@ class TestFamilyUpdateGuard:
 
 class TestRuleAndStrategyValidation:
     def test_fixed_tau_range(self):
-        with pytest.raises(ValueError):
-            UpdateRule.fixed(1.5)
-        with pytest.raises(ValueError):
-            UpdateRule.fixed(-0.1)
+        for tau in (1.5, -0.1, np.nan, None):
+            with pytest.raises(ValueError):
+                UpdateRule.fixed(tau)
+            if tau is not None:  # a rule built directly with tau None is BFGS
+                with pytest.raises(ValueError):
+                    UpdateRule(tau)
+        with pytest.raises(ValueError):  # a strategy with no seed is greedy
+            DirectionStrategy.random_sphere(None)
 
-    def test_named_rules_reject_tau(self):
+    def test_a_rule_is_its_tau(self):
         from greedyqn.broyden import UpdateKind
 
-        with pytest.raises(ValueError):
-            UpdateRule(UpdateKind.BFGS, tau=0.5)
+        assert UpdateRule.fixed(0.0) == UpdateRule.sr1()
+        assert UpdateRule.fixed(1.0) == UpdateRule.dfp()
+        kinds = {
+            UpdateRule.sr1(): UpdateKind.SR1,
+            UpdateRule.dfp(): UpdateKind.DFP,
+            UpdateRule.bfgs(): UpdateKind.BFGS,
+            UpdateRule.fixed(0.5): UpdateKind.FIXED_TAU,
+        }
+        for rule, kind in kinds.items():
+            assert rule.kind is kind, rule
 
-    def test_random_sphere_requires_seed(self):
-        with pytest.raises(ValueError):
-            DirectionStrategy(DirectionStrategy.greedy().kind, seed=3)
+    def test_a_strategy_is_its_seed(self):
         from greedyqn.solvers import DirectionKind
 
-        with pytest.raises(ValueError):
-            DirectionStrategy(DirectionKind.RANDOM_SPHERE)
+        assert DirectionStrategy.greedy() == DirectionStrategy(None)
+        assert DirectionStrategy.random_sphere(3) == DirectionStrategy(3)
+        assert DirectionStrategy.greedy().kind is DirectionKind.GREEDY_COORDINATE
+        assert DirectionStrategy.random_sphere(0).kind is DirectionKind.RANDOM_SPHERE
 
     def test_classical_fixed_tau_converges(self):
         spec = SyntheticSpec(n=12, m=15, gamma=1.0, seed=13)
